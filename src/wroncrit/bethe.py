@@ -484,44 +484,70 @@ def _coupling_matrix(l: Sequence[int]) -> np.ndarray:
 
 
 def _embedded_weights(data: MasterData) -> tuple[np.ndarray, np.ndarray]:
+    # marked points, and W[p, s] = m_s(level of coordinate p)
     zs = np.array([embed_scalar(z) for z, _ in data.points], dtype=complex)
-    M = np.array([[m[i] for i in range(data.N)] for _, m in data.points], dtype=float)
-    return zs, M.reshape(len(data.points), data.N)
+    W = np.array([[m[i] for _, m in data.points] for i in _layout(data.l)], dtype=float)
+    return zs, W.reshape(data.size(), len(data.points))
 
 
-def _batch_residual(t: np.ndarray, C: np.ndarray, lev: list[int],
-                    zs: np.ndarray, M: np.ndarray) -> np.ndarray:
-    S, L = t.shape
+def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
+                        W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, J, r) of the critical equations at a batch of points t, shape (S, L).
+
+    r_p = sum_q C_pq/(t_p - t_q) - sum_s W_ps/(t_p - z_s) is the log-gradient
+    (bethe_residual).  F_p = w_p r_p with w_p = prod_s (t_p - z_s)^W_ps
+    prod_{C_pq != 0} (t_p - t_q), the multiplier clear_denominators clears,
+    so F is the cleared system up to the sign of each equation.  Its
+    Jacobian is J = diag(w) (J_r + r (d log w)^T).  All three come from the
+    reciprocal differences 1/(t_p - t_q) and 1/(t_p - z_s); a coordinate on
+    a collision makes its row non-finite.
+    """
+    L = t.shape[1]
+    A = C != 0
     D = t[:, :, None] - t[:, None, :]
-    D[:, range(L), range(L)] = 1.0
-    r = (C[None, :, :] / D).sum(axis=2)
-    if len(zs):
-        W = np.array([[M[s, lev[p]] for s in range(len(zs))] for p in range(L)])
-        Dz = t[:, :, None] - zs[None, None, :]
-        r = r - (W[None, :, :] / Dz).sum(axis=2)
-    return r
+    Dz = t[:, :, None] - zs[None, None, :]
+    E = np.divide(1.0, D, out=np.zeros_like(D), where=A)
+    Ez = np.divide(1.0, Dz, out=np.zeros_like(Dz), where=W > 0)
+    WEz = W * Ez
+    r = (C * E).sum(axis=2) - WEz.sum(axis=2)
+    w = np.where(A, D, 1.0).prod(axis=2) * (Dz ** W).prod(axis=2)
+    diag = np.arange(L)
+    Jr = C * E * E
+    Jr[:, diag, diag] = (WEz * Ez).sum(axis=2) - Jr.sum(axis=2)
+    G = -E
+    G[:, diag, diag] = WEz.sum(axis=2) + E.sum(axis=2)
+    J = w[:, :, None] * (Jr + r[:, :, None] * G)
+    return w * r, J, r
 
 
-def _compile_polys(polys, L: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # (coefficient vector, exponent matrix) per polynomial, for batched eval
+def _collision_gap(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # distance of each point in the batch to the nearest collision check_admissible forbids
+    D = np.abs(t[:, :, None] - t[:, None, :])[:, C != 0]
+    Dz = np.abs(t[:, :, None] - zs[None, None, :])[:, W > 0]
+    return np.concatenate([D, Dz], axis=1).min(axis=1, initial=np.inf)
+
+
+def _orbit_key(row: np.ndarray, l: Sequence[int]) -> np.ndarray:
+    """Coefficients of the tuple y = gamma(t), levels concatenated.
+
+    Level i contributes e_1..e_{l_i}, the elementary symmetric functions of
+    its coordinates: the coefficients of y_i up to alternating sign, so a
+    level with one coordinate contributes that coordinate.  The key does
+    not depend on the order of the coordinates, which is what makes it the
+    identity of an orbit.
+    """
     out = []
-    for f in polys:
-        if not f.terms:
-            out.append((np.zeros(1, dtype=complex), np.zeros((1, L), dtype=np.int64)))
-            continue
-        E = np.array(list(f.terms.keys()), dtype=np.int64)
-        c = np.array([complex(embed_scalar(v)) for v in f.terms.values()])
-        out.append((c, E))
-    return out
+    pos = 0
+    for li in l:
+        coeffs = np.atleast_1d(np.poly(row[pos:pos + li]))[1:]
+        out.append(coeffs * (-1.0) ** np.arange(1, li + 1))
+        pos += li
+    return np.concatenate(out)
 
 
-def _eval_compiled(comp: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray) -> np.ndarray:
-    # t: (S, L) -> values (S, len(comp))
-    cols = []
-    for c, E in comp:
-        P = np.prod(t[:, None, :] ** E[None, :, :], axis=2)
-        cols.append(P @ c)
-    return np.stack(cols, axis=1)
+def _sort_key(key: np.ndarray) -> list[tuple[float, float]]:
+    # rounded, so that samples of one orbit sort alike
+    return [(round(v.real, 8), round(v.imag, 8)) for v in key]
 
 
 def _canonical(row: np.ndarray, l: Sequence[int]) -> tuple[tuple[complex, ...], ...]:
@@ -631,8 +657,8 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     Deterministic for fixed (data, starts, seed, tol).  Starts are drawn
     uniformly from a disc of radius 2(max|z_s| + 1); Gauss-Newton steps use
     the pseudoinverse so degenerate and positive-dimensional solutions are
-    reached as well, at a linear rate.  Orbits closer than 1e-6 after
-    canonical sorting are merged.  Each orbit gets a local multiplicity;
+    reached as well, at a linear rate.  Samples whose tuples y = gamma(t)
+    agree to 1e-6 relative are one orbit.  Each orbit gets a local multiplicity;
     samples where the dual spaces keep growing are grouped by their induced
     polynomial space and reported once per component with a transversal
     multiplicity.  A warning is emitted when the total multiplicity found
@@ -661,73 +687,62 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
                           stacklevel=2)
         return [orbit]
 
-    lev = _layout(data.l)
     C = _coupling_matrix(data.l)
-    zs, M = _embedded_weights(data)
+    zs, W = _embedded_weights(data)
     radius = 2.0 * (max((abs(z) for z in zs), default=0.0) + 1.0)
     rng = np.random.default_rng(seed)
+    pts = np.array([_rand_point(rng, L, radius) for _ in range(starts)],
+                   dtype=complex).reshape(starts, L)
 
-    def fresh_start() -> np.ndarray:
-        for _ in range(100):
-            cand = _rand_point(rng, L, radius)
-            try:
-                check_admissible(_canonical(cand, data.l), data)
-            except Inadmissible:
-                continue
-            return cand
-        return cand
-
-    pts = np.empty((starts, L), dtype=complex)
-    for s in range(starts):
-        pts[s] = fresh_start()
-
-    # Newton runs on the cleared polynomial form of the equations: the raw
-    # gradient has a spurious attracting zero at infinity that swallows
-    # almost every start, while the polynomial system has honest basins.
-    # Its extra roots (coordinate collisions, coordinates on marked points)
-    # are filtered afterwards by the rational residual, which blows up
-    # there.  Runaway slots (no basin, or walking out along a noncompact
-    # solution curve) are recycled with fresh draws, so the search
-    # effectively covers |t| up to _FAR_FACTOR * radius.
-    system = clear_denominators(data)
-    polys = system.map_coeffs(lambda v: complex(embed_scalar(v))).polys
-    comp_F = _compile_polys(polys, L)
-    comp_J = _compile_polys([f.deriv(q) for f in polys for q in range(L)], L)
-
+    # Newton runs on the cleared equations F_p = w_p r_p, evaluated in
+    # factored form by _critical_equations: the raw log-gradient r has a
+    # spurious attracting zero at infinity that swallows almost every start,
+    # while F has honest basins.  A start whose F or J is not finite (a
+    # coordinate exactly on a collision) takes a zero step.  Runaway slots
+    # (no basin, or walking out along a noncompact solution curve) are
+    # recycled with fresh draws, so the search effectively covers |t| up to
+    # _FAR_FACTOR * radius.
     far_cut = _FAR_FACTOR * radius
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_GN_ITER):
-            F = _eval_compiled(comp_F, pts)
-            J = _eval_compiled(comp_J, pts).reshape(-1, L, L)
-            step = -np.linalg.pinv(J) @ F[:, :, None]
-            step = step[:, :, 0]
+            F, J, _ = _critical_equations(pts, C, zs, W)
+            ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            step = np.zeros_like(pts)
+            step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
             step[~np.isfinite(step).all(axis=1)] = 0.0
             pts = pts + step
             bad = ~np.isfinite(pts).all(axis=1) | (np.abs(pts).max(axis=1) > far_cut)
             for s in np.nonzero(bad)[0]:
-                pts[s] = fresh_start()
-        res = np.abs(_batch_residual(pts, C, lev, zs, M)).max(axis=1)
-    good = np.isfinite(res) & (res < tol) & (np.abs(pts).max(axis=1) < far_cut)
+                pts[s] = _rand_point(rng, L, radius)
+        res = np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
+        gap = _collision_gap(pts, C, zs, W)
+    # F also vanishes on collisions (coordinates of one level or of adjacent
+    # levels meeting, a coordinate on a marked point weighted at its level),
+    # where w = 0.  The residual r usually blows up there, but its pole terms
+    # can cancel, so samples that sit on a collision are dropped by distance.
+    size = np.abs(pts).max(axis=1)
+    good = (np.isfinite(res) & (res < tol) & (size < far_cut)
+            & (gap >= _DEDUP_RADIUS * (1.0 + size)))
 
-    samples = sorted(
-        ((_canonical(pts[s], data.l), float(res[s])) for s in np.nonzero(good)[0]),
-        key=lambda pr: [(v.real, v.imag) for v in _flat(pr[0])])
-    clusters: list[list] = []  # [rep_point, residual, hits]
-    for point, rv in samples:
-        fp = _flat(point)
-        scale = 1.0 + max(abs(v) for v in fp)
+    # orbits are identified by the tuple y = gamma(t), not by coordinates
+    keys = {s: _orbit_key(pts[s], data.l) for s in np.nonzero(good)[0]}
+    clusters: list[list] = []  # [key, rep_point, residual, hits]
+    for s in sorted(keys, key=lambda s: _sort_key(keys[s])):
+        key = keys[s]
+        kscale = 1.0 + np.abs(key).max()
         for cl in clusters:
-            if max(abs(a - b) for a, b in zip(fp, _flat(cl[0]))) < _DEDUP_RADIUS * scale:
-                cl[1] = min(cl[1], rv)
-                cl[2] += 1
+            if np.abs(key - cl[0]).max() < _DEDUP_RADIUS * kscale:
+                cl[2] = min(cl[2], float(res[s]))
+                cl[3] += 1
                 break
         else:
-            clusters.append([point, rv, 1])
+            clusters.append([key, _canonical(pts[s], data.l), float(res[s]), 1])
 
+    system = clear_denominators(data)
     max_order = max(4, target + 1)
     orbits: list[CriticalOrbit] = []
     loose: list[list] = []  # one entry per component: [Q, point, residual, hits]
-    for point, rv, hits in clusters:
+    for _, point, rv, hits in clusters:
         flat = tuple(_flat(point))
         try:
             m = local_multiplicity(system, flat, mode="numeric", tol=mult_tol,
@@ -754,7 +769,7 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
         orbits.append(CriticalOrbit(point, rv, m, gamma(point),
                                     isolated=False, dimension=dim, hits=hits))
 
-    orbits.sort(key=lambda o: [(v.real, v.imag) for v in _flat(o.point)])
+    orbits.sort(key=lambda o: _sort_key(_orbit_key(np.array(_flat(o.point)), data.l)))
     total = sum(o.multiplicity or 0 for o in orbits)
     if total < target:
         warnings.warn(f"found total multiplicity {total} < intersection number {target}; "

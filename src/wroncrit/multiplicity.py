@@ -12,8 +12,7 @@ isolated, and the stable dimension is the multiplicity.
 
 Systems live in a thin sparse multivariate wrapper.  Clearing denominators
 of master-function critical equations produces such systems; the cleared
-multiplier is a unit at every admissible point, which callers are expected
-to confirm through denominator_multipliers.
+multiplier is a unit at every admissible point.
 """
 
 from __future__ import annotations
@@ -100,10 +99,7 @@ class MPoly:
         return self._binop(other, -1)
 
     def __rsub__(self, other):
-        return (-self)._binop(other, -1)._neg_fix()
-
-    def _neg_fix(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return (-self) + other
 
     def __neg__(self):
         return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -234,15 +230,6 @@ def _level_layout(l: Sequence[int]) -> tuple[list[str], list[list[int]]]:
     return names, levels
 
 
-def _weight_poly(data, i: int) -> Poly:
-    # prod_s (x - z_s)^{m_s(i)} for level i (1-based)
-    x = Poly.x(data.ring)
-    out = Poly.one(data.ring)
-    for z, m in data.points:
-        out = out * (x - z) ** m[i - 1]
-    return out
-
-
 def clear_denominators(data) -> MultivariateSystem:
     """Polynomial form of the critical equations of a master function.
 
@@ -250,14 +237,15 @@ def clear_denominators(data) -> MultivariateSystem:
     simple-pole denominators; the pole at the marked points contributes the
     derivative of the level weight polynomial.  Every equation is sign
     normalized so its lexicographically leading coefficient has positive
-    rational part.  The multiplier is a unit at admissible points, so local
-    multiplicities are unchanged there; see denominator_multipliers.
+    rational part.  The multiplier T_i(t_p) prod_q (t_p - t_q), over the
+    coordinates q of the same and adjacent levels, is a unit at admissible
+    points, so local multiplicities are unchanged there.
     """
     names, levels = _level_layout(data.l)
     n = len(names)
     polys = []
     for i in range(1, len(levels) + 1):
-        Ti = _weight_poly(data, i)
+        Ti = data.T[i - 1]
         for j in levels[i - 1]:
             tj = MPoly.variable(n, j)
             own = [MPoly.variable(n, k) for k in levels[i - 1] if k != j]
@@ -283,27 +271,6 @@ def clear_denominators(data) -> MultivariateSystem:
                 eq = eq - t_here * prod(own_f) * prod(adj_f[:k] + adj_f[k + 1:])
             eq = eq - t_deriv * prod(own_f) * prod(adj_f)
             polys.append(_sign_normalize(eq))
-    return MultivariateSystem(tuple(names), tuple(polys))
-
-
-def denominator_multipliers(data) -> MultivariateSystem:
-    """The unit factors each equation of clear_denominators was scaled by."""
-    names, levels = _level_layout(data.l)
-    n = len(names)
-    polys = []
-    for i in range(1, len(levels) + 1):
-        Ti = _weight_poly(data, i)
-        for j in levels[i - 1]:
-            tj = MPoly.variable(n, j)
-            mult = MPoly.from_univariate(Ti, j, n)
-            for k in levels[i - 1]:
-                if k != j:
-                    mult = mult * (tj - MPoly.variable(n, k))
-            for lvl in (i - 1, i + 1):
-                if 1 <= lvl <= len(levels):
-                    for k in levels[lvl - 1]:
-                        mult = mult * (tj - MPoly.variable(n, k))
-            polys.append(mult)
     return MultivariateSystem(tuple(names), tuple(polys))
 
 

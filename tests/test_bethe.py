@@ -17,6 +17,9 @@ import pytest
 
 from wroncrit.bethe import (
     MasterData,
+    _coupling_matrix,
+    _critical_equations,
+    _embedded_weights,
     SectorSpec,
     bethe_residual,
     certify_critical,
@@ -32,6 +35,7 @@ from wroncrit.bethe import (
     solve_critical,
     translate_master,
 )
+from wroncrit.cli import run_verify
 from wroncrit.errors import (
     DimensionMismatch,
     DuplicatePoints,
@@ -40,7 +44,7 @@ from wroncrit.errors import (
     NoCriticalPoints,
     NotCertified,
 )
-from wroncrit.field import CC, QQ, make_extension
+from wroncrit.field import CC, QQ, embed_scalar, make_extension
 from wroncrit.multiplicity import MPoly, MultivariateSystem, clear_denominators
 from wroncrit.polyring import parse_poly
 from wroncrit.schubert import intersection_number
@@ -276,6 +280,36 @@ def test_clear_denominators_anchor_roots():
     assert vals == [0, 0]
 
 
+@pytest.mark.parametrize("data", [
+    MasterData(QQ, (3,), ((0, (1,)), (1, (1,)), (-1, (1,)), (2, (1,)))),
+    MasterData(QQ, (2, 1), ((0, (1, 0)), (1, (0, 1)), (-1, (1, 1)))),
+    MasterData(QQ, (2, 1), ((0, (2, 0)), (1, (1, 1)))),
+    cuberoots_data((2,)),
+])
+def test_critical_equations_match_cleared_system(data):
+    # F = w r and its Jacobian are clear_denominators and its derivatives,
+    # each equation up to the sign _sign_normalize picks; r is the residual
+    rng = np.random.default_rng(11)
+    L = data.size()
+    t = rng.normal(size=(5, L)) + 1j * rng.normal(size=(5, L))
+    zs, W = _embedded_weights(data)
+    F, J, r = _critical_equations(t, _coupling_matrix(data.l), zs, W)
+    polys = clear_denominators(data).map_coeffs(lambda v: complex(embed_scalar(v))).polys
+    for row, f_row, j_row, r_row in zip(t, F, J, r):
+        f_ref = np.array([f.eval(row) for f in polys])
+        j_ref = np.array([[f.deriv(q).eval(row) for q in range(L)] for f in polys])
+        sign = np.sign((f_ref / f_row).real)
+        scale = np.abs(f_ref).max()
+        assert np.abs(f_ref - sign * f_row).max() < 1e-12 * scale
+        assert np.abs(j_ref - sign[:, None] * j_row).max() < 1e-12 * np.abs(j_ref).max()
+        point, pos = [], 0
+        for li in data.l:
+            point.append(tuple(row[pos:pos + li]))
+            pos += li
+        want = [v for lev in bethe_residual(point, data) for v in lev]
+        assert np.abs(np.array(want) - r_row).max() < 1e-12 * np.abs(want).max()
+
+
 # -- the solver ---------------------------------------------------------------------
 
 def test_solver_rational_variant():
@@ -316,6 +350,28 @@ def test_solver_identity_sector_components():
     assert len(live) == 2
     assert all(o.dimension == 1 and o.multiplicity == 1 for o in live)
     assert sum(o.multiplicity for o in orbits) == 2
+
+
+def test_orbits_identified_by_tuple():
+    # a conjugate pair of coordinates whose real parts differ by rounding is
+    # one orbit, however its coordinates sort
+    data = MasterData(QQ, (2,), tuple((z, (1,)) for z in (0, 1, -1, 2)))
+    report = run_verify(data, starts=200, seed=0)["report"]
+    sec = report["sectors"]["own"]
+    assert report["verdict"] == "MATCH"
+    assert [r["multiplicity"] for r in sec["orbits"]] == [1, 1]
+
+
+def test_collision_samples_dropped():
+    # near t = (e, -e) the pole terms at z = 0 cancel, so the residual alone
+    # does not reject this collision of two coordinates on a marked point
+    zs = (-2, -8, 0, 8)
+    data = MasterData(QQ, (2,), tuple((z, (1,)) for z in zs))
+    report = run_verify(data, starts=200, seed=0)["report"]
+    assert report["verdict"] == "MATCH"
+    for orbit in solve_critical(data, starts=200, seed=0):
+        a, b = orbit.point[0]
+        assert min(abs(a - b), *(abs(t - z) for t in (a, b) for z in zs)) > 1e-3
 
 
 def test_solver_deterministic():

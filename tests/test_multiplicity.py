@@ -195,3 +195,9 @@ def test_mpoly_deriv():
     assert f.deriv(0) == mp(2, {(1, 1): 6})
     assert f.deriv(1) == mp(2, {(2, 0): 3})
     assert f.deriv(0).deriv(1) == f.deriv(1).deriv(0)
+
+
+def test_mpoly_rsub():
+    x = MPoly.variable(1, 0)
+    assert 3 - x == mp(1, {(0,): 3, (1,): -1})
+    assert 3 - x == -(x - 3)
