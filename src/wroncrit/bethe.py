@@ -14,6 +14,7 @@ the dual-space machinery of the multiplicity module.
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -550,11 +551,17 @@ def _sort_key(key: np.ndarray) -> list[tuple[float, float]]:
     return [(round(v.real, 8), round(v.imag, 8)) for v in key]
 
 
+def _flush(x: float) -> float:
+    # Newton can drive the imaginary part of a real orbit into underflow
+    return 0.0 if abs(x) < sys.float_info.min else x
+
+
 def _canonical(row: np.ndarray, l: Sequence[int]) -> tuple[tuple[complex, ...], ...]:
     out = []
     pos = 0
     for li in l:
-        lev = sorted((complex(v) for v in row[pos:pos + li]), key=lambda v: (v.real, v.imag))
+        lev = sorted((complex(_flush(v.real), _flush(v.imag)) for v in row[pos:pos + li]),
+                     key=lambda v: (v.real, v.imag))
         out.append(tuple(lev))
         pos += li
     return tuple(out)

@@ -28,55 +28,6 @@ Scalar = Union[Fraction, "ExtElem", "DualNum"]
 
 
 # ---------------------------------------------------------------------------
-# small exact polynomial helpers on Fraction lists (used for modular reduction
-# and inverses inside NumberField; the full Poly type lives in polyring)
-
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pdivmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    f = list(f)
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv_lead = 1 / g[-1]
-    while len(f) >= len(g) and _trim(f):
-        k = len(f) - len(g)
-        c = f[-1] * inv_lead
-        q[k] = c
-        for i, gi in enumerate(g):
-            f[k + i] -= c * gi
-        _trim(f)
-    return _trim(q), f
-
-
-def _pmul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _pxgcd(f: list[Fraction], g: list[Fraction]):
-    """Extended Euclid on Fraction coefficient lists, gcd made monic."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([a - b for a, b in itertools.zip_longest(s0, _pmul(q, s1), fillvalue=Fraction(0))])
-        t0, t1 = t1, _trim([a - b for a, b in itertools.zip_longest(t0, _pmul(q, t1), fillvalue=Fraction(0))])
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0], [c / lead for c in t0]
-
-
-# ---------------------------------------------------------------------------
 # rationals
 
 class RationalField:
@@ -168,7 +119,9 @@ class ExtElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtElem(self.field, _pmul(list(self.coeffs), list(o.coeffs)))
+        from .polyring import Poly
+
+        return ExtElem(self.field, (Poly(QQ, self.coeffs) * Poly(QQ, o.coeffs)).coeffs)
 
     __rmul__ = __mul__
 
@@ -229,6 +182,7 @@ class NumberField:
         if mp[-1] != 1:
             raise NotMonic("minimal polynomial must be monic")
         self.minpoly = mp
+        self._complex_gen: complex | None = None
         self.roots: dict[str, ExtElem] = {}
         if roots:
             for name, val in roots.items():
@@ -286,23 +240,28 @@ class NumberField:
         a = self.coerce(a)
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
-        g, s, _ = _pxgcd(_trim(list(a.coeffs)), list(self.minpoly))
-        if len(g) != 1:
+        from .polyring import Poly, xgcd
+
+        g, s, _ = xgcd(Poly(QQ, a.coeffs), Poly(QQ, self.minpoly))
+        if g.degree() > 0:
             raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
-        return ExtElem(self, s)
+        return ExtElem(self, s.coeffs)
 
     def complex_gen(self) -> complex:
         """Deterministic complex embedding of the generator.
 
         Chooses the root of the minimal polynomial with the largest imaginary
         part, then the largest real part. x^2+x+1 maps a to exp(2*pi*i/3);
-        x^2-2 maps a to +sqrt(2).
+        x^2-2 maps a to +sqrt(2). Computed on the first call and kept, since
+        every embedded extension scalar asks for it.
         """
-        import numpy as np
+        if self._complex_gen is None:
+            import numpy as np
 
-        rts = np.roots([float(c) for c in reversed(self.minpoly)])
-        key = sorted(rts, key=lambda r: (r.imag, r.real))
-        return complex(key[-1])
+            rts = np.roots([float(c) for c in reversed(self.minpoly)])
+            key = sorted(rts, key=lambda r: (r.imag, r.real))
+            self._complex_gen = complex(key[-1])
+        return self._complex_gen
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -363,17 +322,12 @@ def _to_monic_integer(mp: tuple[Fraction, ...]) -> list[int]:
     return [int(mp[i] * m ** (n - i)) for i in range(n + 1)]
 
 
-def _divides_int(g: list[int], h: list[int]) -> bool:
-    """Exact division test of monic integer g by monic integer h."""
-    f = [Fraction(c) for c in g]
-    _, r = _pdivmod(f, [Fraction(c) for c in h])
-    return not r
-
-
 def is_irreducible(minpoly) -> bool:
     """Irreducibility over Q of a monic rational polynomial, by bounded trial
     factorization over candidate factor degrees. Desk scale: raises on inputs
     whose candidate enumeration would be enormous."""
+    from .polyring import Poly, divides
+
     mp = tuple(Fraction(c) for c in minpoly)
     if mp[-1] != 1:
         raise NotMonic("irreducibility check expects a monic polynomial")
@@ -383,6 +337,7 @@ def is_irreducible(minpoly) -> bool:
     g = _to_monic_integer(mp)
     if g[0] == 0:
         return False
+    gq = Poly(QQ, g)
     bound = 1 + max(abs(c) for c in g[:-1])
     for k in range(1, n // 2 + 1):
         const_choices = [d * s for d in _int_divisors(g[0]) for s in (1, -1)]
@@ -401,8 +356,7 @@ def is_irreducible(minpoly) -> bool:
             ranges.append(range(-b, b + 1))
         for c0 in const_choices:
             for rest in itertools.product(*ranges):
-                h = [c0, *rest, 1]
-                if _divides_int(g, h):
+                if divides(Poly(QQ, [c0, *rest, 1]), gq):
                     return False
     return True
 

@@ -169,33 +169,6 @@ class MPoly:
         return f"MPoly({self.nvars}, {self.terms!r})"
 
 
-def format_mpoly(f: MPoly, names: Sequence[str] | None = None) -> str:
-    if f.is_zero():
-        return "0"
-    names = names or [f"x{i+1}" for i in range(f.nvars)]
-    parts = []
-    for e in sorted(f.terms, key=lambda t: (-sum(t), tuple(-v for v in t))):
-        c = f.terms[e]
-        mono = "*".join(
-            (names[i] if k == 1 else f"{names[i]}^{k}")
-            for i, k in enumerate(e) if k > 0)
-        if not mono:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or (" " in cs):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
-
-
 @dataclass(frozen=True)
 class MultivariateSystem:
     """Generators plus the variable roster naming each coordinate."""

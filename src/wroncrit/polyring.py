@@ -260,14 +260,20 @@ def exact_div(f: Poly, y: Poly) -> Poly:
     return q
 
 
-def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """Monic gcd with Bezout cofactors: gcd = c*f + d*g. Field coefficients
-    only; the dual ring has zero divisors and is refused."""
+def _gcd_args(f: Poly, g: Poly) -> Poly:
+    # field coefficients only: the dual ring has zero divisors
     if isinstance(f.ring, DualRing):
         raise NotMonic("gcd is not offered over the dual ring")
     g = f._match(g)
     if f.is_zero() and g.is_zero():
         raise ZeroInputs("gcd(0, 0) is undefined")
+    return g
+
+
+def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """Monic gcd with Bezout cofactors: gcd = c*f + d*g. Field coefficients
+    only; the dual ring is refused."""
+    g = _gcd_args(f, g)
     r0, r1 = f, g
     s0, s1 = Poly.one(f.ring), Poly.zero(f.ring)
     t0, t1 = Poly.zero(f.ring), Poly.one(f.ring)
@@ -282,7 +288,12 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def gcd_monic(f: Poly, g: Poly) -> Poly:
-    return xgcd(f, g)[0]
+    """Monic gcd by the remainder sequence alone (no cofactors); same guards
+    as xgcd."""
+    g = _gcd_args(f, g)
+    while not g.is_zero():
+        f, g = g, div_rem(f, g)[1]
+    return f.monic()
 
 
 def is_squarefree(f: Poly) -> bool:
@@ -356,10 +367,6 @@ def ord_at(f: Poly, z) -> int:
         n += 1
         if f.is_zero():
             return n
-
-
-def shift(f: Poly, z) -> Poly:
-    return f.shift(z)
 
 
 # ---------------------------------------------------------------------------

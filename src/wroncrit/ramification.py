@@ -175,15 +175,6 @@ class BasicSituation:
     T: tuple[Poly, ...]
     lengths: tuple[int, ...]
 
-    def ram_at(self, z) -> tuple[int, ...]:
-        for zs, a in self.points:
-            if zs == z:
-                return a
-        return tuple([0] * (self.N + 1))
-
-    def weight(self, a: Sequence[int]) -> int:
-        return sum(a)
-
 
 def _tail_sum(a: Sequence[int], i: int) -> int:
     # sum of the i smallest entries (the sequence is weakly decreasing)

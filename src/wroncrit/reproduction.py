@@ -40,6 +40,7 @@ from .polyring import (
     divides,
     exact_div,
     gcd_monic,
+    is_squarefree,
     ord_at,
     wronskian,
     wronskian_pair,
@@ -137,7 +138,7 @@ def is_fertile(t: FertileTuple) -> FertilityReport:
 
     for i in range(1, t.N + 1):
         yi = t.y_at(i)
-        sqfree = yi.degree() <= 0 or gcd_monic(yi, yi.deriv()).degree() == 0
+        sqfree = is_squarefree(yi)
         note(sqfree, f"y_{i} square free", f"y_{i} has a multiple root")
         for j, Tj in enumerate(t.T):
             if yi.degree() > 0 and Tj.degree() > 0:

@@ -4,11 +4,12 @@ In this package Wr(f, g) = f'g - fg'. The equation is solvable exactly when
 y divides Wr(y', T); in that case the solutions form the affine line
 ytilde + c*y. The constructive solver follows the divisibility certificate:
 
-* extended Euclid gives c, d with c*y' + d*y = 1, so T = a*y + b*y' with
-  a = d*T and b = c*T;
-* then T = (a + b')*y + Wr(y, b), y divides s = a + b', and with e = s/y and
-  f the antiderivative of -e (zero constant term), ytilde = y*f + b solves
-  the equation; the solver re-verifies before returning.
+* extended Euclid gives c, d with c*y' + d*y = 1 (its gcd is the square-free
+  test), so T = a*y + b*y' with a = d*T and b = c*T;
+* then T = (a + b')*y + Wr(y, b), and s = a + b' = -c^2*Wr(y', T) mod y, so
+  y divides s exactly when T is solvable; with e = s/y and f the
+  antiderivative of -e (zero constant term), ytilde = y*f + b solves the
+  equation; the solver re-verifies before returning.
 
 normalize_generic moves a particular solution along the solution line to a
 generic representative: square free, avoiding listed points and coprime to
@@ -25,7 +26,7 @@ from .errors import (
     NotSquareFree,
     VerificationFailed,
 )
-from .polyring import Poly, div_rem, gcd_monic, wronskian_pair, xgcd
+from .polyring import Poly, div_rem, gcd_monic, is_squarefree, wronskian_pair, xgcd
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,16 @@ class WronskianSolution:
         return self.particular + self.homogeneous * c
 
 
-def _require_monic_squarefree(y: Poly) -> None:
+def _require_monic(y: Poly) -> None:
     if y.is_zero() or not y.is_monic():
         raise NotSquareFree("y must be monic")
-    if y.degree() > 0 and gcd_monic(y, y.deriv()).degree() != 0:
-        raise NotSquareFree(f"{y!r} has a repeated root")
 
 
 def solvable(y: Poly, t: Poly) -> bool:
     """True iff y | Wr(y', T), the exact solvability criterion."""
-    _require_monic_squarefree(y)
+    _require_monic(y)
+    if not is_squarefree(y):
+        raise NotSquareFree(f"{y!r} has a repeated root")
     if t.is_zero():
         return True
     if y.degree() == 0:
@@ -60,25 +61,23 @@ def solvable(y: Poly, t: Poly) -> bool:
 
 def solve(y: Poly, t: Poly) -> WronskianSolution:
     """Particular solution of Wr(y, ytilde) = T, or NotSolvable."""
-    _require_monic_squarefree(y)
-    ring = y.ring
+    _require_monic(y)
     if y.degree() == 0:
         # y = 1: Wr(1, g) = -g', so g = -antiderivative(T)
         ytilde = -t.antideriv()
-        sol = WronskianSolution(ytilde, y)
         _verify(y, ytilde, t)
-        return sol
+        return WronskianSolution(ytilde, y)
+    g, c, d = xgcd(y.deriv(), y)
+    if g.degree() != 0:
+        raise NotSquareFree(f"{y!r} has a repeated root")
     if t.is_zero():
-        return WronskianSolution(Poly.zero(ring), y)
-    if not solvable(y, t):
-        raise NotSolvable(f"y does not divide Wr(y', T) for y = {y!r}")
-    _, c, d = xgcd(y.deriv(), y)
+        return WronskianSolution(Poly.zero(y.ring), y)
     a = d * t
     b = c * t
     s = a + b.deriv()
     q, r = div_rem(s, y)
     if not r.is_zero():
-        raise NotSolvable("certificate division failed; T is not in the image")
+        raise NotSolvable(f"y does not divide Wr(y', T) for y = {y!r}")
     f = (-q).antideriv()
     ytilde = y * f + b
     _verify(y, ytilde, t)
@@ -120,7 +119,7 @@ def generic_candidate(
         cand = ytilde + y * ring.coerce(c)
         if cand.is_zero():
             continue
-        if cand.degree() > 0 and gcd_monic(cand, cand.deriv()).degree() != 0:
+        if not is_squarefree(cand):
             continue
         if any(not cand.eval(p) for p in forbidden_points):
             continue

@@ -9,6 +9,7 @@ to t2 = 2*t1 and t1 = 1/3 by elimination.
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -369,6 +370,11 @@ def test_collision_samples_dropped():
     data = MasterData(QQ, (2,), tuple((z, (1,)) for z in zs))
     report = run_verify(data, starts=200, seed=0)["report"]
     assert report["verdict"] == "MATCH"
+    # the real orbit prints as plain reals, without underflowed imaginary parts
+    points = [o["point"][0] for o in report["sectors"]["own"]["orbits"]]
+    assert any(all("j" not in t for t in p) for p in points)
+    for t in (complex(t) for p in points for t in p):
+        assert t.imag == 0 or abs(t.imag) >= sys.float_info.min
     for orbit in solve_critical(data, starts=200, seed=0):
         a, b = orbit.point[0]
         assert min(abs(a - b), *(abs(t - z) for t in (a, b) for z in zs)) > 1e-3

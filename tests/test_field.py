@@ -13,6 +13,7 @@ from wroncrit.field import (
     DualNum,
     DualRing,
     ExtElem,
+    NumberField,
     common_ring,
     dual_lift,
     embed_scalar,
@@ -87,12 +88,31 @@ def test_irreducibility_gate():
         make_extension("2*x^2+1")
     with pytest.raises(WroncritError):
         make_extension("x+1")     # degree 1 is not an extension
+    # (x^2+1)(x^2+2) has no rational root: only the quadratic trial finds it
+    assert not is_irreducible(tuple(Fraction(c) for c in (2, 0, 3, 0, 1)))
+    assert is_irreducible(tuple(Fraction(c) for c in (1, 0, 0, 0, 1)))  # x^4+1
+    split = NumberField((-1, 0, 1))     # x^2-1, built without the gate
+    with pytest.raises(NotIrreducible):
+        split.inv(split.gen - 1)
 
 
 def test_complex_gen_is_a_root():
     g = OMEGA.complex_gen()
     assert abs(g * g + g + 1) < 1e-12
     assert abs(SQRT2.complex_gen() ** 2 - 2) < 1e-12
+
+
+def test_complex_gen_computed_once(monkeypatch):
+    import numpy as np
+
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
+    fields = [NumberField((1, 1, 1)), NumberField((-3, 0, 1))]
+    for field in fields:
+        for k in range(5):
+            embed_scalar(field.gen + k)
+    assert len(calls) == len(fields)
 
 
 # -- dual numbers ------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wroncrit.errors import NotDivisible, ZeroPolynomial
-from wroncrit.field import QQ, make_extension
+from wroncrit.errors import NotDivisible, NotMonic, ZeroInputs, ZeroPolynomial
+from wroncrit.field import QQ, DualRing, make_extension
 from wroncrit.polyring import (
     Poly,
     div_rem,
@@ -87,6 +87,20 @@ def test_xgcd_bezout(f, g):
     assert u * f + v * g == d
     assert d.is_monic()
     assert divides(d, f) and divides(d, g)
+    assert gcd_monic(f, g) == d
+
+
+def test_gcd_monic_matches_xgcd_and_guards():
+    omega = make_extension("x^2+x+1")
+    w = omega.gen
+    lin = Poly(omega, [-w, 1])                       # x - w
+    f = lin * Poly(omega, [2, 0, 1])
+    g = lin * Poly(omega, [2, w])
+    assert gcd_monic(f, g) == xgcd(f, g)[0] == lin
+    with pytest.raises(NotMonic):
+        gcd_monic(Poly(DualRing(QQ), [1, 1]), Poly(DualRing(QQ), [1]))
+    with pytest.raises(ZeroInputs):
+        gcd_monic(Poly.zero(QQ), Poly.zero(QQ))
 
 
 def test_squarefree_detector():

@@ -105,8 +105,11 @@ def test_solvable_matches_oracle_on_non_instances():
         found = oracle_solution(y, t, t.degree() + 1)
         if ok:
             assert found is not None and wronskian_pair(y, found) == t
+            assert wronskian_pair(y, solve(y, t).particular) == t
         else:
             assert found is None
+            with pytest.raises(NotSolvable):
+                solve(y, t)
             checked_false += 1
 
 
@@ -130,11 +133,12 @@ def test_known_solutions():
 
 
 def test_unsolvable_raises():
+    # Wr(y', 1) = y'' = 2 leaves remainder 2 mod x^2 - 1
     y = P("x^2-1")
-    t = P("x")
-    if not solvable(y, t):
-        with pytest.raises(NotSolvable):
-            solve(y, t)
+    t = P("1")
+    assert not solvable(y, t)
+    with pytest.raises(NotSolvable):
+        solve(y, t)
 
 
 def test_squarefree_gate():
@@ -142,6 +146,9 @@ def test_squarefree_gate():
         solvable(P("x^2"), P("x"))
     with pytest.raises(NotSquareFree):
         solvable(P("2*x"), P("x"))   # not monic
+    for y, t in (("x^2", "x"), ("x^2", "0"), ("2*x", "x")):
+        with pytest.raises(NotSquareFree):
+            solve(P(y), P(t))
 
 
 # -- generic candidates on the integer ladder ----------------------------------
