@@ -745,7 +745,8 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
         else:
             clusters.append([key, _canonical(pts[s], data.l), float(res[s]), 1])
 
-    system = clear_denominators(data)
+    # embedded once: every local_multiplicity call below runs in "numeric" mode
+    system = clear_denominators(data).map_coeffs(CC.coerce)
     max_order = max(4, target + 1)
     orbits: list[CriticalOrbit] = []
     loose: list[list] = []  # one entry per component: [Q, point, residual, hits]

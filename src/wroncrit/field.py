@@ -70,18 +70,34 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 # simple extensions Q[a]/(p(a))
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class ExtElem:
-    """Element of a NumberField, reduced mod the minimal polynomial."""
+    """Element of a NumberField, reduced mod the minimal polynomial.
+
+    ``coeffs`` holds exactly ``field.degree`` Fractions: the coordinates in
+    the power basis 1, a, ..., a^(n-1).
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: "NumberField", coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) >= field.degree:
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        if len(cs) > field.degree:
             cs = field._reduce(cs)
-        cs += [Fraction(0)] * (field.degree - len(cs))
+        cs += [_ZERO] * (field.degree - len(cs))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _reduced(cls, field: "NumberField", coeffs: tuple) -> "ExtElem":
+        """Wrap a tuple that already holds ``field.degree`` Fractions."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("ExtElem is immutable")
@@ -92,25 +108,25 @@ class ExtElem:
                 raise MixedFields("elements of different extension fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return ExtElem(self.field, [Fraction(other)])
+            return self.field._scalar(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtElem(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return ExtElem._reduced(self.field, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElem(self.field, [-a for a in self.coeffs])
+        return ExtElem._reduced(self.field, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtElem(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return ExtElem._reduced(self.field, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
         return -self + other
@@ -119,9 +135,7 @@ class ExtElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        from .polyring import Poly
-
-        return ExtElem(self.field, (Poly(QQ, self.coeffs) * Poly(QQ, o.coeffs)).coeffs)
+        return ExtElem._reduced(self.field, self.field._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -171,6 +185,10 @@ class NumberField:
 
     Build through make_extension, which checks monicity and irreducibility.
     Named roots bind labels to elements for readable problem files.
+
+    Elements multiply by structure constants: a product is the convolution
+    of two coordinate tuples, whose terms of degree n..2n-2 are folded back
+    with the coordinates of a^n..a^(2n-2), computed once here.
     """
 
     is_field = True
@@ -182,6 +200,12 @@ class NumberField:
         if mp[-1] != 1:
             raise NotMonic("minimal polynomial must be monic")
         self.minpoly = mp
+        self.degree = n = len(mp) - 1
+        self._zeros = (_ZERO,) * (n - 1)
+        powers = [tuple(-c for c in mp[:n])]
+        for _ in range(n - 2):
+            powers.append(self._times_gen(powers[-1]))
+        self._powers = tuple(powers)
         self._complex_gen: complex | None = None
         self.roots: dict[str, ExtElem] = {}
         if roots:
@@ -194,18 +218,17 @@ class NumberField:
                 self.roots[name] = elem
 
     @property
-    def degree(self) -> int:
-        return len(self.minpoly) - 1
-
-    @property
     def gen(self) -> ExtElem:
         return ExtElem(self, [0, 1])
 
+    def _scalar(self, c) -> ExtElem:
+        return ExtElem._reduced(self, (c if isinstance(c, Fraction) else Fraction(c),) + self._zeros)
+
     def zero(self) -> ExtElem:
-        return ExtElem(self, [0])
+        return self._scalar(_ZERO)
 
     def one(self) -> ExtElem:
-        return ExtElem(self, [1])
+        return self._scalar(_ONE)
 
     def coerce(self, v) -> ExtElem:
         if isinstance(v, ExtElem):
@@ -213,7 +236,7 @@ class NumberField:
                 raise MixedFields("element of a different extension field")
             return v
         if isinstance(v, (int, Fraction)):
-            return ExtElem(self, [Fraction(v)])
+            return self._scalar(v)
         raise MixedFields(f"cannot coerce {v!r} into {self!r}")
 
     def _reduce(self, coeffs: list[Fraction]) -> list[Fraction]:
@@ -222,10 +245,35 @@ class NumberField:
         for k in range(len(coeffs) - 1, n - 1, -1):
             c = coeffs[k]
             if c:
-                coeffs[k] = Fraction(0)
+                coeffs[k] = _ZERO
                 for i in range(n):
                     coeffs[k - n + i] -= c * self.minpoly[i]
         return coeffs[:n]
+
+    def _times_gen(self, v: tuple) -> tuple:
+        """Coordinates of a*v, for v given by its coordinates."""
+        shifted = (_ZERO, *v[:-1])
+        top = v[-1]
+        if not top:
+            return shifted
+        return tuple([s - top * m for s, m in zip(shifted, self.minpoly)])
+
+    def _mul(self, x: tuple, y: tuple) -> tuple:
+        """Coordinates of the product of the elements with coordinates x, y."""
+        n = self.degree
+        prod = [_ZERO] * (2 * n - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        prod[i + j] += xi * yj
+        out = prod[:n]
+        for c, row in zip(prod[n:], self._powers):
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+        return tuple(out)
 
     def eval_minpoly(self, x: ExtElem) -> ExtElem:
         out = self.zero()
@@ -237,15 +285,31 @@ class NumberField:
         return bool(self.coerce(a))
 
     def inv(self, a: ExtElem) -> ExtElem:
+        """Solve M_a x = e_0, where column j of M_a holds the coordinates of
+        a * a^j, by Gauss-Jordan elimination over Q. A column without a pivot
+        makes a a zero divisor, so the minimal polynomial factors."""
         a = self.coerce(a)
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
-        from .polyring import Poly, xgcd
-
-        g, s, _ = xgcd(Poly(QQ, a.coeffs), Poly(QQ, self.minpoly))
-        if g.degree() > 0:
-            raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
-        return ExtElem(self, s.coeffs)
+        n = self.degree
+        cols = [a.coeffs]
+        for _ in range(n - 1):
+            cols.append(self._times_gen(cols[-1]))
+        rows = [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)]
+        for j in range(n):
+            p = next((i for i in range(j, n) if rows[i][j]), None)
+            if p is None:
+                raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
+            rows[j], rows[p] = rows[p], rows[j]
+            piv = rows[j][j]
+            if piv != 1:
+                rows[j] = [v / piv if v else v for v in rows[j]]
+            pivot_row = rows[j]
+            for i in range(n):
+                f = rows[i][j]
+                if i != j and f:
+                    rows[i] = [u - f * v if v else u for u, v in zip(rows[i], pivot_row)]
+        return ExtElem._reduced(self, tuple([row[n] for row in rows]))
 
     def complex_gen(self) -> complex:
         """Deterministic complex embedding of the generator.

@@ -348,7 +348,9 @@ def local_multiplicity(system, point, mode: str = "auto", tol: float = 1e-8,
 
     mode "exact" runs fraction-free over the coefficient field, "numeric"
     embeds everything in complex floats with an absolute rank tolerance
-    after per-generator scaling, "auto" picks by coefficient type.  Raises
+    after per-generator scaling, "auto" picks by coefficient type.  A
+    generator whose coefficients are all ``complex`` is used as given, so a
+    caller that tests many points of one system embeds it once.  Raises
     NotASolution when the point misses the zero set and NotIsolated when the
     dual-space dimensions are still growing at max_order.
     """
@@ -368,7 +370,8 @@ def local_multiplicity(system, point, mode: str = "auto", tol: float = 1e-8,
 
     if mode == "numeric":
         point = [_to_numeric(c) for c in point]
-        polys = tuple(f.map_coeffs(_to_numeric) for f in polys)
+        polys = tuple(f if all(isinstance(c, complex) for c in f.terms.values())
+                      else f.map_coeffs(_to_numeric) for f in polys)
 
     shifted = [f.shift(point) for f in polys]
     scales = None

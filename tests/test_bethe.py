@@ -380,6 +380,62 @@ def test_collision_samples_dropped():
         assert min(abs(a - b), *(abs(t - z) for t in (a, b) for z in zs)) > 1e-3
 
 
+# sl2 l = (k,), weight 1 at the points 0, 1, -1, 2, ...; two oracles that do
+# not use the code under test: the count C(n,k) - C(n,k-1), and
+# Mukhin-Tarasov-Varchenko (Ann. Math. 2009): at real marked points every
+# critical orbit is simple and its tuple y has real coefficients
+SL2_LADDER = [(4, 2), (5, 2), (6, 2), (6, 3)]
+
+
+def sl2_ladder_orbits(n, k):
+    data = MasterData(QQ, (k,), tuple((z, (1,)) for z in (0, 1, -1, 2, -2, 3)[:n]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return solve_critical(data, starts=200, seed=0)
+
+
+@pytest.mark.parametrize("n,k", SL2_LADDER[:3] + [pytest.param(
+    6, 3, marks=pytest.mark.xfail(strict=True, reason="200 multistart starts find "
+                                  "4 of the 5 orbits; 1000 starts find all 5"))])
+def test_sl2_ladder_count_is_closed_form(n, k):
+    orbits = sl2_ladder_orbits(n, k)
+    assert sum(o.multiplicity for o in orbits) == math.comb(n, k) - math.comb(n, k - 1)
+
+
+@pytest.mark.parametrize("n,k", SL2_LADDER)
+def test_sl2_ladder_orbits_simple_and_real(n, k):
+    for o in sl2_ladder_orbits(n, k):
+        assert o.isolated and o.multiplicity == 1
+        coeffs = [complex(c) for y in o.tuple_y for c in y.coeffs]
+        assert max(abs(c.imag) for c in coeffs) <= 1e-7 * max(1.0, *(abs(c) for c in coeffs))
+
+
+@pytest.mark.xfail(strict=True, reason="known overcount: an isolated orbit of "
+                   "multiplicity 6 in the identity sector at z_s = 1 + i^s")
+def test_roots_of_unity_identity_sector_within_target():
+    # z_s = 1 + i^s over Q(i), l = (1,), weight 1; under --sector all the
+    # identity sector l = (4,) must not sum past the intersection number 3
+    field = make_extension("x^2+1")
+    data = MasterData(field, (1,), tuple((1 + field.gen ** s, (1,)) for s in range(4)))
+    report = run_verify(data, sector="all", starts=200, seed=0)["report"]
+    ident = report["sectors"]["1,2"]
+    assert ident["l"] == [4] and report["lr_target"] == 3
+    assert ident["multiplicity_sum"] <= report["lr_target"]
+
+
+def test_cleared_system_embedded_once(monkeypatch):
+    # solve_critical embeds the cleared system in CC once; local_multiplicity
+    # then converts only the coordinates of each point it tests
+    import wroncrit.multiplicity as mult
+
+    seen = []
+    to_numeric = mult._to_numeric
+    monkeypatch.setattr(mult, "_to_numeric", lambda v: seen.append(v) or to_numeric(v))
+    orbits = solve_critical(cuberoots_data(), starts=40, seed=0)
+    assert orbits and seen
+    assert all(isinstance(v, (float, complex)) for v in seen)
+
+
 def test_solver_deterministic():
     a = solve_critical(rational_data(), starts=40, seed=9)
     b = solve_critical(rational_data(), starts=40, seed=9)

@@ -23,6 +23,7 @@ from wroncrit.field import (
     parse_scalar,
     ring_of,
 )
+from wroncrit.polyring import Poly, div_rem, xgcd
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -76,6 +77,63 @@ def test_omega_ring_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x and x * y == y * x
+
+
+# degree >= 3: products fold terms of degree n..2n-2 with more than one row
+# of the table of powers a^n..a^(2n-2); polyring arithmetic over QQ is the
+# reference for products and inverses
+CUBE2 = make_extension("x^3-2")
+ZETA8 = make_extension("x^4+1")
+
+
+def poly_reference_product(x, y):
+    _, r = div_rem(Poly(QQ, x.coeffs) * Poly(QQ, y.coeffs), Poly(QQ, x.field.minpoly))
+    return ExtElem(x.field, r.coeffs)
+
+
+@pytest.mark.parametrize("field", [CUBE2, ZETA8], ids=["a3-2", "a4+1"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_structure_constants_match_poly_reference(field, data):
+    x, y = data.draw(ext_elems(field)), data.draw(ext_elems(field))
+    prod = x * y
+    assert prod == poly_reference_product(x, y)
+    assert len(prod.coeffs) == field.degree
+    assert all(type(c) is Fraction for c in prod.coeffs)
+    if x:
+        g, s, _ = xgcd(Poly(QQ, x.coeffs), Poly(QQ, field.minpoly))
+        assert g.is_one()
+        assert field.inv(x) == ExtElem(field, s.coeffs)
+        assert x * field.inv(x) == field.one()
+
+
+def test_powers_of_generator_reduce():
+    assert CUBE2.gen ** 3 == 2 and CUBE2.gen ** 4 == 2 * CUBE2.gen
+    assert ZETA8.gen ** 4 == -1 and ZETA8.gen ** 6 == -ZETA8.gen ** 2
+    assert ZETA8.gen ** 8 == 1
+
+
+def test_extension_arithmetic_builds_no_poly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly built by scalar arithmetic")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    for field in (OMEGA, CUBE2, ZETA8):
+        x = field.gen + 3
+        assert x * field.inv(x) == field.one()
+
+
+def test_coefficients_kept_not_rewrapped():
+    q = Fraction(2, 3)
+    assert ExtElem(CUBE2, [q, 1]).coeffs[0] is q
+    assert ExtElem(CUBE2, [1, 2]).coeffs == (1, 2, 0)
+
+
+def test_zero_divisor_in_reducible_cubic():
+    split = NumberField((0, -1, 0, 1))     # a^3 - a, built without the gate
+    with pytest.raises(NotIrreducible):
+        split.inv(split.gen)
+    assert split.inv(split.gen + 2) * (split.gen + 2) == split.one()
 
 
 def test_irreducibility_gate():
