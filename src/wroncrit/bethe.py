@@ -43,7 +43,6 @@ from .ramification import BasicSituation, exponents_of_ram, ram_from_exponents, 
 from .schubert import intersection_number
 
 # numeric knobs shared by the solver paths
-_POLISH_REL_STEP = 1e-11
 _MAX_GN_ITER = 80
 _DEDUP_RADIUS = 1e-6   # relative to coordinate scale
 _SPACE_MATCH = 1e-6
@@ -577,6 +576,42 @@ def _rand_point(rng: np.random.Generator, L: int, radius: float) -> np.ndarray:
     return r * np.exp(1j * ang)
 
 
+def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
+            rng: np.random.Generator, radius: float, far_cut: float) -> np.ndarray:
+    """Pseudoinverse Gauss-Newton on the cleared equations from a batch of starts.
+
+    Runs _MAX_GN_ITER steps on pts, shape (S, L), in place.  A start whose F
+    or J is not finite (a coordinate exactly on a collision) takes a zero
+    step; a start that leaves the finite disc of radius far_cut is redrawn.
+    A start whose step leaves it bitwise unchanged sits at a fixed point of
+    the iteration: its next input, and so every later step, is the same, so
+    it stops iterating.  Only the live starts are evaluated; pinv cuts off
+    per matrix, so a start's path does not depend on which others share its
+    batch, and the result and the draws from rng are those of stepping every
+    start every time.
+    """
+    L = pts.shape[1]
+    live = np.ones(len(pts), dtype=bool)
+    for _ in range(_MAX_GN_ITER):
+        idx = np.nonzero(live)[0]
+        if not len(idx):
+            break
+        cur = pts[idx]
+        F, J, _ = _critical_equations(cur, C, zs, W)
+        ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+        step = np.zeros_like(cur)
+        step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
+        step[~np.isfinite(step).all(axis=1)] = 0.0
+        new = cur + step
+        pts[idx] = new
+        live[idx[(new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)]] = False
+        bad = idx[~np.isfinite(new).all(axis=1) | (np.abs(new).max(axis=1) > far_cut)]
+        for s in bad:
+            pts[s] = _rand_point(rng, L, radius)
+        live[bad] = True
+    return pts
+
+
 # -- induced space of a sample, used to group samples on one component --------
 
 def _wronskian_solve_lstsq(y: Poly, rhs: Poly) -> Poly:
@@ -704,23 +739,12 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     # Newton runs on the cleared equations F_p = w_p r_p, evaluated in
     # factored form by _critical_equations: the raw log-gradient r has a
     # spurious attracting zero at infinity that swallows almost every start,
-    # while F has honest basins.  A start whose F or J is not finite (a
-    # coordinate exactly on a collision) takes a zero step.  Runaway slots
-    # (no basin, or walking out along a noncompact solution curve) are
-    # recycled with fresh draws, so the search effectively covers |t| up to
-    # _FAR_FACTOR * radius.
+    # while F has honest basins.  Runaway slots (no basin, or walking out
+    # along a noncompact solution curve) are recycled with fresh draws, so
+    # the search effectively covers |t| up to _FAR_FACTOR * radius.
     far_cut = _FAR_FACTOR * radius
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_GN_ITER):
-            F, J, _ = _critical_equations(pts, C, zs, W)
-            ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-            step = np.zeros_like(pts)
-            step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
-            step[~np.isfinite(step).all(axis=1)] = 0.0
-            pts = pts + step
-            bad = ~np.isfinite(pts).all(axis=1) | (np.abs(pts).max(axis=1) > far_cut)
-            for s in np.nonzero(bad)[0]:
-                pts[s] = _rand_point(rng, L, radius)
+        pts = _newton(pts, C, zs, W, rng, radius, far_cut)
         res = np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
         gap = _collision_gap(pts, C, zs, W)
     # F also vanishes on collisions (coordinates of one level or of adjacent
@@ -752,24 +776,28 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     loose: list[list] = []  # one entry per component: [Q, point, residual, hits]
     for _, point, rv, hits in clusters:
         flat = tuple(_flat(point))
-        try:
-            m = local_multiplicity(system, flat, mode="numeric", tol=mult_tol,
-                                   max_order=max_order)
-            orbits.append(CriticalOrbit(point, rv, m.multiplicity, gamma(point), hits=hits))
-        except NotASolution:
-            continue  # true critical point at a scale the cleared system cannot hold
-        except NotIsolated:
-            Q = induced_space(gamma(point), data)
-            for cl in loose:
-                if _same_space(cl[0], Q):
-                    # keep the most central sample: best conditioned representative
-                    if max(abs(v) for v in flat) < max(abs(v) for v in _flat(cl[1])):
-                        cl[1] = point
-                    cl[2] = min(cl[2], rv)
-                    cl[3] += hits
-                    break
-            else:
-                loose.append([Q, point, rv, hits])
+        ys = gamma(point)
+        # The points of one sector that generate one space form one connected
+        # Schubert cell, so a sample whose space is a known component's lies
+        # on that component and is not isolated: it joins without a dual-space
+        # climb.  Generic inputs never reach a component, so skip the space.
+        Q = induced_space(ys, data) if loose else None
+        home = next((cl for cl in loose if _same_space(cl[0], Q)), None)
+        if home is None:
+            try:
+                m = local_multiplicity(system, flat, mode="numeric", tol=mult_tol,
+                                       max_order=max_order)
+                orbits.append(CriticalOrbit(point, rv, m.multiplicity, ys, hits=hits))
+            except NotASolution:
+                pass  # true critical point at a scale the cleared system cannot hold
+            except NotIsolated:
+                loose.append([induced_space(ys, data) if Q is None else Q, point, rv, hits])
+            continue
+        # keep the most central sample: best conditioned representative
+        if max(abs(v) for v in flat) < max(abs(v) for v in _flat(home[1])):
+            home[1] = point
+        home[2] = min(home[2], rv)
+        home[3] += hits
 
     for Q, point, rv, hits in loose:
         dim, m = component_multiplicity(system, _flat(point), rng, tol=mult_tol,

@@ -235,13 +235,15 @@ def div_rem(f: Poly, y: Poly) -> tuple[Poly, Poly]:
         raise ZeroPolynomial("division by the zero polynomial")
     if not f.ring.invertible(y.lead()):
         raise NotMonic(f"divisor lead {y.lead()!r} is not invertible")
-    inv = f.ring.inv(y.lead())
+    # a monic divisor needs no inverse: over Q(a) each product by it is a
+    # full number-field product
+    inv = None if y.lead() == f.ring.one() else f.ring.inv(y.lead())
     rem = list(f.coeffs)
     dy = y.degree()
     qlen = max(0, len(rem) - dy)
     q = [f.ring.zero()] * qlen
     for k in range(qlen - 1, -1, -1):
-        c = rem[k + dy] * inv
+        c = rem[k + dy] if inv is None else rem[k + dy] * inv
         if _nonzero(c):
             q[k] = c
             for i, yc in enumerate(y.coeffs):

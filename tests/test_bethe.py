@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wroncrit import bethe
 from wroncrit.bethe import (
     MasterData,
     _coupling_matrix,
@@ -44,6 +45,7 @@ from wroncrit.errors import (
     Inadmissible,
     NoCriticalPoints,
     NotCertified,
+    NotIsolated,
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
 from wroncrit.multiplicity import MPoly, MultivariateSystem, clear_denominators
@@ -410,17 +412,98 @@ def test_sl2_ladder_orbits_simple_and_real(n, k):
         assert max(abs(c.imag) for c in coeffs) <= 1e-7 * max(1.0, *(abs(c) for c in coeffs))
 
 
-@pytest.mark.xfail(strict=True, reason="known overcount: an isolated orbit of "
-                   "multiplicity 6 in the identity sector at z_s = 1 + i^s")
-def test_roots_of_unity_identity_sector_within_target():
-    # z_s = 1 + i^s over Q(i), l = (1,), weight 1; under --sector all the
-    # identity sector l = (4,) must not sum past the intersection number 3
+def rou4_data():
+    # z_s = 1 + i^s over Q(i), l = (1,), weight 1
     field = make_extension("x^2+1")
-    data = MasterData(field, (1,), tuple((1 + field.gen ** s, (1,)) for s in range(4)))
-    report = run_verify(data, sector="all", starts=200, seed=0)["report"]
+    return MasterData(field, (1,), tuple((1 + field.gen ** s, (1,)) for s in range(4)))
+
+
+def test_roots_of_unity_identity_sector_within_target():
+    # under --sector all the identity sector l = (4,) must not sum past the
+    # intersection number 3.  A sample whose tuple generates the space of the
+    # sector's 1-dimensional component lies on it: it is not an isolated
+    # orbit of multiplicity 6
+    report = run_verify(rou4_data(), sector="all", starts=200, seed=0)["report"]
     ident = report["sectors"]["1,2"]
     assert ident["l"] == [4] and report["lr_target"] == 3
+    assert not [o for o in ident["orbits"] if o["isolated"]]
+    assert len([o for o in ident["orbits"] if not o["isolated"]]) == 1
     assert ident["multiplicity_sum"] <= report["lr_target"]
+
+
+def test_component_samples_skip_the_dual_climb(monkeypatch):
+    # on the rou4 identity sector the dual-space climb learns that a sample is
+    # not isolated once per component; later samples of the component are
+    # placed by their induced space
+    basic, _ = translate_master(rou4_data())
+    ident = master_from_sector(basic, (1, 2))
+    n = ident.size()
+    not_isolated = []
+    local_multiplicity = bethe.local_multiplicity
+
+    def counted(system, point, **kw):
+        try:
+            return local_multiplicity(system, point, **kw)
+        except NotIsolated:
+            if len(system.polys) == n:  # not a slice of component_multiplicity
+                not_isolated.append(point)
+            raise
+
+    monkeypatch.setattr(bethe, "local_multiplicity", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        orbits = solve_critical(ident, starts=200, seed=0)
+    components = [o for o in orbits if not o.isolated]
+    assert components and len(not_isolated) == len(components)
+    assert sum(o.hits for o in components) > len(components)
+
+
+def _newton_full_batch(pts, C, zs, W, rng, radius, far_cut):
+    # every start steps every time: the loop _newton must reproduce bitwise
+    L = pts.shape[1]
+    for _ in range(bethe._MAX_GN_ITER):
+        F, J, _ = _critical_equations(pts, C, zs, W)
+        ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+        step = np.zeros_like(pts)
+        step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
+        step[~np.isfinite(step).all(axis=1)] = 0.0
+        pts = pts + step
+        bad = ~np.isfinite(pts).all(axis=1) | (np.abs(pts).max(axis=1) > far_cut)
+        for s in np.nonzero(bad)[0]:
+            pts[s] = bethe._rand_point(rng, L, radius)
+    return pts
+
+
+@pytest.mark.parametrize("data", [
+    MasterData(QQ, (2,), tuple((z, (1,)) for z in (0, 1, -1, 2))),
+    MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2))),
+    cuberoots_data(),
+], ids=["sl2-l2", "sl3-l21", "rou3"])
+def test_newton_matches_full_batch_loop(data, monkeypatch):
+    C = _coupling_matrix(data.l)
+    zs, W = _embedded_weights(data)
+    radius = 2.0 * (np.abs(zs).max() + 1.0)
+    far_cut = bethe._FAR_FACTOR * radius
+    L, starts = data.size(), 200
+    outs, states = [], []
+    for newton in (_newton_full_batch, bethe._newton):
+        rng = np.random.default_rng(0)
+        pts = np.array([bethe._rand_point(rng, L, radius) for _ in range(starts)])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            outs.append(newton(pts, C, zs, W, rng, radius, far_cut))
+        states.append(rng.bit_generator.state)
+    assert np.array_equal(outs[0].view(np.uint64), outs[1].view(np.uint64))
+    assert states[0] == states[1]
+    # and the frozen starts were really left out
+    rows = []
+    equations = bethe._critical_equations
+    monkeypatch.setattr(bethe, "_critical_equations",
+                        lambda t, *a: rows.append(len(t)) or equations(t, *a))
+    rng = np.random.default_rng(0)
+    pts = np.array([bethe._rand_point(rng, L, radius) for _ in range(starts)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bethe._newton(pts, C, zs, W, rng, radius, far_cut)
+    assert sum(rows) < starts * bethe._MAX_GN_ITER
 
 
 def test_cleared_system_embedded_once(monkeypatch):

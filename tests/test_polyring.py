@@ -74,6 +74,23 @@ def test_exact_div_of_product(f, y):
     assert divides(y, f * y)
 
 
+def test_div_rem_by_monic_takes_no_inverse(monkeypatch):
+    # a monic divisor over Q(omega) needs no inverse of its lead; the result
+    # agrees with the division by 2y, which does take one
+    K = make_extension("x^2+x+1")
+    a, one, two = K.gen, K.one(), K.coerce(2)
+    f = Poly(K, [3 * one, one, 0 * one, two - a, 0 * one, a])
+    y = Poly(K, [-one, a, one])
+    q2, r2 = div_rem(f, y * two)
+    calls = []
+    inv = type(K).inv
+    monkeypatch.setattr(type(K), "inv", lambda self, v: calls.append(v) or inv(self, v))
+    q, r = div_rem(f, y)
+    assert calls == []
+    assert q == q2 * two and r == r2
+    assert q * y + r == f and r.degree() < y.degree()
+
+
 def test_exact_div_rejects_remainder():
     with pytest.raises(NotDivisible):
         exact_div(P("x^2+1"), P("x"))
