@@ -56,7 +56,6 @@ from .schubert import intersection_number, lr_coefficient, mult_partitions
 from .multiplicity import (
     MPoly,
     MultivariateSystem,
-    clear_denominators,
     local_multiplicity,
     univariate_multiplicity,
 )
@@ -68,6 +67,7 @@ from .bethe import (
     certify_critical,
     certify_divisibility,
     check_admissible,
+    clear_denominators,
     gamma,
     master_from_sector,
     master_value,

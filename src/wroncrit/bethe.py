@@ -37,7 +37,7 @@ from .errors import (
     WroncritError,
 )
 from .field import CC, common_ring, embed_scalar, format_scalar, ring_of
-from .multiplicity import MPoly, MultivariateSystem, clear_denominators, local_multiplicity
+from .multiplicity import MPoly, MultivariateSystem, local_multiplicity
 from .polyring import Poly, div_rem, format_poly, wronskian_pair
 from .ramification import BasicSituation, exponents_of_ram, ram_from_exponents, validate_basic
 from .schubert import intersection_number
@@ -118,100 +118,163 @@ def _is_numeric_point(point) -> bool:
     return any(isinstance(t, (float, complex)) for lev in point for t in lev)
 
 
-def check_admissible(point, data: MasterData) -> None:
-    """Raise Inadmissible naming the first violated non-collision condition.
+def _flat(point) -> list:
+    return [t for lev in point for t in lev]
 
-    Conditions: coordinates within a level are distinct; coordinates of
-    adjacent levels are distinct; no coordinate sits on a marked point whose
-    weight at that level is positive.
+
+# ---------------------------------------------------------------------------
+# the coupling: the one description of the critical equations
+#
+# Coordinates are flattened level by level; coordinate p = t_ij sits on level
+# i and is named t{i}_{j}.  The master function is
+#     prod_{p<q} (t_p - t_q)^C_pq / prod_{p,s} (t_p - z_s)^W_ps
+# with C_pq = 2 within a level, -1 between adjacent levels, 0 otherwise, and
+# W_ps = m_s(level of p).  Every evaluator of the critical equations, exact or
+# numeric, reads C and W.
+
+def _layout(l: Sequence[int]) -> list[int]:
+    # level index (0-based) of each flattened coordinate
+    return [i for i, li in enumerate(l) for _ in range(li)]
+
+
+def _names(l: Sequence[int]) -> list[str]:
+    return [f"t{i}_{j}" for i, li in enumerate(l, start=1) for j in range(1, li + 1)]
+
+
+def _coupling_matrix(l: Sequence[int]) -> np.ndarray:
+    lev = np.array(_layout(l), dtype=int)
+    gap = np.abs(lev[:, None] - lev[None, :])
+    C = np.where(gap == 0, 2, np.where(gap == 1, -1, 0))
+    np.fill_diagonal(C, 0)
+    return C
+
+
+def _weight_matrix(data: MasterData) -> np.ndarray:
+    # W[p, s] = m_s(level of coordinate p)
+    W = np.array([[m[i] for _, m in data.points] for i in _layout(data.l)], dtype=int)
+    return W.reshape(data.size(), len(data.points))
+
+
+def _embedded_weights(data: MasterData) -> tuple[np.ndarray, np.ndarray]:
+    # marked points embedded in CC, and W as floats
+    zs = np.array([embed_scalar(z) for z, _ in data.points], dtype=complex)
+    return zs, _weight_matrix(data).astype(float)
+
+
+def _admissible_scalars(point, data: MasterData) -> tuple[list, list, Any, list, list]:
+    """(t, z, one, C, W) at an admissible point, as scalars and nested lists.
+
+    t are the flattened coordinates and z the marked points.  A floating
+    coordinate anywhere switches t, z and one to machine complex numbers;
+    otherwise they are exact elements of data.ring.  Raises DimensionMismatch
+    for a point of the wrong shape and Inadmissible at the first collision:
+    t_p = t_q with C_pq != 0, or t_p = z_s with W_ps > 0.
     """
     _check_shape(point, data)
-    numeric = _is_numeric_point(point)
-    zs = [(embed_scalar(z) if numeric else z, m) for z, m in data.points]
-    for i, lev in enumerate(point, start=1):
-        for j in range(len(lev)):
-            for k in range(j + 1, len(lev)):
-                if lev[j] == lev[k]:
-                    raise Inadmissible(
-                        f"coordinates t{i}_{j + 1} and t{i}_{k + 1} collide")
-            for z, m in zs:
-                if m[i - 1] > 0 and lev[j] == z:
-                    raise Inadmissible(
-                        f"coordinate t{i}_{j + 1} sits on the marked point "
-                        f"{format_scalar(z)}")
-        if i < len(point):
-            for j, a in enumerate(lev):
-                for k, b in enumerate(point[i]):
-                    if a == b:
-                        raise Inadmissible(
-                            f"coordinates t{i}_{j + 1} and t{i + 1}_{k + 1} collide")
+    if _is_numeric_point(point):
+        ts = [complex(t) for t in _flat(point)]
+        zs = [embed_scalar(z) for z, _ in data.points]
+        one = 1 + 0j
+    else:
+        ring = data.ring
+        ts = [ring.coerce(t) for t in _flat(point)]
+        zs = [z for z, _ in data.points]
+        one = ring.one()
+    C = _coupling_matrix(data.l).tolist()
+    W = _weight_matrix(data).tolist()
+    names = _names(data.l)
+    for p, t in enumerate(ts):
+        for q in range(p + 1, len(ts)):
+            if C[p][q] and t == ts[q]:
+                raise Inadmissible(f"coordinates {names[p]} and {names[q]} collide")
+        for z, w in zip(zs, W[p]):
+            if w > 0 and t == z:
+                raise Inadmissible(
+                    f"coordinate {names[p]} sits on the marked point {format_scalar(z)}")
+    return ts, zs, one, C, W
+
+
+def check_admissible(point, data: MasterData) -> None:
+    """Raise Inadmissible naming the first collision the coupling forbids.
+
+    Coordinates of one level or of adjacent levels must differ, and no
+    coordinate may sit on a marked point weighted at its level.
+    """
+    _admissible_scalars(point, data)
 
 
 def bethe_residual(point, data: MasterData):
     """Gradient of log of the master function, in the shape of ``point``.
 
-    The (i, j) component is
-      sum_{k != j} 2/(t_ij - t_ik)
-      - sum_k 1/(t_ij - t_{i-1,k}) - sum_k 1/(t_ij - t_{i+1,k})
-      - T_i'(t_ij)/T_i(t_ij),
-    the point term expanded as sum_s m_s(i)/(t_ij - z_s).  Exact scalars stay
-    exact; any floating coordinate switches the whole evaluation to complex.
+    The component at coordinate p is
+      r_p = sum_q C_pq/(t_p - t_q) - sum_s W_ps/(t_p - z_s),
+    the point term being T_i'(t_p)/T_i(t_p) for the level i of p.  Exact
+    scalars stay exact; any floating coordinate switches the whole
+    evaluation to complex.
     """
-    check_admissible(point, data)
-    numeric = _is_numeric_point(point)
-    if numeric:
-        pt = tuple(tuple(complex(t) for t in lev) for lev in point)
-        zs = [(embed_scalar(z), m) for z, m in data.points]
-        one = 1.0
-    else:
-        ring = data.ring
-        pt = tuple(tuple(ring.coerce(t) for t in lev) for lev in point)
-        zs = list(data.points)
-        one = ring.one()
-    out = []
-    for i, lev in enumerate(pt):
-        row = []
-        for j, t in enumerate(lev):
-            acc = one - one
-            for k, u in enumerate(lev):
-                if k != j:
-                    acc = acc + (one + one) / (t - u)
-            for adj in (i - 1, i + 1):
-                if 0 <= adj < len(pt):
-                    for u in pt[adj]:
-                        acc = acc - one / (t - u)
-            for z, m in zs:
-                if m[i]:
-                    acc = acc - (m[i] * one) / (t - z)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    ts, zs, one, C, W = _admissible_scalars(point, data)
+    r = []
+    for t, Cp, Wp in zip(ts, C, W):
+        acc = one - one
+        for u, c in zip(ts, Cp):
+            if c:
+                acc = acc + (c * one) / (t - u)
+        for z, w in zip(zs, Wp):
+            if w:
+                acc = acc - (w * one) / (t - z)
+        r.append(acc)
+    it = iter(r)
+    return tuple(tuple(next(it) for _ in range(li)) for li in data.l)
 
 
 def master_value(point, data: MasterData):
     """Value of the master function itself at an admissible point."""
-    check_admissible(point, data)
-    numeric = _is_numeric_point(point)
-    if numeric:
-        pt = [[complex(t) for t in lev] for lev in point]
-        zs = [(embed_scalar(z), m) for z, m in data.points]
-        val = 1.0 + 0j
-    else:
-        ring = data.ring
-        pt = [[ring.coerce(t) for t in lev] for lev in point]
-        zs = list(data.points)
-        val = ring.one()
-    for i, lev in enumerate(pt):
-        for j in range(len(lev)):
-            for k in range(j + 1, len(lev)):
-                val = val * (lev[j] - lev[k]) ** 2
-            if i + 1 < len(pt):
-                for u in pt[i + 1]:
-                    val = val / (lev[j] - u)
-            for z, m in zs:
-                if m[i]:
-                    val = val / (lev[j] - z) ** m[i]
+    ts, zs, one, C, W = _admissible_scalars(point, data)
+    val = one
+    for p, t in enumerate(ts):
+        for q in range(p + 1, len(ts)):
+            if C[p][q]:
+                val = val * (t - ts[q]) ** C[p][q]
+        for z, w in zip(zs, W[p]):
+            if w:
+                val = val / (t - z) ** w
     return val
+
+
+def clear_denominators(data: MasterData) -> MultivariateSystem:
+    """The critical equations as polynomials: F_p = w_p r_p, exactly.
+
+    w_p = T_i(t_p) prod_q (t_p - t_q), over the coordinates q with
+    C_pq != 0 and the level i of p, clears the poles of r_p, so
+      F_p = T_i(t_p) sum_q C_pq prod_{q' != q} (t_p - t_q')
+            - T_i'(t_p) prod_q (t_p - t_q).
+    This is the F that the Newton loop solves (_critical_equations),
+    equation by equation and sign included.  w_p is a unit at admissible
+    points, so local multiplicities there are those of the critical scheme.
+    Variables are named t{i}_{j}.
+    """
+    names = _names(data.l)
+    n = len(names)
+    C = _coupling_matrix(data.l).tolist()
+    var = [MPoly.variable(n, p) for p in range(n)]
+    polys = []
+    for p, i in enumerate(_layout(data.l)):
+        coupled = [(c, var[p] - var[q]) for q, c in enumerate(C[p]) if c]
+        # prefix[k] is the product of the first k factors; the sum takes
+        # prefix[k] * suffix, where suffix is the product of those after k
+        prefix = [MPoly.constant(n, 1)]
+        for _, f in coupled:
+            prefix.append(prefix[-1] * f)
+        acc = MPoly.zero(n)
+        suffix = MPoly.constant(n, 1)
+        for k in range(len(coupled) - 1, -1, -1):
+            c, f = coupled[k]
+            acc = acc + c * (prefix[k] * suffix)
+            suffix = suffix * f
+        T = data.T[i]
+        polys.append(MPoly.from_univariate(T, p, n) * acc
+                     - MPoly.from_univariate(T.deriv(), p, n) * prefix[-1])
+    return MultivariateSystem(tuple(names), tuple(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -460,36 +523,6 @@ class CriticalOrbit:
     hits: int = 1
 
 
-def _layout(l: Sequence[int]) -> list[int]:
-    # level index (0-based) of each flattened coordinate
-    out = []
-    for i, li in enumerate(l):
-        out.extend([i] * li)
-    return out
-
-
-def _coupling_matrix(l: Sequence[int]) -> np.ndarray:
-    lev = _layout(l)
-    L = len(lev)
-    C = np.zeros((L, L))
-    for p in range(L):
-        for q in range(L):
-            if p == q:
-                continue
-            if lev[p] == lev[q]:
-                C[p, q] = 2.0
-            elif abs(lev[p] - lev[q]) == 1:
-                C[p, q] = -1.0
-    return C
-
-
-def _embedded_weights(data: MasterData) -> tuple[np.ndarray, np.ndarray]:
-    # marked points, and W[p, s] = m_s(level of coordinate p)
-    zs = np.array([embed_scalar(z) for z, _ in data.points], dtype=complex)
-    W = np.array([[m[i] for _, m in data.points] for i in _layout(data.l)], dtype=float)
-    return zs, W.reshape(data.size(), len(data.points))
-
-
 def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
                         W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, J, r) of the critical equations at a batch of points t, shape (S, L).
@@ -497,10 +530,10 @@ def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
     r_p = sum_q C_pq/(t_p - t_q) - sum_s W_ps/(t_p - z_s) is the log-gradient
     (bethe_residual).  F_p = w_p r_p with w_p = prod_s (t_p - z_s)^W_ps
     prod_{C_pq != 0} (t_p - t_q), the multiplier clear_denominators clears,
-    so F is the cleared system up to the sign of each equation.  Its
-    Jacobian is J = diag(w) (J_r + r (d log w)^T).  All three come from the
-    reciprocal differences 1/(t_p - t_q) and 1/(t_p - z_s); a coordinate on
-    a collision makes its row non-finite.
+    so F is the cleared system.  Its Jacobian is
+    J = diag(w) (J_r + r (d log w)^T).  All three come from the reciprocal
+    differences 1/(t_p - t_q) and 1/(t_p - z_s); a coordinate on a collision
+    makes its row non-finite.
     """
     L = t.shape[1]
     A = C != 0
@@ -564,10 +597,6 @@ def _canonical(row: np.ndarray, l: Sequence[int]) -> tuple[tuple[complex, ...], 
         out.append(tuple(lev))
         pos += li
     return tuple(out)
-
-
-def _flat(point) -> list:
-    return [t for lev in point for t in lev]
 
 
 def _rand_point(rng: np.random.Generator, L: int, radius: float) -> np.ndarray:

@@ -10,17 +10,15 @@ equivalent to annihilating all multiples of the generators, via
 L[x_i g] = s_i(L)[g]).  The dimension stabilizes exactly when the point is
 isolated, and the stable dimension is the multiplicity.
 
-Systems live in a thin sparse multivariate wrapper.  Clearing denominators
-of master-function critical equations produces such systems; the cleared
-multiplier is a unit at every admissible point.
+Systems live in a thin sparse multivariate wrapper; the critical equations
+of a master function come as such a system from bethe.clear_denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .errors import NotARoot, NotASolution, NotIsolated, WroncritError
 from .field import embed_scalar
@@ -187,80 +185,6 @@ class MultivariateSystem:
 
     def map_coeffs(self, fn) -> "MultivariateSystem":
         return MultivariateSystem(self.names, tuple(f.map_coeffs(fn) for f in self.polys))
-
-
-# -- clearing denominators of critical equations --------------------------------
-
-def _level_layout(l: Sequence[int]) -> tuple[list[str], list[list[int]]]:
-    names: list[str] = []
-    levels: list[list[int]] = []
-    for i, li in enumerate(l, start=1):
-        idxs = []
-        for j in range(1, li + 1):
-            idxs.append(len(names))
-            names.append(f"t{i}_{j}")
-        levels.append(idxs)
-    return names, levels
-
-
-def clear_denominators(data) -> MultivariateSystem:
-    """Polynomial form of the critical equations of a master function.
-
-    Each logarithmic-derivative equation is multiplied by the product of its
-    simple-pole denominators; the pole at the marked points contributes the
-    derivative of the level weight polynomial.  Every equation is sign
-    normalized so its lexicographically leading coefficient has positive
-    rational part.  The multiplier T_i(t_p) prod_q (t_p - t_q), over the
-    coordinates q of the same and adjacent levels, is a unit at admissible
-    points, so local multiplicities are unchanged there.
-    """
-    names, levels = _level_layout(data.l)
-    n = len(names)
-    polys = []
-    for i in range(1, len(levels) + 1):
-        Ti = data.T[i - 1]
-        for j in levels[i - 1]:
-            tj = MPoly.variable(n, j)
-            own = [MPoly.variable(n, k) for k in levels[i - 1] if k != j]
-            adj = []
-            for lvl in (i - 1, i + 1):
-                if 1 <= lvl <= len(levels):
-                    adj.extend(MPoly.variable(n, k) for k in levels[lvl - 1])
-            t_here = MPoly.from_univariate(Ti, j, n)
-            t_deriv = MPoly.from_univariate(Ti.deriv(), j, n)
-            own_f = [tj - v for v in own]
-            adj_f = [tj - v for v in adj]
-
-            def prod(factors):
-                out = MPoly.constant(n, data.ring.one())
-                for f in factors:
-                    out = out * f
-                return out
-
-            eq = MPoly.zero(n)
-            for k in range(len(own_f)):
-                eq = eq + 2 * (t_here * prod(own_f[:k] + own_f[k + 1:]) * prod(adj_f))
-            for k in range(len(adj_f)):
-                eq = eq - t_here * prod(own_f) * prod(adj_f[:k] + adj_f[k + 1:])
-            eq = eq - t_deriv * prod(own_f) * prod(adj_f)
-            polys.append(_sign_normalize(eq))
-    return MultivariateSystem(tuple(names), tuple(polys))
-
-
-def _sign_normalize(f: MPoly) -> MPoly:
-    if f.is_zero():
-        return f
-    lead = f.terms[max(f.terms)]
-    flip = False
-    if isinstance(lead, Fraction) or isinstance(lead, int):
-        flip = lead < 0
-    elif isinstance(lead, complex) or isinstance(lead, float):
-        flip = (lead.real if isinstance(lead, complex) else lead) < 0
-    else:
-        r = getattr(lead, "is_rational", None)
-        if r is not None and lead.is_rational():
-            flip = lead.coeffs[0] < 0
-    return -f if flip else f
 
 
 # -- dual-space multiplicity -----------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
     ZeroInputs,
     ZeroPolynomial,
 )
-from .field import QQ, DualRing, NumberField, RationalField, Scalar
+from .field import DualRing, RationalField, Scalar
 
 
 class Poly:

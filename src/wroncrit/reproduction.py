@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any
 
 from .errors import (
     DependentBasis,

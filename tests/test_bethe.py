@@ -27,6 +27,7 @@ from wroncrit.bethe import (
     certify_critical,
     certify_divisibility,
     check_admissible,
+    clear_denominators,
     component_multiplicity,
     gamma,
     induced_space,
@@ -48,7 +49,7 @@ from wroncrit.errors import (
     NotIsolated,
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
-from wroncrit.multiplicity import MPoly, MultivariateSystem, clear_denominators
+from wroncrit.multiplicity import MPoly, MultivariateSystem
 from wroncrit.polyring import parse_poly
 from wroncrit.schubert import intersection_number
 
@@ -107,6 +108,26 @@ def test_admissibility():
         check_admissible([[Fraction(1), Fraction(1)]], two)
     with pytest.raises(DimensionMismatch):
         check_admissible([[Fraction(1)]], data)
+
+
+@pytest.mark.parametrize("point, message", [
+    ([[Fraction(1, 3)], [Fraction(1, 3)]], "coordinates t1_1 and t2_1 collide"),
+    ([[0.25], [0.25]], "coordinates t1_1 and t2_1 collide"),
+    ([[Fraction(0)], [Fraction(1, 2)]], "coordinate t1_1 sits on the marked point 0"),
+    ([[Fraction(1, 2)], [Fraction(1)]], "coordinate t2_1 sits on the marked point 1"),
+])
+def test_admissibility_messages(point, message):
+    with pytest.raises(Inadmissible, match=f"^{message}$"):
+        check_admissible(point, anchor_data())
+
+
+def test_admissibility_message_own_level():
+    data = MasterData(QQ, (2, 1), ((0, (1, 0)),))
+    with pytest.raises(Inadmissible, match="^coordinates t1_1 and t1_2 collide$"):
+        check_admissible([[Fraction(2), Fraction(2)], [Fraction(5)]], data)
+    # levels 1 and 3 are not adjacent: t1_1 = t3_1 is allowed
+    three = MasterData(QQ, (1, 1, 1), ((0, (1, 0, 0)),))
+    check_admissible([[Fraction(2)], [Fraction(3)], [Fraction(2)]], three)
 
 
 # -- residual and master value ----------------------------------------------------
@@ -274,7 +295,8 @@ def test_empty_point_solver():
 def test_clear_denominators_rational():
     sys_ = clear_denominators(rational_data())
     assert sys_.nvars == 1 and len(sys_.polys) == 1
-    assert sys_.polys[0] == MPoly(1, {(2,): Fraction(3), (0,): Fraction(-1)})
+    # F = w r = -T'(t) for T = t^3 - t: the sign is that of the residual
+    assert sys_.polys[0] == MPoly(1, {(2,): Fraction(-3), (0,): Fraction(1)})
 
 
 def test_clear_denominators_anchor_roots():
@@ -291,7 +313,7 @@ def test_clear_denominators_anchor_roots():
 ])
 def test_critical_equations_match_cleared_system(data):
     # F = w r and its Jacobian are clear_denominators and its derivatives,
-    # each equation up to the sign _sign_normalize picks; r is the residual
+    # equation by equation with the sign; r is the residual
     rng = np.random.default_rng(11)
     L = data.size()
     t = rng.normal(size=(5, L)) + 1j * rng.normal(size=(5, L))
@@ -301,10 +323,8 @@ def test_critical_equations_match_cleared_system(data):
     for row, f_row, j_row, r_row in zip(t, F, J, r):
         f_ref = np.array([f.eval(row) for f in polys])
         j_ref = np.array([[f.deriv(q).eval(row) for q in range(L)] for f in polys])
-        sign = np.sign((f_ref / f_row).real)
-        scale = np.abs(f_ref).max()
-        assert np.abs(f_ref - sign * f_row).max() < 1e-12 * scale
-        assert np.abs(j_ref - sign[:, None] * j_row).max() < 1e-12 * np.abs(j_ref).max()
+        assert np.abs(f_ref - f_row).max() < 1e-12 * np.abs(f_ref).max()
+        assert np.abs(j_ref - j_row).max() < 1e-12 * np.abs(j_ref).max()
         point, pos = [], 0
         for li in data.l:
             point.append(tuple(row[pos:pos + li]))

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from wroncrit import cli
 from wroncrit.bethe import MasterData, solve_critical, translate_master
 from wroncrit.cli import load_problem, main, run_verify
-from wroncrit.errors import ParseError
+from wroncrit.errors import NotCertified, ParseError
 from wroncrit.field import format_scalar
 from wroncrit.ramification import BasicSituation
 from wroncrit.schubert import intersection_number
@@ -82,6 +83,19 @@ def test_verify_matches_library_composition():
     assert report["verdict"] == "MATCH"
 
 
+def test_uncertified_orbit_reads_undercount(monkeypatch):
+    # the multiplicities add up to the target, but no orbit is certified
+    def refuse(*args, **kwargs):
+        raise NotCertified("refused")
+
+    monkeypatch.setattr(cli, "certify_divisibility", refuse)
+    report = run_verify(load_problem(RATIONAL), starts=60, seed=2)["report"]
+    sec = report["sectors"]["own"]
+    assert sec["multiplicity_sum"] == report["lr_target"]
+    assert all(r["certified"] == "UNCERTIFIED: refused" for r in sec["orbits"])
+    assert sec["verdict"] == report["verdict"] == "UNDERCOUNT"
+
+
 def test_verify_report_is_stable():
     problem = load_problem(CUBE_MASTER)
     a = run_verify(problem, starts=50, seed=4)
@@ -147,6 +161,25 @@ def test_mult_cmd(capsys):
     assert "local multiplicity 1" in out
     assert main(["mult", CUBE_MASTER, "--point", "0"]) == 0
     assert "local multiplicity 2" in capsys.readouterr().out
+
+
+def test_mult_cmd_rejects_bad_points(tmp_path, capsys):
+    # F vanishes where two coordinates meet; that root is no critical point
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"l": [2], "points": [
+        {"z": z, "m": [1]} for z in ("0", "1", "-1", "2")]}))
+    assert main(["mult", str(two), "--point", "0,0"]) == 1
+    assert "collide" in capsys.readouterr().err
+    assert main(["mult", str(two), "--point", "0.5"]) == 3
+    assert "level 1 has 1 coordinates, want 2" in capsys.readouterr().err
+    assert main(["mult", str(two), "--point", "0.5;0.25"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("token", ["x.y", "1e"])
+def test_mult_cmd_malformed_float(token, capsys):
+    assert main(["mult", RATIONAL, "--point", token]) == 2
+    assert repr(token) in capsys.readouterr().err
 
 
 def test_reproduce_cmd(capsys):
