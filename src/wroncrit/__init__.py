@@ -32,7 +32,7 @@ from .polyring import (
     wronskian_pair,
     xgcd,
 )
-from .wronskian_eq import WronskianSolution, generic_candidate, normalize_generic, solvable, solve
+from .wronskian_eq import WronskianSolution, generic_candidate, solvable, solve
 from .ramification import (
     BasicSituation,
     check_ram_sequence,

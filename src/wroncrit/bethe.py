@@ -45,6 +45,13 @@ from .schubert import intersection_number
 # numeric knobs shared by the solver paths
 _MAX_GN_ITER = 80
 _DEDUP_RADIUS = 1e-6   # relative to coordinate scale
+_RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
+# Rank tolerance of the dual-space computations.  It is looser than
+# _RESIDUAL_TOL on purpose: a root of local multiplicity m is only located to
+# about machine_eps^(1/m) by any iteration, so rank decisions must forgive
+# coordinate errors of that size even though the gradient norm itself sits
+# far below _RESIDUAL_TOL.
+_MULT_TOL = 1e-6
 _SPACE_MATCH = 1e-6
 _FAR_FACTOR = 1e3      # samples beyond this multiple of the start radius are recycled
 
@@ -398,9 +405,6 @@ class SectorSpec:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "w", w)
 
-    def filtration_labels(self) -> tuple[int, ...]:
-        return tuple(self.labels[v - 1] for v in self.w)
-
 
 def sector_lengths(c: Sequence[int], w: Sequence[int], K: Sequence[Poly]) -> tuple[int, ...]:
     """Level sizes induced by handing out labels c in the order w.
@@ -517,7 +521,6 @@ class CriticalOrbit:
     residual: float
     multiplicity: int | None
     tuple_y: tuple[Poly, ...]
-    admissible: bool = True
     isolated: bool = True
     dimension: int = 0
     hits: int = 1
@@ -690,8 +693,7 @@ def _same_space(Q1: np.ndarray, Q2: np.ndarray) -> bool:
 
 
 def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex],
-                           rng: np.random.Generator, tol: float = 1e-8,
-                           max_order: int = 12) -> tuple[int, int]:
+                           rng: np.random.Generator, max_order: int = 12) -> tuple[int, int]:
     """(local dimension, transversal multiplicity) at a non-isolated sample.
 
     Cuts the solution set by random affine hyperplanes through the sample,
@@ -711,8 +713,8 @@ def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex]
         polys.append(MPoly(n, terms))
         sliced = MultivariateSystem(system.names, tuple(polys))
         try:
-            res = local_multiplicity(sliced, tuple(sample), mode="numeric",
-                                     tol=tol, max_order=max_order)
+            res = local_multiplicity(sliced, tuple(sample), tol=_MULT_TOL,
+                                     max_order=max_order)
         except NotIsolated:
             continue
         return dim, res.multiplicity
@@ -721,11 +723,10 @@ def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex]
 
 # -- the solver ----------------------------------------------------------------
 
-def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
-                   tol: float = 1e-12, mult_tol: float = 1e-6) -> list[CriticalOrbit]:
+def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[CriticalOrbit]:
     """Multistart search for all critical orbits of a master function.
 
-    Deterministic for fixed (data, starts, seed, tol).  Starts are drawn
+    Deterministic for fixed (data, starts, seed).  Starts are drawn
     uniformly from a disc of radius 2(max|z_s| + 1); Gauss-Newton steps use
     the pseudoinverse so degenerate and positive-dimensional solutions are
     reached as well, at a linear rate.  Samples whose tuples y = gamma(t)
@@ -734,12 +735,6 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     polynomial space and reported once per component with a transversal
     multiplicity.  A warning is emitted when the total multiplicity found
     misses the intersection number of the translated problem.
-
-    mult_tol is the rank tolerance handed to the dual-space computations.
-    It is looser than the solver tolerance on purpose: a root of local
-    multiplicity m is only located to about machine_eps^(1/m) by any
-    iteration, so rank decisions must forgive coordinate errors of that
-    size even though the gradient norm itself sits far below ``tol``.
     """
     try:
         basic, _sector = translate_master(data)
@@ -781,7 +776,7 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     # where w = 0.  The residual r usually blows up there, but its pole terms
     # can cancel, so samples that sit on a collision are dropped by distance.
     size = np.abs(pts).max(axis=1)
-    good = (np.isfinite(res) & (res < tol) & (size < far_cut)
+    good = (np.isfinite(res) & (res < _RESIDUAL_TOL) & (size < far_cut)
             & (gap >= _DEDUP_RADIUS * (1.0 + size)))
 
     # orbits are identified by the tuple y = gamma(t), not by coordinates
@@ -814,8 +809,7 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
         home = next((cl for cl in loose if _same_space(cl[0], Q)), None)
         if home is None:
             try:
-                m = local_multiplicity(system, flat, mode="numeric", tol=mult_tol,
-                                       max_order=max_order)
+                m = local_multiplicity(system, flat, tol=_MULT_TOL, max_order=max_order)
                 orbits.append(CriticalOrbit(point, rv, m.multiplicity, ys, hits=hits))
             except NotASolution:
                 pass  # true critical point at a scale the cleared system cannot hold
@@ -829,8 +823,7 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
         home[3] += hits
 
     for Q, point, rv, hits in loose:
-        dim, m = component_multiplicity(system, _flat(point), rng, tol=mult_tol,
-                                        max_order=max_order)
+        dim, m = component_multiplicity(system, _flat(point), rng, max_order=max_order)
         orbits.append(CriticalOrbit(point, rv, m, gamma(point),
                                     isolated=False, dimension=dim, hits=hits))
 

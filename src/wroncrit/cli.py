@@ -44,6 +44,7 @@ from .errors import (
     NotIrreducible,
     NotMonic,
     NotRealizable,
+    NotSolvable,
     ParseError,
     WroncritError,
 )
@@ -53,7 +54,7 @@ from .polyring import format_poly, parse_poly
 from .ramification import BasicSituation, fmt_exps, validate_basic, wronskian_ram_check
 from .reproduction import FertileTuple, build_space, is_fertile, mutate, theta
 from .schubert import intersection_number
-from .wronskian_eq import normalize_generic, solvable, solve
+from .wronskian_eq import generic_candidate, solve
 
 _USAGE_EXIT = 64
 _PARSE_EXIT = 2
@@ -137,6 +138,18 @@ def _problem_echo(problem) -> dict:
     }
 
 
+def _basic_of(problem) -> BasicSituation:
+    # a master-data problem stands for the basic situation it translates to
+    return problem if isinstance(problem, BasicSituation) else translate_master(problem)[0]
+
+
+def _master_of(problem) -> MasterData:
+    # a basic situation stands for the master data of its identity sector
+    if isinstance(problem, MasterData):
+        return problem
+    return master_from_sector(problem, tuple(range(1, problem.N + 2)))
+
+
 def _parse_point(text: str, ring) -> tuple:
     # levels split by ';', coordinates by ','; '.'/'j' marks a floating value
     levels = []
@@ -168,8 +181,7 @@ def _emit(args, payload: dict, human: str) -> None:
 # subcommands
 
 def _cmd_validate(args) -> int:
-    problem = load_problem(args.problem, args.field)
-    basic = problem if isinstance(problem, BasicSituation) else translate_master(problem)[0]
+    basic = _basic_of(load_problem(args.problem, args.field))
     rows = {
         "d": basic.d,
         "N": basic.N,
@@ -188,8 +200,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lr(args) -> int:
-    problem = load_problem(args.problem, args.field)
-    basic = problem if isinstance(problem, BasicSituation) else translate_master(problem)[0]
+    basic = _basic_of(load_problem(args.problem, args.field))
     n = intersection_number(basic)
     _emit(args, {"intersection_number": n}, f"intersection number: {n}")
     return 0
@@ -279,9 +290,7 @@ def _cmd_bethe_solve(args) -> int:
 
 
 def _cmd_mult(args) -> int:
-    problem = load_problem(args.problem, args.field)
-    data = problem if isinstance(problem, MasterData) else \
-        master_from_sector(problem, tuple(range(1, problem.N + 2)))
+    data = _master_of(load_problem(args.problem, args.field))
     point = _parse_point(args.point, data.ring)
     # the cleared system also vanishes on collisions, which are no critical points
     check_admissible(point, data)
@@ -296,8 +305,7 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    problem = load_problem(args.problem, args.field)
-    basic = problem if isinstance(problem, BasicSituation) else translate_master(problem)[0]
+    basic = _basic_of(load_problem(args.problem, args.field))
     ys = [parse_poly(s, basic.ring) for s in args.tuple.split(";")]
     t = FertileTuple(basic.ring, tuple(ys), basic.T, tuple(z for z, _ in basic.points))
     report = is_fertile(t)
@@ -337,12 +345,13 @@ def _cmd_wronskian_solve(args) -> int:
     ring = _field_from_spec(args.field) if args.field else QQ
     y = parse_poly(args.y, ring)
     T = parse_poly(args.T, ring)
-    if not solvable(y, T):
+    try:
+        sol = solve(y, T)
+    except NotSolvable:
         print(f"no polynomial g solves Wr({format_poly(y)}, g) = {format_poly(T)}",
               file=sys.stderr)
         return 1
-    sol = solve(y, T)
-    generic = normalize_generic(sol.particular, y)
+    generic = generic_candidate(sol.particular, y)[0].monic()
     payload = {"particular": format_poly(sol.particular),
                "homogeneous": format_poly(sol.homogeneous),
                "generic_monic": format_poly(generic)}
@@ -418,8 +427,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
 
 def _exact_leg(problem, basic: BasicSituation, tuple_text: str) -> dict:
     """Certify a supplied exact tuple and push it through the space builder."""
-    data = problem if isinstance(problem, MasterData) else \
-        master_from_sector(basic, tuple(range(1, basic.N + 2)))
+    data = _master_of(problem)
     ys = tuple(parse_poly(s, basic.ring) for s in tuple_text.split(";"))
     cert = certify_divisibility(ys, data)
     t = FertileTuple(basic.ring, ys, basic.T, tuple(z for z, _ in basic.points))
@@ -467,9 +475,8 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="wroncrit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True):
-        if problem:
-            p.add_argument("problem", help="problem JSON file")
+    def common(p):
+        p.add_argument("problem", help="problem JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--field", help="rational or extension:<minpoly>; overrides the file")
 

@@ -67,6 +67,24 @@ class RationalField:
 QQ = RationalField()
 
 
+def _power(x, n: int, one, inv=None):
+    """x**n by square and multiply, starting from the unit ``one``.
+
+    A negative n raises inv(x) to -n; without ``inv`` it is refused.
+    """
+    if n < 0:
+        if inv is None:
+            raise ValueError(f"negative power {n} of a non-invertible element")
+        x, n = inv(x), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # simple extensions Q[a]/(p(a))
 
@@ -149,16 +167,7 @@ class ExtElem:
         return self.field.inv(self) * other
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.field.inv(self) ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.field.one(), self.field.inv)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -173,9 +182,6 @@ class ExtElem:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def __repr__(self):
         return format_scalar(self)
 
@@ -183,8 +189,7 @@ class ExtElem:
 class NumberField:
     """Q[a]/(p(a)) for monic irreducible p of degree >= 2.
 
-    Build through make_extension, which checks monicity and irreducibility.
-    Named roots bind labels to elements for readable problem files.
+    Build through make_extension, which also checks irreducibility.
 
     Elements multiply by structure constants: a product is the convolution
     of two coordinate tuples, whose terms of degree n..2n-2 are folded back
@@ -193,7 +198,7 @@ class NumberField:
 
     is_field = True
 
-    def __init__(self, minpoly, roots: dict | None = None):
+    def __init__(self, minpoly):
         mp = tuple(Fraction(c) for c in minpoly)
         if len(mp) < 3:
             raise WroncritError("extension degree must be at least 2")
@@ -207,15 +212,6 @@ class NumberField:
             powers.append(self._times_gen(powers[-1]))
         self._powers = tuple(powers)
         self._complex_gen: complex | None = None
-        self.roots: dict[str, ExtElem] = {}
-        if roots:
-            for name, val in roots.items():
-                elem = val if isinstance(val, ExtElem) else ExtElem(self, val)
-                if elem.field != self:
-                    raise MixedFields("named root from a different field")
-                if self.eval_minpoly(elem) != 0:
-                    raise WroncritError(f"named root {name!r} does not satisfy the minimal polynomial")
-                self.roots[name] = elem
 
     @property
     def gen(self) -> ExtElem:
@@ -275,12 +271,6 @@ class NumberField:
                         out[i] += c * r
         return tuple(out)
 
-    def eval_minpoly(self, x: ExtElem) -> ExtElem:
-        out = self.zero()
-        for c in reversed(self.minpoly):
-            out = out * x + c
-        return out
-
     def invertible(self, a: ExtElem) -> bool:
         return bool(self.coerce(a))
 
@@ -333,29 +323,14 @@ class NumberField:
     def __hash__(self):
         return hash(("NumberField", self.minpoly))
 
+    def _format_minpoly(self) -> str:
+        """The minimal polynomial in the generator a, e.g. "a^2 + a + 1"."""
+        from .polyring import Poly, format_poly
+
+        return format_poly(Poly(QQ, self.minpoly), "a")
+
     def __repr__(self):
-        return f"QQ[a]/({format_minpoly(self.minpoly)})"
-
-
-def format_minpoly(mp) -> str:
-    terms = []
-    for i in range(len(mp) - 1, -1, -1):
-        c = mp[i]
-        if c == 0:
-            continue
-        if i == 0:
-            body = str(c)
-        elif i == 1:
-            body = "a" if abs(c) == 1 else f"{abs(c)}*a"
-            if c == -1:
-                body = "a"
-        else:
-            body = f"a^{i}" if abs(c) == 1 else f"{abs(c)}*a^{i}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms) if terms else "0"
+        return f"QQ[a]/({self._format_minpoly()})"
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +407,7 @@ def _parse_minpoly_string(s: str) -> tuple:
     return tuple(_parse_symbol_poly(s, sym, _parse_fraction))
 
 
-def make_extension(minpoly, roots: dict | None = None) -> NumberField:
+def make_extension(minpoly) -> NumberField:
     """Build Q[a]/(p(a)). p must be monic of degree >= 2 and irreducible.
 
     minpoly is a coefficient sequence (ascending) or a string like
@@ -440,14 +415,10 @@ def make_extension(minpoly, roots: dict | None = None) -> NumberField:
     """
     if isinstance(minpoly, str):
         minpoly = _parse_minpoly_string(minpoly)
-    mp = tuple(Fraction(c) for c in minpoly)
-    if len(mp) < 3:
-        raise WroncritError("extension degree must be at least 2")
-    if mp[-1] != 1:
-        raise NotMonic("minimal polynomial must be monic")
-    if not is_irreducible(mp):
-        raise NotIrreducible(f"{format_minpoly(mp)} factors over the rationals")
-    return NumberField(mp, roots)
+    field = NumberField(minpoly)
+    if not is_irreducible(field.minpoly):
+        raise NotIrreducible(f"{field._format_minpoly()} factors over the rationals")
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +532,7 @@ class DualNum:
         return self.ring.inv(self) * other
 
     def __pow__(self, n: int):
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, self.ring.one(), self.ring.inv)
 
     def __eq__(self, other):
         if isinstance(other, DualNum):
@@ -647,8 +615,7 @@ CC = ComplexField()
 # scalar parsing and formatting
 #
 # Serialization forms: rationals "p/q" (q omitted when 1); extension elements
-# "c0 + c1*a + c2*a^2" in the generator a (named roots accepted as bare
-# labels); dual numbers "u + v*eps".
+# "c0 + c1*a + c2*a^2" in the generator a; dual numbers "u + v*eps".
 
 _TERM_RE = re.compile(r"^([+-]?[0-9/]*)\s*\*?\s*([A-Za-z_][A-Za-z_0-9]*)?(?:\^([0-9]+))?$")
 
@@ -733,8 +700,6 @@ def parse_scalar(s: str, ring) -> Scalar:
     if isinstance(ring, RationalField):
         return _parse_fraction(s)
     if isinstance(ring, NumberField):
-        if s in ring.roots:
-            return ring.roots[s]
         coeffs = _parse_symbol_poly(s, "a", lambda c: _parse_fraction(c))
         return ExtElem(ring, coeffs)
     if isinstance(ring, DualRing):
@@ -747,14 +712,8 @@ def parse_scalar(s: str, ring) -> Scalar:
     raise ParseError(f"unknown ring {ring!r}")
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, Fraction):
-        return _fmt_fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int)):
         return str(x)
     if isinstance(x, float):
         return repr(x)
@@ -768,10 +727,10 @@ def format_scalar(x: Scalar) -> str:
             if c == 0:
                 continue
             if i == 0:
-                body = _fmt_fraction(abs(c))
+                body = str(abs(c))
             else:
                 sym = "a" if i == 1 else f"a^{i}"
-                body = sym if abs(c) == 1 else f"{_fmt_fraction(abs(c))}*{sym}"
+                body = sym if abs(c) == 1 else f"{abs(c)}*{sym}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -819,13 +778,13 @@ def common_ring(*xs):
     return ring
 
 
-def embed_scalar(x: Scalar, gen: complex | None = None) -> complex:
-    """Numeric value of an exact scalar under a field embedding."""
+def embed_scalar(x: Scalar) -> complex:
+    """Numeric value of an exact scalar under the field's embedding
+    (NumberField.complex_gen)."""
     if isinstance(x, (int, Fraction, float, complex)):
         return complex(x)
     if isinstance(x, ExtElem):
-        if gen is None:
-            gen = x.field.complex_gen()
+        gen = x.field.complex_gen()
         out = 0j
         for c in reversed(x.coeffs):
             out = out * gen + complex(c)

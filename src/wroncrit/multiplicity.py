@@ -266,13 +266,14 @@ def _to_numeric(v) -> complex:
         return embed_scalar(v)
 
 
-def local_multiplicity(system, point, mode: str = "auto", tol: float = 1e-8,
+def local_multiplicity(system, point, tol: float = 1e-8,
                        max_order: int = 20) -> MultiplicityResult:
     """Multiplicity of ``point`` as a zero of ``system``.
 
-    mode "exact" runs fraction-free over the coefficient field, "numeric"
-    embeds everything in complex floats with an absolute rank tolerance
-    after per-generator scaling, "auto" picks by coefficient type.  A
+    The mode follows the inputs: a float or complex coefficient or
+    coordinate anywhere selects "numeric", which embeds everything in
+    complex floats with an absolute rank tolerance after per-generator
+    scaling; otherwise "exact" runs over the coefficient field.  A
     generator whose coefficients are all ``complex`` is used as given, so a
     caller that tests many points of one system embeds it once.  Raises
     NotASolution when the point misses the zero set and NotIsolated when the
@@ -285,21 +286,16 @@ def local_multiplicity(system, point, mode: str = "auto", tol: float = 1e-8,
     if len(point) != n:
         raise WroncritError(f"point has {len(point)} coordinates, system has {n}")
 
-    if mode == "auto":
-        sample = [c for f in polys for c in f.terms.values()] + list(point)
-        numeric = any(isinstance(c, (float, complex)) for c in sample)
-        mode = "numeric" if numeric else "exact"
-    if mode not in ("exact", "numeric"):
-        raise WroncritError(f"unknown mode {mode!r}")
+    sample = [c for f in polys for c in f.terms.values()] + list(point)
+    numeric = any(isinstance(c, (float, complex)) for c in sample)
 
-    if mode == "numeric":
+    if numeric:
         point = [_to_numeric(c) for c in point]
         polys = tuple(f if all(isinstance(c, complex) for c in f.terms.values())
                       else f.map_coeffs(_to_numeric) for f in polys)
 
     shifted = [f.shift(point) for f in polys]
-    scales = None
-    if mode == "numeric":
+    if numeric:
         scales = [max((abs(c) for c in f.terms.values()), default=1.0) or 1.0
                   for f in shifted]
         shifted = [f.map_coeffs(lambda c, s=s: c / s) for f, s in zip(shifted, scales)]
@@ -312,8 +308,7 @@ def local_multiplicity(system, point, mode: str = "auto", tol: float = 1e-8,
             if f.terms.get((0,) * n, 0) != 0:
                 raise NotASolution("point does not satisfy the system")
 
-    nullspace = (_nullspace_exact if mode == "exact"
-                 else lambda rows, m: _nullspace_numeric(rows, m, tol))
+    nullspace = (lambda rows, m: _nullspace_numeric(rows, m, tol)) if numeric else _nullspace_exact
 
     trace = [1]
     basis_prev: list[list] = [[1]]  # D_0 = span{evaluation}, over monomials of degree 0
@@ -343,8 +338,8 @@ def local_multiplicity(system, point, mode: str = "auto", tol: float = 1e-8,
         dim = len(basis)
         trace.append(dim)
         if dim <= trace[-2]:
-            return MultiplicityResult(dim, tuple(trace), k, mode,
-                                      tol if mode == "numeric" else None)
+            return MultiplicityResult(dim, tuple(trace), k, "numeric" if numeric else "exact",
+                                      tol if numeric else None)
         basis_prev, mons_prev = basis, mons
     raise NotIsolated(f"dual space still growing at order {max_order}: trace {tuple(trace)}")
 

@@ -73,14 +73,6 @@ class Poly:
             out = out * cls(ring, [-ring.coerce(r), ring.one()])
         return out
 
-    @classmethod
-    def from_root_data(cls, ring, root_data: Iterable[tuple]) -> "Poly":
-        """Monic product of (x - z)^m over (z, m) pairs."""
-        out = cls.one(ring)
-        for z, m in root_data:
-            out = out * cls(ring, [-ring.coerce(z), ring.one()]) ** m
-        return out
-
     # -- basic queries -------------------------------------------------------
 
     def degree(self) -> int:
@@ -154,16 +146,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # no inverse: a negative power is refused
+        return field_mod._power(self, n, Poly.one(self.ring))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -375,11 +359,10 @@ def ord_at(f: Poly, z) -> int:
 # parsing and formatting: "c_k*x^k + ... + c_0", composite coefficients in
 # parentheses, e.g. "(1+a)*x^2 - x + 1/2"
 
-def parse_poly(s: str, ring, var: str = "x") -> Poly:
-    coeff_ring = ring
+def parse_poly(s: str, ring) -> Poly:
     try:
         coeffs = field_mod._parse_symbol_poly(
-            s, var, lambda c: field_mod.parse_scalar(c, coeff_ring))
+            s, "x", lambda c: field_mod.parse_scalar(c, ring))
     except ParseError:
         raise
     except Exception as e:  # noqa: BLE001 - surface as a parse failure

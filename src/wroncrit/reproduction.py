@@ -45,7 +45,7 @@ from .polyring import (
     wronskian,
     wronskian_pair,
 )
-from .ramification import BasicSituation, exponents_at, exponents_at_infinity
+from .ramification import exponents_at, exponents_at_infinity
 from .wronskian_eq import generic_candidate, solve
 
 
@@ -269,20 +269,11 @@ def build_space(t: FertileTuple) -> PolySpace:
                      tuple(finite), tuple(c_table), w)
 
 
-def theta(space, basic: BasicSituation | None = None) -> tuple[Poly, ...]:
-    """Inverse construction: y_i = monic(Wr(u_1..u_i) / K_i), i = 1..N.
-
-    Accepts a PolySpace (K_i from its tuple) or a plain basis plus a
-    validated basic situation supplying the K_i.
-    """
-    if isinstance(space, PolySpace):
-        basis = space.basis
-        K = basic.K if basic is not None else space.source.K
-    else:
-        if basic is None:
-            raise WroncritError("a raw basis needs a basic situation for its K_i")
-        basis = tuple(space)
-        K = basic.K
+def theta(space: PolySpace) -> tuple[Poly, ...]:
+    """Inverse construction: y_i = monic(Wr(u_1..u_i) / K_i), i = 1..N,
+    with the K_i of the space's source tuple."""
+    basis = space.basis
+    K = space.source.K
     out = []
     for i in range(1, len(basis)):
         W = wronskian(list(basis[:i]))

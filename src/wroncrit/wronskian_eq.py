@@ -11,13 +11,13 @@ ytilde + c*y. The constructive solver follows the divisibility certificate:
   antiderivative of -e (zero constant term), ytilde = y*f + b solves the
   equation; the solver re-verifies before returning.
 
-normalize_generic moves a particular solution along the solution line to a
-generic representative: square free, avoiding listed points and coprime to
-listed polynomials, then scaled monic.
+generic_candidate moves a particular solution along the solution line to a
+generic representative: square free and coprime to listed polynomials.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,6 +28,9 @@ from .errors import (
 )
 from .polyring import Poly, div_rem, gcd_monic, is_squarefree, wronskian_pair, xgcd
 
+# length of the ladder generic_candidate walks before it gives up
+_MAX_CANDIDATES = 1000
+
 
 @dataclass(frozen=True)
 class WronskianSolution:
@@ -36,9 +39,6 @@ class WronskianSolution:
 
     particular: Poly
     homogeneous: Poly
-
-    def member(self, c) -> Poly:
-        return self.particular + self.homogeneous * c
 
 
 def _require_monic(y: Poly) -> None:
@@ -93,14 +93,12 @@ def generic_candidate(
     ytilde: Poly,
     y: Poly,
     avoid_roots_of: list[Poly] | None = None,
-    forbidden_points: list | None = None,
-    max_candidates: int = 1000,
 ) -> tuple[Poly, int]:
     """First ytilde + c*y on the ladder c = 0, 1, -1, 2, -2, ... that is
-    square free, has no root at a forbidden point, and is coprime to every
-    listed polynomial.  Returns the unscaled member and the chosen c."""
+    square free and coprime to every listed polynomial.  Returns the
+    unscaled member and the chosen c; raises ExhaustedLadder after
+    _MAX_CANDIDATES tries."""
     avoid_roots_of = [p for p in (avoid_roots_of or []) if not p.is_zero() and p.degree() > 0]
-    forbidden_points = forbidden_points or []
     ring = y.ring
 
     def ladder():
@@ -111,32 +109,14 @@ def generic_candidate(
             yield -k
             k += 1
 
-    tried = 0
-    for c in ladder():
-        if tried >= max_candidates:
-            break
-        tried += 1
+    for c in itertools.islice(ladder(), _MAX_CANDIDATES):
         cand = ytilde + y * ring.coerce(c)
         if cand.is_zero():
             continue
         if not is_squarefree(cand):
             continue
-        if any(not cand.eval(p) for p in forbidden_points):
-            continue
         if any(gcd_monic(cand, q).degree() != 0 for q in avoid_roots_of):
             continue
         return cand, c
     raise ExhaustedLadder(
-        f"no generic representative among {max_candidates} ladder candidates")
-
-
-def normalize_generic(
-    ytilde: Poly,
-    y: Poly,
-    avoid_roots_of: list[Poly] | None = None,
-    forbidden_points: list | None = None,
-    max_candidates: int = 1000,
-) -> Poly:
-    """generic_candidate, scaled monic."""
-    cand, _ = generic_candidate(ytilde, y, avoid_roots_of, forbidden_points, max_candidates)
-    return cand.monic()
+        f"no generic representative among {_MAX_CANDIDATES} ladder candidates")

@@ -238,7 +238,6 @@ def test_translate_anchor():
     assert dict((complex(z), a) for z, a in basic.points) == {0j: (1, 1, 0), 1 + 0j: (1, 0, 0)}
     assert basic.infinity == (0, 0, 0)
     assert sector.labels == (3, 2, 1) and sector.w == (3, 2, 1)
-    assert sector.filtration_labels() == (1, 2, 3)
     assert intersection_number(basic) == 1
 
 

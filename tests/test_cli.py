@@ -55,6 +55,10 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["bethe-solve", RATIONAL, "--sector", "bogus"]) == 2
+    capsys.readouterr()
+
+    assert main(["lr", CUBE, "--field", "extension:x^2-4"]) == 3
+    assert capsys.readouterr().err == "error: a^2 - 4 factors over the rationals\n"
 
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

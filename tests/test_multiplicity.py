@@ -156,6 +156,7 @@ def test_modes_agree():
     exact = local_multiplicity(sys_, [Fraction(0)] * 2)
     numeric = local_multiplicity([f.map_coeffs(complex) for f in sys_], [0j, 0j])
     assert exact.multiplicity == numeric.multiplicity == 4
+    assert (exact.mode, numeric.mode) == ("exact", "numeric")
     assert exact.trace == numeric.trace
 
 
