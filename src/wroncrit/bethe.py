@@ -563,6 +563,35 @@ def _collision_gap(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) 
     return np.concatenate([D, Dz], axis=1).min(axis=1, initial=np.inf)
 
 
+def _near_collision(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Mask of the points in the batch that solve_critical drops as collisions.
+
+    A point lies in the collision neighbourhood when its collision gap is
+    below _DEDUP_RADIUS relative to its scale 1 + max|t|.  A zero of
+    F = w r there is a zero of w, not a critical point.
+    """
+    return _collision_gap(t, C, zs, W) < _DEDUP_RADIUS * (1.0 + np.abs(t).max(axis=1))
+
+
+def _accepted(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
+              far_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, residual) of the Newton end points that are critical samples.
+
+    A sample is kept when its largest log-gradient component is finite and
+    below _RESIDUAL_TOL, it lies inside the disc of radius far_cut, and it is
+    not near a collision.  F also vanishes on collisions (coordinates of one
+    level or of adjacent levels meeting, a coordinate on a marked point
+    weighted at its level), where w = 0.  The residual r usually blows up
+    there, but its pole terms can cancel, so such samples are dropped by
+    distance (_near_collision), the same test by which _newton retires them.
+    """
+    res = np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
+    size = np.abs(pts).max(axis=1)
+    good = (np.isfinite(res) & (res < _RESIDUAL_TOL) & (size < far_cut)
+            & ~_near_collision(pts, C, zs, W))
+    return good, res
+
+
 def _orbit_key(row: np.ndarray, l: Sequence[int]) -> np.ndarray:
     """Coefficients of the tuple y = gamma(t), levels concatenated.
 
@@ -612,15 +641,23 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
             rng: np.random.Generator, radius: float, far_cut: float) -> np.ndarray:
     """Pseudoinverse Gauss-Newton on the cleared equations from a batch of starts.
 
-    Runs _MAX_GN_ITER steps on pts, shape (S, L), in place.  A start whose F
-    or J is not finite (a coordinate exactly on a collision) takes a zero
-    step; a start that leaves the finite disc of radius far_cut is redrawn.
-    A start whose step leaves it bitwise unchanged sits at a fixed point of
-    the iteration: its next input, and so every later step, is the same, so
-    it stops iterating.  Only the live starts are evaluated; pinv cuts off
-    per matrix, so a start's path does not depend on which others share its
-    batch, and the result and the draws from rng are those of stepping every
-    start every time.
+    Runs up to _MAX_GN_ITER steps on pts, shape (S, L), in place.  A start
+    whose F or J is not finite (a coordinate exactly on a collision) takes a
+    zero step; a start that leaves the finite disc of radius far_cut is
+    redrawn and stays live.  Two kinds of start stop iterating:
+    - a start whose step leaves it bitwise unchanged sits at a fixed point
+      of the iteration: its next input, and so every later step, is the same;
+    - a start whose new point lies in the collision neighbourhood
+      (_near_collision) is running onto an extra zero of F, where w = 0: a
+      point the filter of solve_critical (_accepted) rejects.
+    Only the live starts are evaluated; pinv cuts off per matrix, so a
+    start's path does not depend on which others share its batch.  Every
+    sample the filter accepts, and every draw from rng, is bitwise that of
+    stepping every start every time, as long as no start that enters the
+    collision neighbourhood would have left it again to be accepted or
+    redrawn.  None does on the benchmark's verify inputs (seeds 1 to 10).
+    A retired start's own end point differs from the full loop's, but the
+    filter rejects both.
     """
     L = pts.shape[1]
     live = np.ones(len(pts), dtype=bool)
@@ -636,7 +673,8 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
         step[~np.isfinite(step).all(axis=1)] = 0.0
         new = cur + step
         pts[idx] = new
-        live[idx[(new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)]] = False
+        fixed = (new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)
+        live[idx[fixed | _near_collision(new, C, zs, W)]] = False
         bad = idx[~np.isfinite(new).all(axis=1) | (np.abs(new).max(axis=1) > far_cut)]
         for s in bad:
             pts[s] = _rand_point(rng, L, radius)
@@ -729,7 +767,9 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     Deterministic for fixed (data, starts, seed).  Starts are drawn
     uniformly from a disc of radius 2(max|z_s| + 1); Gauss-Newton steps use
     the pseudoinverse so degenerate and positive-dimensional solutions are
-    reached as well, at a linear rate.  Samples whose tuples y = gamma(t)
+    reached as well, at a linear rate.  Samples near a collision are zeros
+    of the cleared equations only and are dropped; Newton stops iterating a
+    start once it gets there (_newton).  Samples whose tuples y = gamma(t)
     agree to 1e-6 relative are one orbit.  Each orbit gets a local multiplicity;
     samples where the dual spaces keep growing are grouped by their induced
     polynomial space and reported once per component with a transversal
@@ -769,15 +809,7 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     far_cut = _FAR_FACTOR * radius
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pts = _newton(pts, C, zs, W, rng, radius, far_cut)
-        res = np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
-        gap = _collision_gap(pts, C, zs, W)
-    # F also vanishes on collisions (coordinates of one level or of adjacent
-    # levels meeting, a coordinate on a marked point weighted at its level),
-    # where w = 0.  The residual r usually blows up there, but its pole terms
-    # can cancel, so samples that sit on a collision are dropped by distance.
-    size = np.abs(pts).max(axis=1)
-    good = (np.isfinite(res) & (res < _RESIDUAL_TOL) & (size < far_cut)
-            & (gap >= _DEDUP_RADIUS * (1.0 + size)))
+        good, res = _accepted(pts, C, zs, W, far_cut)
 
     # orbits are identified by the tuple y = gamma(t), not by coordinates
     keys = {s: _orbit_key(pts[s], data.l) for s in np.nonzero(good)[0]}

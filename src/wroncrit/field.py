@@ -617,7 +617,11 @@ CC = ComplexField()
 # Serialization forms: rationals "p/q" (q omitted when 1); extension elements
 # "c0 + c1*a + c2*a^2" in the generator a; dual numbers "u + v*eps".
 
-_TERM_RE = re.compile(r"^([+-]?[0-9/]*)\s*\*?\s*([A-Za-z_][A-Za-z_0-9]*)?(?:\^([0-9]+))?$")
+# a term without parentheses: a rational, then at most one power of a name,
+# then at most one more power of a name joined by "*" (as in 2*a*x or a^2*x^2)
+_TERM_RE = re.compile(r"^(?P<coeff>(?P<num>[0-9/]*)\*?(?P<name>[A-Za-z_][A-Za-z_0-9]*)?"
+                      r"(?:\^(?P<pow>[0-9]+))?)"
+                      r"(?:\*(?P<last>[A-Za-z_][A-Za-z_0-9]*)(?:\^(?P<lastpow>[0-9]+))?)?$")
 
 
 def _split_terms(s: str) -> list[str]:
@@ -642,8 +646,31 @@ def _split_terms(s: str) -> list[str]:
     return out
 
 
+def _split_term(t: str, symbol: str) -> tuple[str, int]:
+    """(coefficient, power of symbol) of an unparenthesised, unsigned term.
+
+    The coefficient is a rational times at most one power of another name,
+    the way format_scalar prints a multiple of a generator: over Q(a) with
+    symbol x, "3*a^2*x^2" splits into ("3*a^2", 2) and "a" into ("a", 0).
+    """
+    m = _TERM_RE.match(t)
+    if m is not None:
+        name, last = m.group("name"), m.group("last")
+        if last is None and name == symbol:
+            return m.group("num"), int(m.group("pow") or 1)
+        if last is None and (name is not None or not m.group("pow")):
+            return m.group("coeff"), 0
+        if last == symbol and name not in (None, symbol):
+            return m.group("coeff"), int(m.group("lastpow") or 1)
+    raise ParseError(f"cannot parse term {t!r}")
+
+
 def _parse_symbol_poly(s: str, symbol: str, coeff_parse) -> list:
-    """Parse a sum of terms c*symbol^k into a coefficient list (index k)."""
+    """Parse a sum of terms c*symbol^k into a coefficient list (index k).
+
+    c is a parenthesised scalar, or a rational times at most one power of a
+    name other than symbol, which coeff_parse reads.
+    """
     coeffs: dict[int, object] = {}
     terms = _split_terms(s)
     if not terms:
@@ -660,23 +687,11 @@ def _parse_symbol_poly(s: str, symbol: str, coeff_parse) -> list:
         if t.startswith("("):
             close = t.index(")")
             coeff_str = t[1:close]
-            rest = t[close + 1:].lstrip("*")
-        else:
-            m = _TERM_RE.match(t)
-            if not m or (m.group(2) not in (None, symbol)):
+            rest, power = _split_term(t[close + 1:].lstrip("*"), symbol)
+            if rest:
                 raise ParseError(f"cannot parse term {term!r}")
-            coeff_str = m.group(1) or "1"
-            rest = ""
-            if m.group(2) == symbol:
-                rest = symbol + (f"^{m.group(3)}" if m.group(3) else "")
-        if rest == "":
-            power = 0
-        elif rest == symbol:
-            power = 1
-        elif rest.startswith(symbol + "^"):
-            power = int(rest[len(symbol) + 1:])
         else:
-            raise ParseError(f"cannot parse term {term!r}")
+            coeff_str, power = _split_term(t, symbol)
         if coeff_str in ("", "+"):
             coeff_str = "1"
         coeff = coeff_parse(coeff_str)

@@ -493,26 +493,50 @@ def _newton_full_batch(pts, C, zs, W, rng, radius, far_cut):
     return pts
 
 
-@pytest.mark.parametrize("data", [
-    MasterData(QQ, (2,), tuple((z, (1,)) for z in (0, 1, -1, 2))),
-    MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2))),
-    cuberoots_data(),
-], ids=["sl2-l2", "sl3-l21", "rou3"])
-def test_newton_matches_full_batch_loop(data, monkeypatch):
+SL3_L21 = MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2)))
+# sl2 l = (3,) at 0, +-1, +-2, 3: many starts run onto collisions
+SL2_L3 = MasterData(QQ, (3,), tuple((z, (1,)) for z in (0, 1, -1, 2, -2, 3)))
+
+
+def _newton_setup(data, far_factor=bethe._FAR_FACTOR):
     C = _coupling_matrix(data.l)
     zs, W = _embedded_weights(data)
     radius = 2.0 * (np.abs(zs).max() + 1.0)
-    far_cut = bethe._FAR_FACTOR * radius
+    return C, zs, W, radius, far_factor * radius
+
+
+@pytest.mark.parametrize("data,far_factor", [
+    pytest.param(MasterData(QQ, (2,), tuple((z, (1,)) for z in (0, 1, -1, 2))),
+                 bethe._FAR_FACTOR, id="sl2-l2"),
+    pytest.param(SL3_L21, bethe._FAR_FACTOR, id="sl3-l21"),
+    pytest.param(cuberoots_data(), bethe._FAR_FACTOR, id="rou3"),
+    pytest.param(SL2_L3, bethe._FAR_FACTOR, id="sl2-l3"),
+    # no start of the cases above is ever redrawn; with the far cut at twice
+    # the start radius some are
+    pytest.param(SL3_L21, 2.0, id="sl3-l21-redrawn"),
+])
+def test_newton_matches_full_batch_loop(data, far_factor, monkeypatch):
+    # a start retired near a collision ends elsewhere than in the full loop,
+    # but the filter rejects it in both; every accepted sample and every draw
+    # from rng is the full loop's, bit for bit
+    C, zs, W, radius, far_cut = _newton_setup(data, far_factor)
     L, starts = data.size(), 200
-    outs, states = [], []
+    outs, masks, states = [], [], []
     for newton in (_newton_full_batch, bethe._newton):
         rng = np.random.default_rng(0)
         pts = np.array([bethe._rand_point(rng, L, radius) for _ in range(starts)])
+        drawn = rng.bit_generator.state
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            outs.append(newton(pts, C, zs, W, rng, radius, far_cut))
+            out = newton(pts, C, zs, W, rng, radius, far_cut)
+            masks.append(bethe._accepted(out, C, zs, W, far_cut)[0])
+        outs.append(out.view(np.uint64))
         states.append(rng.bit_generator.state)
-    assert np.array_equal(outs[0].view(np.uint64), outs[1].view(np.uint64))
+    assert np.array_equal(masks[0], masks[1]) and masks[0].any()
+    assert np.array_equal(outs[0][masks[0]], outs[1][masks[1]])
     assert states[0] == states[1]
+    assert far_factor == bethe._FAR_FACTOR or states[0] != drawn
+    differ = (outs[0] != outs[1]).any(axis=1)
+    assert not (differ & (masks[0] | masks[1])).any()
     # and the frozen starts were really left out
     rows = []
     equations = bethe._critical_equations
@@ -523,6 +547,37 @@ def test_newton_matches_full_batch_loop(data, monkeypatch):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bethe._newton(pts, C, zs, W, rng, radius, far_cut)
     assert sum(rows) < starts * bethe._MAX_GN_ITER
+
+
+@pytest.mark.parametrize("data", [SL2_L3, cuberoots_data()], ids=["sl2-l3", "rou3"])
+def test_solver_matches_full_batch_loop(data, monkeypatch):
+    # retiring starts near collisions changes no orbit the solver reports
+    def orbits():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return [(o.point, o.residual, o.multiplicity, o.hits, o.isolated, o.dimension)
+                    for o in solve_critical(data, starts=200, seed=0)]
+
+    retiring = orbits()
+    monkeypatch.setattr(bethe, "_newton", _newton_full_batch)
+    assert retiring and orbits() == retiring
+
+
+def test_start_near_collision_is_retired(monkeypatch):
+    # a start inside the collision neighbourhood is stepped once, then left
+    # out: iterated on, it would run onto the triple collision at 0 and take
+    # all _MAX_GN_ITER steps
+    C, zs, W, radius, far_cut = _newton_setup(SL2_L3)
+    start = np.array([[1e-8, 2e-8, 0.4 + 0.3j]])
+    rows = []
+    equations = bethe._critical_equations
+    monkeypatch.setattr(bethe, "_critical_equations",
+                        lambda t, *a: rows.append(len(t)) or equations(t, *a))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = bethe._newton(start.copy(), C, zs, W, np.random.default_rng(0), radius, far_cut)
+        assert rows == [1]
+        assert bethe._near_collision(start, C, zs, W).all()
+        assert not bethe._accepted(out, C, zs, W, far_cut)[0].any()
 
 
 def test_cleared_system_embedded_once(monkeypatch):

@@ -13,7 +13,8 @@ from wroncrit import cli
 from wroncrit.bethe import MasterData, solve_critical, translate_master
 from wroncrit.cli import load_problem, main, run_verify
 from wroncrit.errors import NotCertified, ParseError
-from wroncrit.field import format_scalar
+from wroncrit.field import format_scalar, make_extension
+from wroncrit.polyring import format_poly, parse_poly
 from wroncrit.ramification import BasicSituation
 from wroncrit.schubert import intersection_number
 
@@ -157,6 +158,19 @@ def test_wronskian_solve_cmd(capsys):
     assert "x^3+2" in out.replace(" ", "")
     assert main(["wronskian-solve", "x^2", "x"]) == 1   # square-free gate
     capsys.readouterr()
+
+
+def test_wronskian_solve_cmd_number_field(capsys):
+    # over Q(sqrt3) format_poly prints x^2 - a and a*x; both parse
+    field = ["--field", "extension:x^2-3"]
+    assert main(["wronskian-solve", "x^2-a", "1", *field]) == 1   # no solution, read fine
+    capsys.readouterr()
+    assert main(["wronskian-solve", "x^2-a", "a*x", "--json", *field]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["homogeneous"] == "x^2 - a"
+    K = make_extension("x^2-3")
+    for s in out.values():
+        assert format_poly(parse_poly(s, K)) == s
 
 
 def test_mult_cmd(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wroncrit.errors import NotDivisible, NotMonic, ZeroInputs, ZeroPolynomial
-from wroncrit.field import QQ, DualRing, make_extension
+from wroncrit.field import QQ, DualRing, ExtElem, make_extension
 from wroncrit.polyring import (
     Poly,
     div_rem,
@@ -45,9 +45,25 @@ def test_constructors():
     assert Poly.from_roots(QQ, [1, 2]) == P("x^2-3*x+2")
 
 
-@given(polys)
+# format_poly prints a bare multiple of the generator without parentheses
+# (x^2 - a, 2*a*x, 3*a^2*x^2), and parse_poly must read it back
+ROUNDTRIP_RINGS = (QQ, make_extension("x^2-3"), make_extension("x^2+x+1"),
+                   make_extension("x^3-2"))
+
+
+def _coeffs_in(ring):
+    if ring == QQ:
+        return fracs
+    # zeros are drawn often: single-monomial coefficients are the forms under test
+    sparse = st.one_of(fracs, st.just(Fraction(0)))
+    return st.lists(sparse, min_size=ring.degree, max_size=ring.degree).map(
+        lambda cs: ExtElem(ring, cs))
+
+
+@given(st.sampled_from(ROUNDTRIP_RINGS).flatmap(
+    lambda ring: st.lists(_coeffs_in(ring), max_size=6).map(lambda cs: Poly(ring, cs))))
 def test_parse_format_roundtrip(f):
-    assert parse_poly(format_poly(f), QQ) == f
+    assert parse_poly(format_poly(f), f.ring) == f
 
 
 def test_eval_shift():
