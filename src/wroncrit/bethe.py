@@ -39,7 +39,7 @@ from .errors import (
 from .field import CC, common_ring, embed_scalar, format_scalar, ring_of
 from .multiplicity import MPoly, MultivariateSystem, local_multiplicity
 from .polyring import Poly, div_rem, format_poly, wronskian_pair
-from .ramification import BasicSituation, exponents_of_ram, ram_from_exponents, validate_basic
+from .ramification import BasicSituation, as_int, exponents_of_ram, ram_from_exponents, validate_basic
 from .schubert import intersection_number
 
 # numeric knobs shared by the solver paths
@@ -53,7 +53,7 @@ _RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
 # far below _RESIDUAL_TOL.
 _MULT_TOL = 1e-6
 _SPACE_MATCH = 1e-6
-_FAR_FACTOR = 1e3      # samples beyond this multiple of the start radius are recycled
+_FAR_FACTOR = 1e3      # the filter drops samples beyond this multiple of the start radius
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ class MasterData:
     points: tuple[tuple[Any, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        l = tuple(int(v) for v in self.l)
+        l = tuple(as_int(v, "level size") for v in self.l)
         if not l:
             raise DimensionMismatch("need at least one level")
         if any(v < 0 for v in l):
@@ -83,7 +83,7 @@ class MasterData:
             z = self.ring.coerce(z)
             if any(z == seen for seen, _ in pts):
                 raise DuplicatePoints(f"marked point {format_scalar(z)} repeats")
-            m = tuple(int(v) for v in m)
+            m = tuple(as_int(v, "weight") for v in m)
             if len(m) != len(l):
                 raise DimensionMismatch(
                     f"weight column at {format_scalar(z)} has {len(m)} entries, want {len(l)}")
@@ -637,29 +637,21 @@ def _rand_point(rng: np.random.Generator, L: int, radius: float) -> np.ndarray:
     return r * np.exp(1j * ang)
 
 
-def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
-            rng: np.random.Generator, radius: float, far_cut: float) -> np.ndarray:
+def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Pseudoinverse Gauss-Newton on the cleared equations from a batch of starts.
 
-    Runs up to _MAX_GN_ITER steps on pts, shape (S, L), in place.  A start
+    Runs up to _MAX_GN_ITER steps on pts, shape (S, L), in place; a start
     whose F or J is not finite (a coordinate exactly on a collision) takes a
-    zero step; a start that leaves the finite disc of radius far_cut is
-    redrawn and stays live.  Two kinds of start stop iterating:
+    zero step.  Two kinds of start stop iterating:
     - a start whose step leaves it bitwise unchanged sits at a fixed point
       of the iteration: its next input, and so every later step, is the same;
     - a start whose new point lies in the collision neighbourhood
       (_near_collision) is running onto an extra zero of F, where w = 0: a
       point the filter of solve_critical (_accepted) rejects.
-    Only the live starts are evaluated; pinv cuts off per matrix, so a
-    start's path does not depend on which others share its batch.  Every
-    sample the filter accepts, and every draw from rng, is bitwise that of
-    stepping every start every time, as long as no start that enters the
-    collision neighbourhood would have left it again to be accepted or
-    redrawn.  None does on the benchmark's verify inputs (seeds 1 to 10).
-    A retired start's own end point differs from the full loop's, but the
-    filter rejects both.
+    Only the live starts are evaluated; pinv cuts off per matrix, so every
+    sample the filter accepts is bitwise that of stepping every start every
+    time, unless a start would leave the collision neighbourhood again.
     """
-    L = pts.shape[1]
     live = np.ones(len(pts), dtype=bool)
     for _ in range(_MAX_GN_ITER):
         idx = np.nonzero(live)[0]
@@ -675,10 +667,6 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
         pts[idx] = new
         fixed = (new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)
         live[idx[fixed | _near_collision(new, C, zs, W)]] = False
-        bad = idx[~np.isfinite(new).all(axis=1) | (np.abs(new).max(axis=1) > far_cut)]
-        for s in bad:
-            pts[s] = _rand_point(rng, L, radius)
-        live[bad] = True
     return pts
 
 
@@ -764,12 +752,13 @@ def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex]
 def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[CriticalOrbit]:
     """Multistart search for all critical orbits of a master function.
 
-    Deterministic for fixed (data, starts, seed).  Starts are drawn
-    uniformly from a disc of radius 2(max|z_s| + 1); Gauss-Newton steps use
-    the pseudoinverse so degenerate and positive-dimensional solutions are
-    reached as well, at a linear rate.  Samples near a collision are zeros
-    of the cleared equations only and are dropped; Newton stops iterating a
-    start once it gets there (_newton).  Samples whose tuples y = gamma(t)
+    Deterministic for fixed (data, starts, seed).  Each of the ``starts``
+    Newton paths is drawn once, uniformly from a disc of radius
+    2(max|z_s| + 1); Gauss-Newton steps use the pseudoinverse so degenerate
+    and positive-dimensional solutions are reached as well, at a linear
+    rate.  Samples near a collision are zeros of the cleared equations only
+    and are dropped; Newton stops iterating a start once it gets there
+    (_newton).  Samples whose tuples y = gamma(t)
     agree to 1e-6 relative are one orbit.  Each orbit gets a local multiplicity;
     samples where the dual spaces keep growing are grouped by their induced
     polynomial space and reported once per component with a transversal
@@ -803,13 +792,12 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     # Newton runs on the cleared equations F_p = w_p r_p, evaluated in
     # factored form by _critical_equations: the raw log-gradient r has a
     # spurious attracting zero at infinity that swallows almost every start,
-    # while F has honest basins.  Runaway slots (no basin, or walking out
-    # along a noncompact solution curve) are recycled with fresh draws, so
-    # the search effectively covers |t| up to _FAR_FACTOR * radius.
-    far_cut = _FAR_FACTOR * radius
+    # while F has honest basins.  A runaway start (no basin, or walking out
+    # along a noncompact solution curve) keeps its path, and the filter
+    # drops its end point beyond _FAR_FACTOR * radius.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pts = _newton(pts, C, zs, W, rng, radius, far_cut)
-        good, res = _accepted(pts, C, zs, W, far_cut)
+        pts = _newton(pts, C, zs, W)
+        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius)
 
     # orbits are identified by the tuple y = gamma(t), not by coordinates
     keys = {s: _orbit_key(pts[s], data.l) for s in np.nonzero(good)[0]}

@@ -84,6 +84,8 @@ def _field_from_spec(spec) -> object:
         if spec.startswith("extension:"):
             return make_extension(spec.split(":", 1)[1])
         raise ParseError(f"bad field spec {spec!r}; want rational or extension:<minpoly>")
+    if not isinstance(spec, dict):
+        raise ParseError(f"bad field {spec!r}; want a string or an object")
     if spec.get("type") == "rational":
         return QQ
     if spec.get("type") == "extension":
@@ -208,27 +210,21 @@ def _cmd_lr(args) -> int:
 
 def _select_sectors(problem, flag: str):
     """Resolve --sector into a list of (label, MasterData) to solve."""
-    if isinstance(problem, MasterData):
-        basic, own = translate_master(problem)
-        if flag == "own":
+    basic = _basic_of(problem)
+    if flag == "own":
+        if isinstance(problem, MasterData):
             return basic, [("own", problem)]
-    else:
-        basic = problem
-        if flag == "own":
-            flag = "identity"
+        flag = "identity"
     if flag == "all":
-        out = []
-        for spec in sectors_of(basic):
-            out.append((",".join(map(str, spec.w)), master_from_sector(basic, spec.w)))
-        return basic, out
-    if flag == "identity":
-        w = tuple(range(1, basic.N + 2))
+        ws = [spec.w for spec in sectors_of(basic)]
+    elif flag == "identity":
+        ws = [tuple(range(1, basic.N + 2))]
     else:
         try:
-            w = tuple(int(v) for v in flag.split(","))
+            ws = [tuple(int(v) for v in flag.split(","))]
         except ValueError:
             raise ParseError(f"bad sector {flag!r}; want identity, all, own or a permutation")
-    return basic, [(",".join(map(str, w)), master_from_sector(basic, w))]
+    return basic, [(",".join(map(str, w)), master_from_sector(basic, w)) for w in ws]
 
 
 def _fmt_point(point) -> list:
@@ -409,10 +405,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     # top-level verdict: the identity sector's when present, else the single
     # requested sector's; a non-identity sector may legitimately undercount
     idkey = ",".join(map(str, range(1, basic.N + 2)))
-    if isinstance(problem, MasterData) and sector == "own":
-        verdict = next(iter(sectors.values()))["verdict"]
-    else:
-        verdict = sectors.get(idkey, next(iter(sectors.values())))["verdict"]
+    verdict = sectors.get(idkey, next(iter(sectors.values())))["verdict"]
 
     report = {
         "problem": _problem_echo(problem),
@@ -470,6 +463,13 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _positive_int(text: str) -> int:
+    # --starts is the number of Newton paths
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     seed_default = int(os.environ.get("WRONCRIT_SEED", "0"))
     top = _Parser(prog="wroncrit", description=__doc__.splitlines()[0])
@@ -480,6 +480,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--field", help="rational or extension:<minpoly>; overrides the file")
 
+    def solver(p):
+        p.add_argument("--sector", default="own", help="identity, all, own, or a permutation 2,1")
+        p.add_argument("--starts", type=_positive_int, default=200)
+        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+
     p = sub.add_parser("validate", help="check a problem file, print derived data")
     common(p)
 
@@ -488,10 +494,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bethe-solve", help="numeric critical orbits per sector")
     common(p)
-    p.add_argument("--sector", default="own", help="identity, all, own, or a permutation 2,1")
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+    solver(p)
 
     p = sub.add_parser("mult", help="local multiplicity of the critical system at a point")
     common(p)
@@ -515,10 +518,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="full pipeline: solve, certify, compare to target")
     common(p)
-    p.add_argument("--sector", default="own", help="identity, all, own, or a permutation 2,1")
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+    solver(p)
     p.add_argument("--exact-tuple", help="';'-separated exact tuple for the exact leg")
 
     return top

@@ -16,6 +16,7 @@ and T_i and the level dimensions l_i that drive everything downstream.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -33,9 +34,17 @@ from .polyring import Poly, exact_div, ord_at, wronskian
 
 # -- ramification sequences and exponent sets --------------------------------
 
+def as_int(v, what: str) -> int:
+    """v as an int; a value that is not an integer (1.9, "2") is refused, not truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DimensionMismatch(f"{what} must be an integer, got {v!r}") from None
+
+
 def check_ram_sequence(a: Sequence[int], d: int, N: int) -> tuple[int, ...]:
     """Validate a ramification sequence for ambient (d, N); return it as a tuple."""
-    a = tuple(int(v) for v in a)
+    a = tuple(as_int(v, "ramification entry") for v in a)
     if len(a) != N + 1:
         raise DimensionMismatch(
             f"ramification sequence has {len(a)} entries, expected N+1 = {N + 1}")
@@ -188,7 +197,7 @@ def validate_basic(ring, d: int, N: int, points, infinity) -> BasicSituation:
     DuplicatePoints, DimensionMismatch (total weight is off), NotRealizable
     (a sequence is malformed) or NegativeLength.
     """
-    d, N = int(d), int(N)
+    d, N = as_int(d, "d"), as_int(N, "N")
     if N < 1 or d < N:
         raise DimensionMismatch(f"need 1 <= N <= d, got N = {N}, d = {d}")
     if not getattr(ring, "is_field", False):

@@ -85,6 +85,11 @@ def test_masterdata_guards():
         MasterData(QQ, (1,), ((0, (1, 2)),))
     with pytest.raises(DimensionMismatch):
         MasterData(QQ, (1,), ((0, (-1,)),))
+    # fractional sizes and weights are refused, not truncated
+    with pytest.raises(DimensionMismatch):
+        MasterData(QQ, (1.9,), ((0, (1,)),))
+    with pytest.raises(DimensionMismatch):
+        MasterData(QQ, (1,), ((0, (1.9,)),))
 
 
 def test_weight_polynomials():
@@ -477,9 +482,8 @@ def test_component_samples_skip_the_dual_climb(monkeypatch):
     assert sum(o.hits for o in components) > len(components)
 
 
-def _newton_full_batch(pts, C, zs, W, rng, radius, far_cut):
+def _newton_full_batch(pts, C, zs, W):
     # every start steps every time: the loop _newton must reproduce bitwise
-    L = pts.shape[1]
     for _ in range(bethe._MAX_GN_ITER):
         F, J, _ = _critical_equations(pts, C, zs, W)
         ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
@@ -487,9 +491,6 @@ def _newton_full_batch(pts, C, zs, W, rng, radius, far_cut):
         step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
         step[~np.isfinite(step).all(axis=1)] = 0.0
         pts = pts + step
-        bad = ~np.isfinite(pts).all(axis=1) | (np.abs(pts).max(axis=1) > far_cut)
-        for s in np.nonzero(bad)[0]:
-            pts[s] = bethe._rand_point(rng, L, radius)
     return pts
 
 
@@ -505,48 +506,63 @@ def _newton_setup(data, far_factor=bethe._FAR_FACTOR):
     return C, zs, W, radius, far_factor * radius
 
 
+def _draw_starts(data, radius, starts=200):
+    rng = np.random.default_rng(0)
+    return np.array([bethe._rand_point(rng, data.size(), radius) for _ in range(starts)])
+
+
 @pytest.mark.parametrize("data,far_factor", [
     pytest.param(MasterData(QQ, (2,), tuple((z, (1,)) for z in (0, 1, -1, 2))),
                  bethe._FAR_FACTOR, id="sl2-l2"),
     pytest.param(SL3_L21, bethe._FAR_FACTOR, id="sl3-l21"),
     pytest.param(cuberoots_data(), bethe._FAR_FACTOR, id="rou3"),
     pytest.param(SL2_L3, bethe._FAR_FACTOR, id="sl2-l3"),
-    # no start of the cases above is ever redrawn; with the far cut at twice
-    # the start radius some are
-    pytest.param(SL3_L21, 2.0, id="sl3-l21-redrawn"),
+    # no end point of the cases above lies beyond the far cut; with the cut
+    # at a fifth of the start radius critical samples do
+    pytest.param(SL3_L21, 0.2, id="sl3-l21-tight-cut"),
 ])
 def test_newton_matches_full_batch_loop(data, far_factor, monkeypatch):
     # a start retired near a collision ends elsewhere than in the full loop,
-    # but the filter rejects it in both; every accepted sample and every draw
-    # from rng is the full loop's, bit for bit
+    # but the filter rejects it in both; every accepted sample is the full
+    # loop's, bit for bit
     C, zs, W, radius, far_cut = _newton_setup(data, far_factor)
-    L, starts = data.size(), 200
-    outs, masks, states = [], [], []
+    outs, masks = [], []
     for newton in (_newton_full_batch, bethe._newton):
-        rng = np.random.default_rng(0)
-        pts = np.array([bethe._rand_point(rng, L, radius) for _ in range(starts)])
-        drawn = rng.bit_generator.state
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = newton(pts, C, zs, W, rng, radius, far_cut)
+            out = newton(_draw_starts(data, radius), C, zs, W)
             masks.append(bethe._accepted(out, C, zs, W, far_cut)[0])
-        outs.append(out.view(np.uint64))
-        states.append(rng.bit_generator.state)
+        outs.append(out)
     assert np.array_equal(masks[0], masks[1]) and masks[0].any()
-    assert np.array_equal(outs[0][masks[0]], outs[1][masks[1]])
-    assert states[0] == states[1]
-    assert far_factor == bethe._FAR_FACTOR or states[0] != drawn
-    differ = (outs[0] != outs[1]).any(axis=1)
+    bits = [out.view(np.uint64) for out in outs]
+    assert np.array_equal(bits[0][masks[0]], bits[1][masks[1]])
+    differ = (bits[0] != bits[1]).any(axis=1)
     assert not (differ & (masks[0] | masks[1])).any()
+    # the filter rejects every end point beyond the far cut
+    far = ~(np.abs(outs[1]).max(axis=1) < far_cut)
+    assert not (far & masks[1]).any()
+    assert far_factor == bethe._FAR_FACTOR or far.any()
     # and the frozen starts were really left out
     rows = []
     equations = bethe._critical_equations
     monkeypatch.setattr(bethe, "_critical_equations",
                         lambda t, *a: rows.append(len(t)) or equations(t, *a))
-    rng = np.random.default_rng(0)
-    pts = np.array([bethe._rand_point(rng, L, radius) for _ in range(starts)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bethe._newton(pts, C, zs, W, rng, radius, far_cut)
-    assert sum(rows) < starts * bethe._MAX_GN_ITER
+        bethe._newton(_draw_starts(data, radius), C, zs, W)
+    assert sum(rows) < 200 * bethe._MAX_GN_ITER
+
+
+def test_each_start_drawn_once(monkeypatch):
+    # a start that leaves the far cut keeps its path: solve_critical draws
+    # exactly ``starts`` points, however tight the cut
+    monkeypatch.setattr(bethe, "_FAR_FACTOR", 2.0)
+    drawn = []
+    rand_point = bethe._rand_point
+    monkeypatch.setattr(bethe, "_rand_point",
+                        lambda *a: drawn.append(1) or rand_point(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solve_critical(SL3_L21, starts=200, seed=0)
+    assert len(drawn) == 200
 
 
 @pytest.mark.parametrize("data", [SL2_L3, cuberoots_data()], ids=["sl2-l3", "rou3"])
@@ -567,14 +583,14 @@ def test_start_near_collision_is_retired(monkeypatch):
     # a start inside the collision neighbourhood is stepped once, then left
     # out: iterated on, it would run onto the triple collision at 0 and take
     # all _MAX_GN_ITER steps
-    C, zs, W, radius, far_cut = _newton_setup(SL2_L3)
+    C, zs, W, _, far_cut = _newton_setup(SL2_L3)
     start = np.array([[1e-8, 2e-8, 0.4 + 0.3j]])
     rows = []
     equations = bethe._critical_equations
     monkeypatch.setattr(bethe, "_critical_equations",
                         lambda t, *a: rows.append(len(t)) or equations(t, *a))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = bethe._newton(start.copy(), C, zs, W, np.random.default_rng(0), radius, far_cut)
+        out = bethe._newton(start.copy(), C, zs, W)
         assert rows == [1]
         assert bethe._near_collision(start, C, zs, W).all()
         assert not bethe._accepted(out, C, zs, W, far_cut)[0].any()

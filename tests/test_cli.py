@@ -61,6 +61,13 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["lr", CUBE, "--field", "extension:x^2-4"]) == 3
     assert capsys.readouterr().err == "error: a^2 - 4 factors over the rationals\n"
 
+    # a field that is neither a string nor an object is a parse failure
+    for field in (3, ["rational"]):
+        odd = tmp_path / "odd_field.json"
+        odd.write_text(json.dumps(dict(json.loads(Path(RATIONAL).read_text()), field=field)))
+        assert main(["lr", str(odd)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad field ")
+
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 64
@@ -69,6 +76,40 @@ def test_exit_codes(tmp_path, capsys):
     # one start finds one of the two simple roots: genuine undercount
     assert main(["verify", RATIONAL, "--starts", "1", "--seed", "0"]) == 4
     capsys.readouterr()
+
+
+MASTER_RAW = {"l": [1], "points": [{"z": z, "m": [1]} for z in ("0", "1", "-1")]}
+BASIC_RAW = {"kind": "basic", "d": 3, "N": 1, "infinity": {"ram": [1, 0]},
+             "points": [{"z": z, "ram": [1, 0]} for z in ("0", "1", "-1")]}
+
+
+@pytest.mark.parametrize("raw, commands", [
+    pytest.param(dict(MASTER_RAW, l=[1.9]), ("lr", "from-master"), id="l"),
+    pytest.param(dict(MASTER_RAW, points=[{"z": "0", "m": [1.9]}] + MASTER_RAW["points"][1:]),
+                 ("lr", "from-master"), id="m"),
+    pytest.param(dict(BASIC_RAW, d=3.7), ("lr",), id="d"),
+    pytest.param(dict(BASIC_RAW, N=1.5), ("lr",), id="N"),
+    pytest.param(dict(BASIC_RAW, points=[{"z": "0", "ram": [1.2, 0]}] + BASIC_RAW["points"][1:]),
+                 ("lr",), id="ram"),
+])
+def test_non_integer_entries_refused(tmp_path, capsys, raw, commands):
+    # a fractional size, weight, dimension or ramification entry is bad
+    # data (exit 3), not something to truncate
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(raw))
+    for command in commands:
+        assert main([command, str(path)]) == 3
+        assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "bethe-solve"])
+@pytest.mark.parametrize("starts", ["0", "-3", "x"])
+def test_starts_must_be_positive(command, starts, capsys):
+    # --starts is the number of Newton paths, so fewer than one is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, RATIONAL, "--starts", starts])
+    assert exc.value.code == 64
+    assert "--starts: want a positive integer" in capsys.readouterr().err
 
 
 def test_verify_matches_library_composition():

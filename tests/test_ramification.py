@@ -72,6 +72,8 @@ def test_check_ram_sequence():
         check_ram_sequence([1, 0, -1], 4, 2)
     with pytest.raises(DimensionMismatch):
         check_ram_sequence([1, 0], 4, 2)
+    with pytest.raises(DimensionMismatch):
+        check_ram_sequence([1.2, 0, 0], 4, 2)    # not truncated to (1, 0, 0)
 
 
 def test_exponent_translation_known():
@@ -122,6 +124,8 @@ def test_cuberoots_derived_data():
 def test_weight_accounting():
     with pytest.raises(DimensionMismatch):
         validate_basic(QQ, 3, 1, [(Fraction(0), (1, 0))], (1, 0))  # total 2 != 4
+    with pytest.raises(DimensionMismatch):
+        validate_basic(QQ, 3.7, 1, [(Fraction(0), (2, 0))], (1, 0))  # not read as d = 3
     with pytest.raises(DuplicatePoints):
         validate_basic(QQ, 3, 1,
                        [(Fraction(0), (1, 0)), (Fraction(0), (1, 0)),
