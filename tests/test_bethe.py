@@ -506,9 +506,10 @@ def _newton_setup(data, far_factor=bethe._FAR_FACTOR):
     return C, zs, W, radius, far_factor * radius
 
 
-def _draw_starts(data, radius, starts=200):
+def _draw_starts(data, radius):
+    # the 200 starts solve_critical(data, starts=200, seed=0) draws
     rng = np.random.default_rng(0)
-    return np.array([bethe._rand_point(rng, data.size(), radius) for _ in range(starts)])
+    return np.array([bethe._rand_point(rng, data.size(), radius) for _ in range(200)])
 
 
 @pytest.mark.parametrize("data,far_factor", [
