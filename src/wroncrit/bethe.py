@@ -6,9 +6,11 @@ variables of adjacent levels through simple poles; the same data translates
 into a marked-point problem for polynomial spaces (translate_master), whose
 intersection number bounds how many critical orbits can exist.
 
-Numeric root finding is multistart Gauss-Newton over the complex field; local
-structure (multiplicities, positive-dimensional components) is delegated to
-the dual-space machinery of the multiplicity module.
+Numeric root finding is multistart Gauss-Newton over the complex field: each
+step inverts the Jacobian by LU, and a row whose condition number fails a
+guard takes the pseudoinverse instead, each row on its own.  Local structure
+(multiplicities, positive-dimensional components) is delegated to the
+dual-space machinery of the multiplicity module.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ _RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
 # coordinate errors of that size even though the gradient norm itself sits
 # far below _RESIDUAL_TOL.
 _MULT_TOL = 1e-6
+# A Newton step keeps its LU inverse below this 1-norm condition number and
+# takes the pseudoinverse above it (_gn_step)
+_LU_COND = 1e12
 _SPACE_MATCH = 1e-6
 _FAR_FACTOR = 1e3      # the filter drops samples beyond this multiple of the start radius
 
@@ -637,20 +642,53 @@ def _rand_point(rng: np.random.Generator, L: int, radius: float) -> np.ndarray:
     return r * np.exp(1j * ang)
 
 
-def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Pseudoinverse Gauss-Newton on the cleared equations from a batch of starts.
+def _gn_step(F: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Gauss-Newton steps -J^+ F of a batch, F of shape (S, L), J (S, L, L).
 
-    Runs up to _MAX_GN_ITER steps on pts, shape (S, L), in place; a start
-    whose F or J is not finite (a coordinate exactly on a collision) takes a
-    zero step.  Two kinds of start stop iterating:
+    A row whose F or J is not finite (a coordinate exactly on a collision)
+    takes a zero step.  The other rows are inverted by LU (np.linalg.inv),
+    and a row keeps its LU inverse while its condition number
+    ||J||_1 ||J^-1||_1 is below _LU_COND.  Every other row is singular or
+    nearly so, mostly near a multiple root or a positive-dimensional
+    component, and takes the pseudoinverse, which reaches those at a linear
+    rate.  Each row's step depends on that row alone: an exactly zero pivot
+    makes inv refuse the whole batch, so then the rows whose LU has one
+    (slogdet sign 0) are split off to the pseudoinverse.
+    """
+    ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+    lu = ok.copy()
+    inv = np.zeros_like(J)
+    try:
+        inv[ok] = np.linalg.inv(J[ok])
+    except np.linalg.LinAlgError:
+        lu[ok] = np.linalg.slogdet(J[ok])[0] != 0
+        inv[lu] = np.linalg.inv(J[lu])
+    # ||A||_1 is the largest column sum of |A|
+    kappa = np.abs(J).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    lu &= kappa < _LU_COND
+    svd = ok & ~lu
+    inv[svd] = np.linalg.pinv(J[svd])
+    step = np.zeros_like(F)
+    step[ok] = -(inv[ok] @ F[ok][:, :, None])[:, :, 0]
+    step[~np.isfinite(step).all(axis=1)] = 0.0
+    return step
+
+
+def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the cleared equations from a batch of starts.
+
+    Runs up to _MAX_GN_ITER steps (_gn_step: LU, or the pseudoinverse where
+    J is ill-conditioned) on pts, shape (S, L), in place.  Two kinds of start
+    stop iterating:
     - a start whose step leaves it bitwise unchanged sits at a fixed point
       of the iteration: its next input, and so every later step, is the same;
     - a start whose new point lies in the collision neighbourhood
       (_near_collision) is running onto an extra zero of F, where w = 0: a
       point the filter of solve_critical (_accepted) rejects.
-    Only the live starts are evaluated; pinv cuts off per matrix, so every
-    sample the filter accepts is bitwise that of stepping every start every
-    time, unless a start would leave the collision neighbourhood again.
+    Only the live starts are evaluated; each row's step depends on that row
+    alone, so every sample the filter accepts is bitwise that of stepping
+    every start every time, unless a start would leave the collision
+    neighbourhood again.
     """
     live = np.ones(len(pts), dtype=bool)
     for _ in range(_MAX_GN_ITER):
@@ -659,11 +697,7 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np
             break
         cur = pts[idx]
         F, J, _ = _critical_equations(cur, C, zs, W)
-        ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-        step = np.zeros_like(cur)
-        step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
-        step[~np.isfinite(step).all(axis=1)] = 0.0
-        new = cur + step
+        new = cur + _gn_step(F, J)
         pts[idx] = new
         fixed = (new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)
         live[idx[fixed | _near_collision(new, C, zs, W)]] = False
@@ -754,16 +788,18 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
 
     Deterministic for fixed (data, starts, seed).  Each of the ``starts``
     Newton paths is drawn once, uniformly from a disc of radius
-    2(max|z_s| + 1); Gauss-Newton steps use the pseudoinverse so degenerate
+    2(max|z_s| + 1).  A Gauss-Newton step inverts a well-conditioned
+    Jacobian by LU and takes the pseudoinverse of the others, so degenerate
     and positive-dimensional solutions are reached as well, at a linear
-    rate.  Samples near a collision are zeros of the cleared equations only
-    and are dropped; Newton stops iterating a start once it gets there
-    (_newton).  Samples whose tuples y = gamma(t)
-    agree to 1e-6 relative are one orbit.  Each orbit gets a local multiplicity;
-    samples where the dual spaces keep growing are grouped by their induced
-    polynomial space and reported once per component with a transversal
-    multiplicity.  A warning is emitted when the total multiplicity found
-    misses the intersection number of the translated problem.
+    rate; the choice is made row by row (_gn_step).  Samples near a
+    collision are zeros of the cleared equations only and are dropped;
+    Newton stops iterating a start once it gets there (_newton).  Samples
+    whose tuples y = gamma(t) agree to 1e-6 relative are one orbit.  Each
+    orbit gets a local multiplicity; samples where the dual spaces keep
+    growing are grouped by their induced polynomial space and reported once
+    per component with a transversal multiplicity.  A warning is emitted
+    when the total multiplicity found misses the intersection number of the
+    translated problem.
     """
     try:
         basic, _sector = translate_master(data)

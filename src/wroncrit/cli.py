@@ -464,7 +464,7 @@ def _cmd_verify(args) -> int:
 # dispatch
 
 def _positive_int(text: str) -> int:
-    # --starts is the number of Newton paths
+    # --starts is the number of Newton paths, --max-order the highest dual order
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
     return int(text)
@@ -499,7 +499,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mult", help="local multiplicity of the critical system at a point")
     common(p)
     p.add_argument("--point", required=True, help="levels ';'-separated, coordinates ','")
-    p.add_argument("--max-order", type=int, default=20)
+    p.add_argument("--max-order", type=_positive_int, default=20)
 
     p = sub.add_parser("reproduce", help="fertility, mutation and the built space")
     common(p)

@@ -482,15 +482,77 @@ def test_component_samples_skip_the_dual_climb(monkeypatch):
     assert sum(o.hits for o in components) > len(components)
 
 
+def _well_conditioned(rng, L):
+    # a unitary matrix times a diagonal in [1, 2]: 2-norm condition number <= 2
+    Q = np.linalg.qr(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)))[0]
+    return Q * rng.uniform(1.0, 2.0, size=L)
+
+
+# per size L: the matrices that must leave LU for the pseudoinverse
+REFUSED_BY_LU = {
+    1: [[[0.0]]],                                        # zero
+    2: [[[1.0, 2.0], [2.0, 4.0]],                        # rank one
+        np.diag([1.0, 0.1 / bethe._LU_COND])],           # kappa_1 = 10 _LU_COND
+    3: [np.diag([1.0, 1.0, 0.1 / bethe._LU_COND])],
+}
+
+
+@pytest.mark.parametrize("L", sorted(REFUSED_BY_LU))
+def test_gn_step_rows(L, monkeypatch):
+    # three well-conditioned rows, the rows LU refuses, one non-finite row
+    rng = np.random.default_rng(L)
+    J = np.array([_well_conditioned(rng, L) for _ in range(3)]
+                 + REFUSED_BY_LU[L] + [np.eye(L)], dtype=complex)
+    J[-1, 0, 0] = np.nan
+    F = rng.normal(size=(len(J), L)) + 1j * rng.normal(size=(len(J), L))
+    refused = range(3, len(J) - 1)
+    pinv = np.linalg.pinv
+    to_pinv = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda A: to_pinv.append(len(A)) or pinv(A))
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    def pinv_step(i):
+        return -(pinv(J[i:i + 1]) @ F[i:i + 1, :, None])[:, :, 0]
+
+    step = bethe._gn_step(F, J)  # raises no LinAlgError
+    for i in range(3):
+        ref = pinv_step(i)
+        assert np.abs(step[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+    for i in refused:
+        assert np.array_equal(bits(step[i:i + 1]), bits(pinv_step(i)))
+    assert not step[-1].any()
+    assert to_pinv == [len(refused)]
+    # each row's step is bitwise its step alone
+    for i in range(len(J)):
+        assert np.array_equal(bits(bethe._gn_step(F[i:i + 1], J[i:i + 1])), bits(step[i:i + 1]))
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_gn_step_singular_row_keeps_others_on_lu(L, monkeypatch):
+    # np.linalg.inv refuses the whole batch for one exactly singular matrix;
+    # the step refuses that row only
+    rng = np.random.default_rng(10 + L)
+    J = np.array([_well_conditioned(rng, L) for _ in range(3)] + REFUSED_BY_LU[L][:1],
+                 dtype=complex)
+    F = rng.normal(size=(4, L)) + 1j * rng.normal(size=(4, L))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(J)
+    lu = -(np.linalg.inv(J[:3]) @ F[:3, :, None])[:, :, 0]
+    pinv = np.linalg.pinv
+    to_pinv = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda A: to_pinv.append(len(A)) or pinv(A))
+    step = bethe._gn_step(F, J)
+    assert to_pinv == [1]
+    assert np.array_equal(step[:3].view(np.uint64), lu.view(np.uint64))
+
+
 def _newton_full_batch(pts, C, zs, W):
     # every start steps every time: the loop _newton must reproduce bitwise
     for _ in range(bethe._MAX_GN_ITER):
         F, J, _ = _critical_equations(pts, C, zs, W)
-        ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-        step = np.zeros_like(pts)
-        step[ok] = -(np.linalg.pinv(J[ok]) @ F[ok][:, :, None])[:, :, 0]
-        step[~np.isfinite(step).all(axis=1)] = 0.0
-        pts = pts + step
+        pts = pts + bethe._gn_step(F, J)
     return pts
 
 

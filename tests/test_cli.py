@@ -235,6 +235,15 @@ def test_mult_cmd_rejects_bad_points(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ["0", "-1", "x"])
+def test_max_order_must_be_positive(order, capsys):
+    # a dual space of order below 1 is no bound: a usage error, not a failed climb
+    with pytest.raises(SystemExit) as exc:
+        main(["mult", RATIONAL, "--point", "0.5773502691896257", "--max-order", order])
+    assert exc.value.code == 64
+    assert "--max-order: want a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["x.y", "1e"])
 def test_mult_cmd_malformed_float(token, capsys):
     assert main(["mult", RATIONAL, "--point", token]) == 2
