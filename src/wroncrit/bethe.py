@@ -6,11 +6,18 @@ variables of adjacent levels through simple poles; the same data translates
 into a marked-point problem for polynomial spaces (translate_master), whose
 intersection number bounds how many critical orbits can exist.
 
-Numeric root finding is multistart Gauss-Newton over the complex field: each
-step inverts the Jacobian by LU, and a row whose condition number fails a
-guard takes the pseudoinverse instead, each row on its own.  Local structure
-(multiplicities, positive-dimensional components) is delegated to the
-dual-space machinery of the multiplicity module.
+Each space V behind a critical orbit has one population, its flag variety,
+and each sector of the problem sees one Schubert cell of it (Mukhin and
+Varchenko).  In the point sector w = (N+1, .., 1) that cell is a point, so
+V gives one isolated orbit there, and only that sector is solved.  Numeric
+root finding is multistart Gauss-Newton over the complex field: each step
+inverts the Jacobian by LU, and a row whose condition number fails a guard
+takes the pseudoinverse instead, each row on its own.  Local multiplicities
+come from the dual-space machinery of the multiplicity module.  Every other
+sector is built from the spaces (build_sector): a generic flag of V in the
+sector's cell has partial Wronskians whose quotients by K_i are the tuple of
+a point on a component of the cell's dimension, which carries the
+multiplicity of V's point-sector orbit.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
 )
 from .field import CC, common_ring, embed_scalar, format_scalar, ring_of
 from .multiplicity import MPoly, MultivariateSystem, local_multiplicity
-from .polyring import Poly, div_rem, format_poly, wronskian_pair
+from .polyring import Poly, div_rem, format_poly, wronskian, wronskian_pair
 from .ramification import BasicSituation, as_int, exponents_of_ram, ram_from_exponents, validate_basic
 from .schubert import intersection_number
 
@@ -57,7 +64,6 @@ _MULT_TOL = 1e-6
 # A Newton step keeps its LU inverse below this 1-norm condition number and
 # takes the pseudoinverse above it (_gn_step)
 _LU_COND = 1e12
-_SPACE_MATCH = 1e-6
 _FAR_FACTOR = 1e3      # the filter drops samples beyond this multiple of the start radius
 
 
@@ -513,22 +519,25 @@ def sectors_of(basic: BasicSituation) -> list[SectorSpec]:
 class CriticalOrbit:
     """One solution of the critical equations up to reordering within levels.
 
-    ``point`` is the canonical representative (each level sorted by real then
-    imaginary part), ``residual`` the max gradient norm there, ``tuple_y``
-    the monic level polynomials.  ``multiplicity`` is the local intersection
-    multiplicity when the orbit is isolated; for a positive-dimensional
-    family it is the multiplicity transversal to the component and
-    ``dimension`` the observed local dimension.  ``hits`` counts converged
-    starts that landed here.
+    ``point`` is the canonical representative (each level sorted by rounded
+    real, then imaginary part), ``residual`` the max gradient norm there,
+    ``tuple_y`` the monic level polynomials.  ``multiplicity`` is the local
+    intersection multiplicity when the orbit is isolated; for a
+    positive-dimensional family it is the multiplicity transversal to the
+    component, and ``dimension`` is the dimension of the family.  ``hits``
+    counts converged starts that landed here.
     """
 
     point: tuple[tuple[Any, ...], ...]
     residual: float
     multiplicity: int | None
     tuple_y: tuple[Poly, ...]
-    isolated: bool = True
     dimension: int = 0
     hits: int = 1
+
+    @property
+    def isolated(self) -> bool:
+        return self.dimension == 0
 
 
 def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
@@ -626,11 +635,13 @@ def _flush(x: float) -> float:
 
 
 def _canonical(row: np.ndarray, l: Sequence[int]) -> tuple[tuple[complex, ...], ...]:
+    # each level sorted by its rounded key, so that a conjugate pair whose real
+    # parts differ by rounding prints in one order
     out = []
     pos = 0
     for li in l:
         lev = sorted((complex(_flush(v.real), _flush(v.imag)) for v in row[pos:pos + li]),
-                     key=lambda v: (v.real, v.imag))
+                     key=lambda v: _sort_key([v]))
         out.append(tuple(lev))
         pos += li
     return tuple(out)
@@ -704,7 +715,7 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np
     return pts
 
 
-# -- induced space of a sample, used to group samples on one component --------
+# -- the space of a tuple ------------------------------------------------------
 
 def _wronskian_solve_lstsq(y: Poly, rhs: Poly) -> Poly:
     # least-squares particular solution g of Wr(y, g) = rhs over CC
@@ -745,13 +756,6 @@ def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
     return Q[:, : len(us)]
 
 
-def _same_space(Q1: np.ndarray, Q2: np.ndarray) -> bool:
-    if Q1.shape != Q2.shape:
-        return False
-    s = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
-    return bool(s.min() > 1 - _SPACE_MATCH)
-
-
 def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex],
                            rng: np.random.Generator, max_order: int = 12) -> tuple[int, int]:
     """(local dimension, transversal multiplicity) at a non-isolated sample.
@@ -781,46 +785,109 @@ def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex]
     raise NotIsolated("slicing never produced an isolated root")
 
 
-# -- the solver ----------------------------------------------------------------
+# -- sectors built from the point sector ------------------------------------------
 
-def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[CriticalOrbit]:
-    """Multistart search for all critical orbits of a master function.
+def point_sector(N: int) -> tuple[int, ...]:
+    """The sector w = (N+1, .., 1), where the cell of every space is a point.
 
-    Deterministic for fixed (data, starts, seed).  Each of the ``starts``
-    Newton paths is drawn once, uniformly from a disc of radius
-    2(max|z_s| + 1).  A Gauss-Newton step inverts a well-conditioned
-    Jacobian by LU and takes the pseudoinverse of the others, so degenerate
-    and positive-dimensional solutions are reached as well, at a linear
-    rate; the choice is made row by row (_gn_step).  Samples near a
-    collision are zeros of the cleared equations only and are dropped;
-    Newton stops iterating a start once it gets there (_newton).  Samples
-    whose tuples y = gamma(t) agree to 1e-6 relative are one orbit.  Each
-    orbit gets a local multiplicity; samples where the dual spaces keep
-    growing are grouped by their induced polynomial space and reported once
-    per component with a transversal multiplicity.  A warning is emitted
-    when the total multiplicity found misses the intersection number of the
-    translated problem.
+    It hands out the smallest labels first, so it minimises every level size
+    l_i: the only flag of a space V there is V's filtration by degree, and V
+    gives exactly one critical orbit.
     """
-    try:
-        basic, _sector = translate_master(data)
-        target = intersection_number(basic)
-    except NoCriticalPoints:
-        return []
+    return tuple(range(N + 1, 0, -1))
 
-    L = data.size()
-    if L == 0:
-        one = Poly.one(data.ring)
-        orbit = CriticalOrbit(tuple(() for _ in range(data.N)), 0.0, 1,
-                              tuple(one for _ in range(data.N)))
-        if target != 1:
-            warnings.warn(f"empty critical point carries multiplicity 1 but the "
-                          f"intersection number is {target}", UndercountWarning,
-                          stacklevel=2)
-        return [orbit]
+
+def _degree_basis(Q: np.ndarray, labels: Sequence[int]) -> np.ndarray:
+    """Columns e_1..e_{N+1} of the space spanned by Q, one per degree.
+
+    e_j has degree labels[j-1], its coefficient there is 1 and its
+    coefficients at the other labels are 0; the degrees of a space are the
+    labels, so this basis is unique.  Coefficients above labels[j-1] are
+    rounding noise and are set to 0.
+    """
+    rows = list(labels)
+    E = Q[: labels[0] + 1] @ np.linalg.inv(Q[rows])
+    E[np.arange(len(E))[:, None] > np.array(rows)[None, :]] = 0.0
+    E[rows] = np.eye(len(rows))
+    return E
+
+
+def _start_radius(zs: np.ndarray) -> float:
+    return 2.0 * (max((abs(z) for z in zs), default=0.0) + 1.0)
+
+
+def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
+                 seed: int = 0) -> list[CriticalOrbit]:
+    """Critical orbits of the sector of ``data``, one per point-sector orbit.
+
+    ``point_orbits`` are the orbits of the point sector of the same basic
+    situation.  Each one gives its space V (induced_space), reduced to one
+    basis element e_j per degree.  The flag in the cell of the sector w takes
+    at step i the element of the label w hands out there, plus random
+    complex multiples (drawn from ``seed``) of the elements of lower degree.
+    The roots of the monic y_i = Wr(f_1..f_i)/K_i are the coordinates of
+    level i.  One Gauss-Newton step is kept where it lowers the residual,
+    and a point is kept only if the solver's own filter (_accepted) accepts
+    it.  Its orbit has the dimension of the cell, #{i < j : w_i < w_j}, and
+    the multiplicity and hits of its point-sector orbit.
+    """
+    if not point_orbits:
+        return []
+    basic, sector = translate_master(data)
+    point_data = master_from_sector(basic, point_sector(basic.N))
+    labels, w = sector.labels, sector.w
+    K = [k.to_ring(CC) for k in basic.K]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for orbit in point_orbits:
+        E = _degree_basis(induced_space(orbit.tuple_y, point_data), labels)
+        flag = []
+        for wi in w:
+            low = E.shape[1] - wi
+            c = rng.normal(size=low) + 1j * rng.normal(size=low)
+            flag.append(Poly(CC, E[:, wi - 1] + E[:, wi:] @ c))
+        row = []
+        for i in range(1, basic.N + 1):
+            y, _ = div_rem(wronskian(flag[:i]), K[i])
+            row.extend(np.roots(y.monic().coeffs[::-1]))
+        rows.append(row)
 
     C = _coupling_matrix(data.l)
     zs, W = _embedded_weights(data)
-    radius = 2.0 * (max((abs(z) for z in zs), default=0.0) + 1.0)
+    pts = np.array(rows, dtype=complex).reshape(len(rows), data.size())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        F, J, r = _critical_equations(pts, C, zs, W)
+        stepped = pts + _gn_step(F, J)
+        lower = (np.abs(_critical_equations(stepped, C, zs, W)[2]).max(axis=1)
+                 < np.abs(r).max(axis=1))
+        pts[lower] = stepped[lower]
+        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * _start_radius(zs))
+    dim = sum(1 for a, b in itertools.combinations(w, 2) if a < b)
+    orbits = []
+    for s in np.nonzero(good)[0]:
+        point = _canonical(pts[s], data.l)
+        orbits.append(CriticalOrbit(point, float(res[s]), point_orbits[s].multiplicity,
+                                    gamma(point), dimension=dim, hits=point_orbits[s].hits))
+    return _sorted_orbits(orbits, data.l)
+
+
+# -- the solver ----------------------------------------------------------------
+
+def _sorted_orbits(orbits: list[CriticalOrbit], l: Sequence[int]) -> list[CriticalOrbit]:
+    return sorted(orbits, key=lambda o: _sort_key(_orbit_key(np.array(_flat(o.point)), l)))
+
+
+def _multistart(data: MasterData, target: int, starts: int, seed: int) -> list[CriticalOrbit]:
+    # the critical orbits of a point sector, each with its local multiplicity
+    L = data.size()
+    if L == 0:
+        one = Poly.one(data.ring)
+        return [CriticalOrbit(tuple(() for _ in range(data.N)), 0.0, 1,
+                              tuple(one for _ in range(data.N)))]
+
+    C = _coupling_matrix(data.l)
+    zs, W = _embedded_weights(data)
+    radius = _start_radius(zs)
     rng = np.random.default_rng(seed)
     pts = np.array([_rand_point(rng, L, radius) for _ in range(starts)],
                    dtype=complex).reshape(starts, L)
@@ -853,37 +920,53 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     system = clear_denominators(data).map_coeffs(CC.coerce)
     max_order = max(4, target + 1)
     orbits: list[CriticalOrbit] = []
-    loose: list[list] = []  # one entry per component: [Q, point, residual, hits]
     for _, point, rv, hits in clusters:
-        flat = tuple(_flat(point))
-        ys = gamma(point)
-        # The points of one sector that generate one space form one connected
-        # Schubert cell, so a sample whose space is a known component's lies
-        # on that component and is not isolated: it joins without a dual-space
-        # climb.  Generic inputs never reach a component, so skip the space.
-        Q = induced_space(ys, data) if loose else None
-        home = next((cl for cl in loose if _same_space(cl[0], Q)), None)
-        if home is None:
-            try:
-                m = local_multiplicity(system, flat, tol=_MULT_TOL, max_order=max_order)
-                orbits.append(CriticalOrbit(point, rv, m.multiplicity, ys, hits=hits))
-            except NotASolution:
-                pass  # true critical point at a scale the cleared system cannot hold
-            except NotIsolated:
-                loose.append([induced_space(ys, data) if Q is None else Q, point, rv, hits])
-            continue
-        # keep the most central sample: best conditioned representative
-        if max(abs(v) for v in flat) < max(abs(v) for v in _flat(home[1])):
-            home[1] = point
-        home[2] = min(home[2], rv)
-        home[3] += hits
+        try:
+            m = local_multiplicity(system, tuple(_flat(point)), tol=_MULT_TOL,
+                                   max_order=max_order)
+        except NotASolution:
+            continue  # true critical point at a scale the cleared system cannot hold
+        orbits.append(CriticalOrbit(point, rv, m.multiplicity, gamma(point), hits=hits))
+    return _sorted_orbits(orbits, data.l)
 
-    for Q, point, rv, hits in loose:
-        dim, m = component_multiplicity(system, _flat(point), rng, max_order=max_order)
-        orbits.append(CriticalOrbit(point, rv, m, gamma(point),
-                                    isolated=False, dimension=dim, hits=hits))
 
-    orbits.sort(key=lambda o: _sort_key(_orbit_key(np.array(_flat(o.point)), data.l)))
+def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[CriticalOrbit]:
+    """All critical orbits of a master function: solved in the point sector, built elsewhere.
+
+    Deterministic for fixed (data, starts, seed).  When the sector of
+    ``data`` is not the point sector of its basic situation, that point
+    sector is solved and the orbits of ``data`` are built from its spaces
+    (build_sector, random flags drawn from ``seed``).  The point sector is
+    solved by multistart: each of the ``starts`` Newton paths is drawn
+    once, uniformly from a disc of radius 2(max|z_s| + 1).  A Gauss-Newton
+    step inverts a well-conditioned Jacobian by LU and takes the
+    pseudoinverse of the others, so degenerate solutions are reached as
+    well, at a linear rate; the choice is made row by row (_gn_step).
+    Samples near a collision are zeros of the cleared equations only and are
+    dropped; Newton stops iterating a start once it gets there (_newton).
+    Samples whose tuples y = gamma(t) agree to 1e-6 relative are one orbit,
+    and each orbit gets a local multiplicity.  Every orbit of the point
+    sector is isolated, so a sample where the dual spaces keep growing
+    raises NotIsolated.  A warning is emitted when the total multiplicity
+    found misses the intersection number of the translated problem.
+    """
+    try:
+        basic, sector = translate_master(data)
+        target = intersection_number(basic)
+    except NoCriticalPoints:
+        return []
+
+    point = point_sector(basic.N)
+    if sector.w == point:
+        orbits = _multistart(data, target, starts, seed)
+    else:
+        try:
+            point_data = master_from_sector(basic, point)
+        except EmptySector:  # no space realizes the data
+            orbits = []
+        else:
+            orbits = build_sector(data, _multistart(point_data, target, starts, seed), seed)
+
     total = sum(o.multiplicity or 0 for o in orbits)
     if total < target:
         warnings.warn(f"found total multiplicity {total} < intersection number {target}; "

@@ -28,10 +28,12 @@ import warnings
 
 from .bethe import (
     MasterData,
+    build_sector,
     certify_divisibility,
     check_admissible,
     clear_denominators,
     master_from_sector,
+    point_sector,
     sectors_of,
     solve_critical,
     translate_master,
@@ -39,6 +41,7 @@ from .bethe import (
 from .errors import (
     DimensionMismatch,
     DuplicatePoints,
+    EmptySector,
     MixedFields,
     NegativeLength,
     NotIrreducible,
@@ -209,22 +212,21 @@ def _cmd_lr(args) -> int:
 
 
 def _select_sectors(problem, flag: str):
-    """Resolve --sector into a list of (label, MasterData) to solve."""
+    """Resolve --sector into the basic situation and (label, w, MasterData) picks."""
+    if flag == "own" and isinstance(problem, MasterData):
+        basic, sector = translate_master(problem)
+        return basic, [("own", sector.w, problem)]
     basic = _basic_of(problem)
-    if flag == "own":
-        if isinstance(problem, MasterData):
-            return basic, [("own", problem)]
-        flag = "identity"
     if flag == "all":
         ws = [spec.w for spec in sectors_of(basic)]
-    elif flag == "identity":
+    elif flag in ("own", "identity"):
         ws = [tuple(range(1, basic.N + 2))]
     else:
         try:
             ws = [tuple(int(v) for v in flag.split(","))]
         except ValueError:
             raise ParseError(f"bad sector {flag!r}; want identity, all, own or a permutation")
-    return basic, [(",".join(map(str, w)), master_from_sector(basic, w)) for w in ws]
+    return basic, [(",".join(map(str, w)), w, master_from_sector(basic, w)) for w in ws]
 
 
 def _fmt_point(point) -> list:
@@ -252,17 +254,27 @@ def _orbit_rows(orbits, data, tol: float) -> list[dict]:
     return rows
 
 
-def _solve_sectors(picks, starts: int, seed: int, tol: float) -> list[tuple]:
-    """(label, data, orbit rows) per picked sector, solved and certified.
+def _solve_sectors(basic: BasicSituation, picks, starts: int, seed: int,
+                   tol: float) -> list[tuple]:
+    """(label, data, orbit rows) per picked sector, solved or built, and certified.
 
-    The solver's count warnings are silenced: the callers report the counts.
+    Only the point sector is solved, once; every other sector is built from
+    its orbits.  The solver's count warnings are silenced: the callers
+    report the counts.
     """
+    point = point_sector(basic.N)
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for label, data in picks:
-            orbits = solve_critical(data, starts=starts, seed=seed)
-            out.append((label, data, _orbit_rows(orbits, data, tol)))
+        point_data = next((data for _, w, data in picks if w == point), None)
+        try:
+            orbits = solve_critical(point_data or master_from_sector(basic, point),
+                                    starts=starts, seed=seed)
+        except EmptySector:  # no space realizes the data: no sector has critical points
+            orbits = []
+        for label, w, data in picks:
+            built = orbits if w == point else build_sector(data, orbits, seed)
+            out.append((label, data, _orbit_rows(built, data, tol)))
     return out
 
 
@@ -274,10 +286,10 @@ def _orbit_line(r: dict) -> str:
 
 def _cmd_bethe_solve(args) -> int:
     problem = load_problem(args.problem, args.field)
-    _, picks = _select_sectors(problem, args.sector)
+    basic, picks = _select_sectors(problem, args.sector)
     payload = {}
     lines = []
-    for label, data, rows in _solve_sectors(picks, args.starts, args.seed, args.tol):
+    for label, data, rows in _solve_sectors(basic, picks, args.starts, args.seed, args.tol):
         payload[label] = {"l": list(data.l), "orbits": rows}
         lines.append(f"sector {label}: sizes {data.l}, {len(rows)} orbit(s)")
         lines += [_orbit_line(r) for r in rows]
@@ -392,7 +404,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     basic, picks = _select_sectors(problem, sector)
     target = intersection_number(basic)
     sectors = {}
-    for label, data, rows in _solve_sectors(picks, starts, seed, tol):
+    for label, data, rows in _solve_sectors(basic, picks, starts, seed, tol):
         total = sum(r["multiplicity"] or 0 for r in rows)
         verdict = "MATCH" if total == target else \
             ("UNDERCOUNT" if total < target else "OVERCOUNT")
