@@ -10,8 +10,15 @@ equivalent to annihilating all multiples of the generators, via
 L[x_i g] = s_i(L)[g]).  The dimension stabilizes exactly when the point is
 isolated, and the stable dimension is the multiplicity.
 
-Systems live in a thin sparse multivariate wrapper; the critical equations
-of a master function come as such a system from bethe.clear_denominators.
+Systems live in a thin sparse multivariate wrapper, MPoly; the critical
+equations of a master function come as such a system from
+bethe.clear_denominators.  The climb reads each generator at p as a dense
+Taylor tensor g, where g[a] is the coefficient of (x-p)^a: the terms are
+scattered over the bounding box of their exponents and recentred by one
+product per variable with the Pascal matrix P[a, k] = C(k, a) p^(k-a).  The
+tensor is complex in numeric mode and an object array in exact mode, so
+Fraction, ExtElem and complex coefficients share one path; MPoly.shift reads
+its result off the same tensor.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import Any, Sequence
+
+import numpy as np
 
 from .errors import NotARoot, NotASolution, NotIsolated, WroncritError
 from .field import embed_scalar
@@ -136,25 +145,15 @@ class MPoly:
         return total
 
     def shift(self, point: Sequence) -> "MPoly":
-        """Recenter: returns g with g(x) = self(x + p)."""
-        out: dict[tuple[int, ...], Any] = {}
-        for e, c in self.terms.items():
-            # expand prod_i (x_i + p_i)^{e_i}
-            partial = {(): c}
-            for i, k in enumerate(e):
-                nxt: dict[tuple[int, ...], Any] = {}
-                pw = [1]
-                for _ in range(k):
-                    pw.append(pw[-1] * point[i])
-                for stub, cc in partial.items():
-                    for a in range(k + 1):
-                        term = cc * comb(k, a) * pw[k - a]
-                        key = stub + (a,)
-                        nxt[key] = nxt.get(key, 0) + term
-                partial = nxt
-            for key, cc in partial.items():
-                out[key] = out.get(key, 0) + cc
-        return MPoly(self.nvars, out)
+        """Recenter: returns g with g(x) = self(x + p), read off its Taylor tensor.
+
+        A float or complex coefficient or coordinate makes every coefficient
+        of g complex, as in local_multiplicity's numeric mode.
+        """
+        numeric = _is_numeric([self], point)
+        polys, point = _embed([self], point) if numeric else ([self], point)
+        g = _taylor_tensors(polys, point, numeric)[0]
+        return MPoly(self.nvars, dict(zip(np.ndindex(g.shape), g.ravel().tolist())))
 
     def map_coeffs(self, fn) -> "MPoly":
         return MPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -185,6 +184,68 @@ class MultivariateSystem:
 
     def map_coeffs(self, fn) -> "MultivariateSystem":
         return MultivariateSystem(self.names, tuple(f.map_coeffs(fn) for f in self.polys))
+
+
+# -- dense Taylor tensors ----------------------------------------------------------
+
+def _is_numeric(polys, point) -> bool:
+    # a float or complex coordinate or coefficient anywhere selects numeric mode
+    return (any(isinstance(c, (float, complex)) for c in point)
+            or any(isinstance(c, (float, complex)) for f in polys for c in f.terms.values()))
+
+
+def _to_numeric(v) -> complex:
+    try:
+        return complex(v)
+    except TypeError:
+        return embed_scalar(v)
+
+
+def _embed(polys, point) -> tuple[tuple[MPoly, ...], list[complex]]:
+    # a generator whose coefficients are all complex is kept as given
+    return (tuple(f if all(isinstance(c, complex) for c in f.terms.values())
+                  else f.map_coeffs(_to_numeric) for f in polys),
+            [_to_numeric(c) for c in point])
+
+
+def _pascal(p, d: int, dtype) -> np.ndarray:
+    """P[a, k] = C(k, a) p^(k-a): column k holds the coefficients of (x + p)^k."""
+    pw = [1]
+    for _ in range(d - 1):
+        pw.append(pw[-1] * p)
+    return np.array([[comb(k, a) * pw[k - a] if a <= k else 0 for k in range(d)]
+                     for a in range(d)], dtype=dtype)
+
+
+def _taylor_tensors(polys, point, numeric: bool) -> list[np.ndarray]:
+    """Dense Taylor tensors at ``point``: g[a] is the coefficient of x^a in f(x + p).
+
+    Each generator is scattered over the bounding box of its exponents and
+    recentred by one product per variable with the Pascal matrix of that
+    coordinate, so the box never grows.  The dtype is complex when
+    ``numeric`` (coefficients and point already embedded) and object
+    otherwise, so Fraction, ExtElem and complex coefficients share one path.
+    """
+    dtype = complex if numeric else object
+    n = len(point)
+    tensors = []
+    for f in polys:
+        if not f.terms:
+            tensors.append(np.zeros((1,) * n, dtype))
+            continue
+        exps = np.array(list(f.terms), dtype=np.intp)
+        g = np.zeros(tuple(exps.max(axis=0) + 1), dtype)
+        # row-major flat index of each exponent (the empty sum in 0 variables)
+        flat = exps @ (np.array(g.strides, dtype=np.intp) // g.itemsize)
+        g.reshape(-1)[flat] = np.fromiter(f.terms.values(), dtype, len(f.terms))
+        tensors.append(g)
+    for i, p in enumerate(point):
+        P = _pascal(p, max(g.shape[i] for g in tensors), dtype)
+        for j, g in enumerate(tensors):
+            d = g.shape[i]
+            if d > 1:  # a box of width 1 meets P[:1, :1] = [[1]]
+                tensors[j] = (g.swapaxes(i, -1) @ P[:d, :d].T).swapaxes(i, -1)
+    return tensors
 
 
 # -- dual-space multiplicity -----------------------------------------------------
@@ -248,22 +309,13 @@ def _nullspace_exact(rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
-def _nullspace_numeric(rows: list[list], ncols: int, tol: float) -> list[list]:
-    import numpy as np
-
+def _nullspace_numeric(rows: list, ncols: int, tol: float) -> list[list]:
     if not rows:
         return [list(row) for row in np.eye(ncols, dtype=complex)]
-    A = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
+    A = np.array(rows, dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
     rank = int((s > tol).sum())
     return [list(vh[i].conj()) for i in range(rank, ncols)]
-
-
-def _to_numeric(v) -> complex:
-    try:
-        return complex(v)
-    except TypeError:
-        return embed_scalar(v)
 
 
 def local_multiplicity(system, point, tol: float = 1e-8,
@@ -286,27 +338,18 @@ def local_multiplicity(system, point, tol: float = 1e-8,
     if len(point) != n:
         raise WroncritError(f"point has {len(point)} coordinates, system has {n}")
 
-    sample = [c for f in polys for c in f.terms.values()] + list(point)
-    numeric = any(isinstance(c, (float, complex)) for c in sample)
-
+    numeric = _is_numeric(polys, point)
     if numeric:
-        point = [_to_numeric(c) for c in point]
-        polys = tuple(f if all(isinstance(c, complex) for c in f.terms.values())
-                      else f.map_coeffs(_to_numeric) for f in polys)
-
-    shifted = [f.shift(point) for f in polys]
+        polys, point = _embed(polys, point)
+    tensors = _taylor_tensors(polys, point, numeric)
+    origin = (0,) * n
     if numeric:
-        scales = [max((abs(c) for c in f.terms.values()), default=1.0) or 1.0
-                  for f in shifted]
-        shifted = [f.map_coeffs(lambda c, s=s: c / s) for f, s in zip(shifted, scales)]
-        for f in shifted:
-            c0 = f.terms.get((0,) * n, 0)
-            if abs(c0) > tol:
-                raise NotASolution(f"residual {abs(c0):.3e} exceeds tolerance {tol:.1e}")
-    else:
-        for f in shifted:
-            if f.terms.get((0,) * n, 0) != 0:
-                raise NotASolution("point does not satisfy the system")
+        tensors = [g / (np.abs(g).max() or 1.0) for g in tensors]
+        for g in tensors:
+            if abs(g[origin]) > tol:
+                raise NotASolution(f"residual {abs(g[origin]):.3e} exceeds tolerance {tol:.1e}")
+    elif any(g[origin] != 0 for g in tensors):
+        raise NotASolution("point does not satisfy the system")
 
     nullspace = (lambda rows, m: _nullspace_numeric(rows, m, tol)) if numeric else _nullspace_exact
 
@@ -317,9 +360,14 @@ def local_multiplicity(system, point, tol: float = 1e-8,
         mons = _monomials(n, k)
         index = {m: i for i, m in enumerate(mons)}
         idx_prev = {m: i for i, m in enumerate(mons_prev)}
-        rows: list[list] = []
-        for f in shifted:
-            rows.append([f.terms.get(m, 0) for m in mons])
+        # the row of each generator: g[m], or 0 outside its box
+        M = np.array(mons, dtype=np.intp)
+        rows: list = []
+        for g in tensors:
+            inside = (M < g.shape).all(axis=1)
+            row = np.zeros(len(mons), g.dtype)
+            row[inside] = g[tuple(M[inside].T)]
+            rows.append(row)
         # closedness: the i-th derivative shift of any new functional must lie
         # in span(basis_prev); impose left-annihilator(basis_prev) o s_i = 0
         cols_prev = len(mons_prev)

@@ -52,7 +52,7 @@ from wroncrit.errors import (
     NotIsolated,
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
-from wroncrit.multiplicity import MPoly, MultivariateSystem
+from wroncrit.multiplicity import MPoly, MultivariateSystem, local_multiplicity
 from wroncrit.polyring import parse_poly
 from wroncrit.ramification import validate_basic
 from wroncrit.schubert import intersection_number
@@ -528,6 +528,38 @@ def test_built_components_agree_with_slicing():
             assert component_multiplicity(system, flat, rng) == (o.dimension, o.multiplicity)
         checked.append(data.l)
     assert sorted(checked) == [(2, 2), (5, 1)]
+
+
+# -- Macaulay at degenerate and solver points -----------------------------------------
+
+@pytest.mark.parametrize("data,t,mult,trace", [
+    (rou4_data(), 1, 3, (1, 2, 3, 3)),
+    (load_problem(str(PROBLEMS / "example_cuberoots_master.json")), 0, 2, (1, 2, 2)),
+], ids=["rou4-t1", "cuberoots-t0"])
+def test_degenerate_points_exact_and_embedded(data, t, mult, trace):
+    # object-dtype Taylor tensors over Q(i) and Q(w), and the same points embedded
+    system = clear_denominators(data)
+    exact = local_multiplicity(system, (data.ring.coerce(t),))
+    assert (exact.multiplicity, exact.trace, exact.mode) == (mult, trace, "exact")
+    numeric = local_multiplicity(system.map_coeffs(CC.coerce), (CC.coerce(t),))
+    assert (numeric.multiplicity, numeric.trace, numeric.mode) == (mult, trace, "numeric")
+
+
+def test_numeric_climb_builds_no_mpoly(monkeypatch):
+    # the dual climb reads the Taylor tensors: no shifted or rescaled MPoly
+    data = master_from_sector(translate_master(SL3_N5)[0], point_sector(2))
+    orbit = solve_critical(data, starts=200, seed=0)[0]
+    system = clear_denominators(data).map_coeffs(CC.coerce)
+    built = []
+    init = MPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "__init__", counting_init)
+    res = local_multiplicity(system, tuple(bethe._flat(orbit.point)), tol=bethe._MULT_TOL)
+    assert res.multiplicity == 1 and built == []
 
 
 def test_own_sector_that_is_not_the_point_sector():

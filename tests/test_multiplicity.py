@@ -12,9 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wroncrit.errors import NotARoot, NotASolution, NotIsolated
-from wroncrit.field import QQ
+from wroncrit.field import QQ, ExtElem, make_extension
 from wroncrit.multiplicity import (
     MPoly,
     MultivariateSystem,
@@ -202,3 +204,70 @@ def test_mpoly_rsub():
     x = MPoly.variable(1, 0)
     assert 3 - x == mp(1, {(0,): 3, (1,): -1})
     assert 3 - x == -(x - 3)
+
+
+# -- the shift against substitution --------------------------------------------------
+
+OMEGA = make_extension("x^2+x+1")
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+omega_elems = st.builds(lambda a, b: ExtElem(OMEGA, [a, b]), small_fractions, small_fractions)
+complexes = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+def substituted(f, point):
+    """f(x + p) by MPoly arithmetic: each x_i becomes x_i + p_i."""
+    n = f.nvars
+    moved = [MPoly.variable(n, i) + p for i, p in enumerate(point)]
+    out = MPoly.zero(n)
+    for e, c in f.terms.items():
+        term = MPoly.constant(n, c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term * moved[i]
+        out = out + term
+    return out
+
+
+@st.composite
+def poly_and_point(draw, coeffs):
+    # sparse, in 1-3 variables; a degree bound of 0 leaves that variable out
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*(st.integers(0, d) for d in draw(st.lists(
+        st.integers(0, 3), min_size=n, max_size=n))))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    return MPoly(n, terms), draw(st.lists(coeffs, min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("coeffs", [small_fractions, omega_elems], ids=["QQ", "Q(w)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shift_is_substitution_exactly(coeffs, data):
+    f, p = data.draw(poly_and_point(coeffs))
+    assert f.shift(p) == substituted(f, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_and_point(complexes))
+def test_shift_is_substitution_numerically(case):
+    f, p = case
+    got, want = f.shift(p), substituted(f, p)
+    scale = max((abs(c) for c in want.terms.values()), default=0.0)
+    for e in set(got.terms) | set(want.terms):
+        assert abs(got.terms.get(e, 0) - want.terms.get(e, 0)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p", [[Fraction(1), Fraction(-2)], [0.5, -1j]], ids=["QQ", "CC"])
+def test_shift_zero_and_constant(p):
+    assert MPoly.zero(2).shift(p) == MPoly.zero(2)
+    assert MPoly.constant(2, 3).shift(p).terms == {(0, 0): 3}
+    # no variables at all: the box is a single entry, or empty
+    assert MPoly.zero(0).shift(()) == MPoly.zero(0)
+    assert MPoly.constant(0, Fraction(5)).shift(()) == MPoly.constant(0, Fraction(5))
+
+
+def test_shift_one_variable():
+    f = mp(1, {(3,): 1, (1,): 2})                 # x^3 + 2x at x + 1/2
+    want = mp(1, {(3,): 1, (2,): Fraction(3, 2), (1,): Fraction(11, 4), (0,): Fraction(9, 8)})
+    assert f.shift([Fraction(1, 2)]) == want
+    got = f.map_coeffs(complex).shift([0.5])
+    assert {e: complex(c) for e, c in want.terms.items()} == got.terms
