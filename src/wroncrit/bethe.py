@@ -55,12 +55,6 @@ from .schubert import intersection_number
 _MAX_GN_ITER = 80
 _DEDUP_RADIUS = 1e-6   # relative to coordinate scale
 _RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
-# Rank tolerance of the dual-space computations.  It is looser than
-# _RESIDUAL_TOL on purpose: a root of local multiplicity m is only located to
-# about machine_eps^(1/m) by any iteration, so rank decisions must forgive
-# coordinate errors of that size even though the gradient norm itself sits
-# far below _RESIDUAL_TOL.
-_MULT_TOL = 1e-6
 # A Newton step keeps its LU inverse below this 1-norm condition number and
 # takes the pseudoinverse above it (_gn_step)
 _LU_COND = 1e12
@@ -647,10 +641,11 @@ def _canonical(row: np.ndarray, l: Sequence[int]) -> tuple[tuple[complex, ...], 
     return tuple(out)
 
 
-def _rand_point(rng: np.random.Generator, L: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.uniform(size=L))
-    ang = rng.uniform(size=L) * 2 * np.pi
-    return r * np.exp(1j * ang)
+def _rand_points(rng: np.random.Generator, starts: int, L: int, radius: float) -> np.ndarray:
+    # uniform in the disc of ``radius``, per coordinate: for each start its L
+    # radii are drawn before its L angles
+    u = rng.uniform(size=(starts, 2, L))
+    return radius * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
 
 
 def _gn_step(F: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -777,8 +772,7 @@ def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex]
         polys.append(MPoly(n, terms))
         sliced = MultivariateSystem(system.names, tuple(polys))
         try:
-            res = local_multiplicity(sliced, tuple(sample), tol=_MULT_TOL,
-                                     max_order=max_order)
+            res = local_multiplicity(sliced, tuple(sample), max_order=max_order)
         except NotIsolated:
             continue
         return dim, res.multiplicity
@@ -834,13 +828,13 @@ def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
     if not point_orbits:
         return []
     basic, sector = translate_master(data)
-    point_data = master_from_sector(basic, point_sector(basic.N))
     labels, w = sector.labels, sector.w
     K = [k.to_ring(CC) for k in basic.K]
     rng = np.random.default_rng(seed)
     rows = []
     for orbit in point_orbits:
-        E = _degree_basis(induced_space(orbit.tuple_y, point_data), labels)
+        # every sector of a basic situation has the points and T of data
+        E = _degree_basis(induced_space(orbit.tuple_y, data), labels)
         flag = []
         for wi in w:
             low = E.shape[1] - wi
@@ -889,8 +883,7 @@ def _multistart(data: MasterData, target: int, starts: int, seed: int) -> list[C
     zs, W = _embedded_weights(data)
     radius = _start_radius(zs)
     rng = np.random.default_rng(seed)
-    pts = np.array([_rand_point(rng, L, radius) for _ in range(starts)],
-                   dtype=complex).reshape(starts, L)
+    pts = _rand_points(rng, starts, L, radius)
 
     # Newton runs on the cleared equations F_p = w_p r_p, evaluated in
     # factored form by _critical_equations: the raw log-gradient r has a
@@ -922,8 +915,7 @@ def _multistart(data: MasterData, target: int, starts: int, seed: int) -> list[C
     orbits: list[CriticalOrbit] = []
     for _, point, rv, hits in clusters:
         try:
-            m = local_multiplicity(system, tuple(_flat(point)), tol=_MULT_TOL,
-                                   max_order=max_order)
+            m = local_multiplicity(system, tuple(_flat(point)), max_order=max_order)
         except NotASolution:
             continue  # true critical point at a scale the cleared system cannot hold
         orbits.append(CriticalOrbit(point, rv, m.multiplicity, gamma(point), hits=hits))

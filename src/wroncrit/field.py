@@ -86,11 +86,47 @@ def _power(x, n: int, one, inv=None):
 
 
 # ---------------------------------------------------------------------------
-# simple extensions Q[a]/(p(a))
+# exact row reduction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+
+def row_reduce(rows) -> tuple[list[int], list[list]]:
+    """Reduced row echelon form of ``rows`` over an exact field.
+
+    Returns (pivot_columns, reduced_rows): one reduced row per pivot, in
+    increasing pivot column, with a 1 at its pivot and 0 in every other
+    pivot column; zero rows are dropped, so the rank is len(pivot_columns).
+    Columns are scanned left to right and each takes the first remaining
+    row that is nonzero there.  Each pivot is inverted once and its row is
+    multiplied by that inverse; zero entries are skipped.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        if piv != 1:
+            inv = _ONE / piv
+            rows[r] = [v * inv if v else v for v in rows[r]]
+        pivot_row = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [u - f * v if v else u for u, v in zip(row, pivot_row)]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+# ---------------------------------------------------------------------------
+# simple extensions Q[a]/(p(a))
 
 class ExtElem:
     """Element of a NumberField, reduced mod the minimal polynomial.
@@ -276,8 +312,8 @@ class NumberField:
 
     def inv(self, a: ExtElem) -> ExtElem:
         """Solve M_a x = e_0, where column j of M_a holds the coordinates of
-        a * a^j, by Gauss-Jordan elimination over Q. A column without a pivot
-        makes a a zero divisor, so the minimal polynomial factors."""
+        a * a^j, by row reducing [M_a | e_0] over Q. A column of M_a without
+        a pivot makes a a zero divisor, so the minimal polynomial factors."""
         a = self.coerce(a)
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
@@ -285,20 +321,10 @@ class NumberField:
         cols = [a.coeffs]
         for _ in range(n - 1):
             cols.append(self._times_gen(cols[-1]))
-        rows = [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)]
-        for j in range(n):
-            p = next((i for i in range(j, n) if rows[i][j]), None)
-            if p is None:
-                raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
-            rows[j], rows[p] = rows[p], rows[j]
-            piv = rows[j][j]
-            if piv != 1:
-                rows[j] = [v / piv if v else v for v in rows[j]]
-            pivot_row = rows[j]
-            for i in range(n):
-                f = rows[i][j]
-                if i != j and f:
-                    rows[i] = [u - f * v if v else u for u, v in zip(rows[i], pivot_row)]
+        pivots, rows = row_reduce(
+            [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)])
+        if pivots != list(range(n)):
+            raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
         return ExtElem._reduced(self, tuple([row[n] for row in rows]))
 
     def complex_gen(self) -> complex:

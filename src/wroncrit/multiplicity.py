@@ -30,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import NotARoot, NotASolution, NotIsolated, WroncritError
-from .field import embed_scalar
+from .field import embed_scalar, row_reduce
 from .polyring import Poly, ord_at
 
 
@@ -194,18 +194,11 @@ def _is_numeric(polys, point) -> bool:
             or any(isinstance(c, (float, complex)) for f in polys for c in f.terms.values()))
 
 
-def _to_numeric(v) -> complex:
-    try:
-        return complex(v)
-    except TypeError:
-        return embed_scalar(v)
-
-
 def _embed(polys, point) -> tuple[tuple[MPoly, ...], list[complex]]:
     # a generator whose coefficients are all complex is kept as given
     return (tuple(f if all(isinstance(c, complex) for c in f.terms.values())
-                  else f.map_coeffs(_to_numeric) for f in polys),
-            [_to_numeric(c) for c in point])
+                  else f.map_coeffs(embed_scalar) for f in polys),
+            [embed_scalar(c) for c in point])
 
 
 def _pascal(p, d: int, dtype) -> np.ndarray:
@@ -250,6 +243,15 @@ def _taylor_tensors(polys, point, numeric: bool) -> list[np.ndarray]:
 
 # -- dual-space multiplicity -----------------------------------------------------
 
+# The one rank and residual tolerance of numeric dual-space computations, for
+# the solver and for `wroncrit mult` alike.  It is looser than the solver's
+# residual tolerance (bethe._RESIDUAL_TOL) on purpose: a root of local
+# multiplicity m is only located to about machine_eps^(1/m) by any iteration,
+# so rank decisions must forgive coordinate errors of that size even though
+# the gradient norm itself sits far below _RESIDUAL_TOL.
+_MULT_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class MultiplicityResult:
     multiplicity: int
@@ -281,53 +283,38 @@ def _monomials(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _nullspace_exact(rows: list[list], ncols: int) -> list[list]:
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+def _nullspace_exact(rows: list, ncols: int) -> list[list]:
+    # a free column f gives the vector with 1 at f and -row[f] at each pivot
+    pivots, reduced = row_reduce(rows)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v: list = [0] * ncols
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+        for pc, row in zip(pivots, reduced):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
-def _nullspace_numeric(rows: list, ncols: int, tol: float) -> list[list]:
+def _nullspace_numeric(rows: list, ncols: int) -> list[list]:
     if not rows:
         return [list(row) for row in np.eye(ncols, dtype=complex)]
     A = np.array(rows, dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int((s > tol).sum())
+    rank = int((s > _MULT_TOL).sum())
     return [list(vh[i].conj()) for i in range(rank, ncols)]
 
 
-def local_multiplicity(system, point, tol: float = 1e-8,
-                       max_order: int = 20) -> MultiplicityResult:
+def local_multiplicity(system, point, max_order: int = 20) -> MultiplicityResult:
     """Multiplicity of ``point`` as a zero of ``system``.
 
     The mode follows the inputs: a float or complex coefficient or
     coordinate anywhere selects "numeric", which embeds everything in
-    complex floats with an absolute rank tolerance after per-generator
-    scaling; otherwise "exact" runs over the coefficient field.  A
-    generator whose coefficients are all ``complex`` is used as given, so a
-    caller that tests many points of one system embeds it once.  Raises
+    complex floats with the absolute rank and residual tolerance _MULT_TOL
+    after per-generator scaling; otherwise "exact" runs over the coefficient
+    field, and its nullspaces are read off field.row_reduce.  A generator
+    whose coefficients are all ``complex`` is used as given, so a caller
+    that tests many points of one system embeds it once.  Raises
     NotASolution when the point misses the zero set and NotIsolated when the
     dual-space dimensions are still growing at max_order.
     """
@@ -346,12 +333,13 @@ def local_multiplicity(system, point, tol: float = 1e-8,
     if numeric:
         tensors = [g / (np.abs(g).max() or 1.0) for g in tensors]
         for g in tensors:
-            if abs(g[origin]) > tol:
-                raise NotASolution(f"residual {abs(g[origin]):.3e} exceeds tolerance {tol:.1e}")
+            if abs(g[origin]) > _MULT_TOL:
+                raise NotASolution(
+                    f"residual {abs(g[origin]):.3e} exceeds tolerance {_MULT_TOL:.1e}")
     elif any(g[origin] != 0 for g in tensors):
         raise NotASolution("point does not satisfy the system")
 
-    nullspace = (lambda rows, m: _nullspace_numeric(rows, m, tol)) if numeric else _nullspace_exact
+    nullspace = _nullspace_numeric if numeric else _nullspace_exact
 
     trace = [1]
     basis_prev: list[list] = [[1]]  # D_0 = span{evaluation}, over monomials of degree 0
@@ -387,7 +375,7 @@ def local_multiplicity(system, point, tol: float = 1e-8,
         trace.append(dim)
         if dim <= trace[-2]:
             return MultiplicityResult(dim, tuple(trace), k, "numeric" if numeric else "exact",
-                                      tol if numeric else None)
+                                      _MULT_TOL if numeric else None)
         basis_prev, mons_prev = basis, mons
     raise NotIsolated(f"dual space still growing at order {max_order}: trace {tuple(trace)}")
 

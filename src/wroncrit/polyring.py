@@ -187,13 +187,19 @@ class Poly:
             raise
 
     def shift(self, z) -> "Poly":
-        """g with g(x) = f(x + z), by Horner in (x + z)."""
+        """g with g(x) = f(x + z), by synthetic division (Ruffini-Horner).
+
+        Pass i divides c[i:] by x - z in place, from the top down: the
+        remainder lands in c[i], the i-th Taylor coefficient of f at z, and
+        the quotient stays above it.
+        """
         zc = self.ring.coerce(z)
-        x_plus_z = Poly(self.ring, [zc, self.ring.one()])
-        out = Poly.zero(self.ring)
-        for c in reversed(self.coeffs):
-            out = out * x_plus_z + c
-        return out
+        c = list(self.coeffs)
+        if _nonzero(zc):
+            for i in range(len(c) - 1):
+                for j in range(len(c) - 2, i - 1, -1):
+                    c[j] = c[j] + zc * c[j + 1]
+        return Poly(self.ring, c)
 
     def to_ring(self, ring) -> "Poly":
         return Poly(ring, [ring.coerce(c) for c in self.coeffs])

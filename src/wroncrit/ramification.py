@@ -28,7 +28,7 @@ from .errors import (
     NegativeLength,
     NotRealizable,
 )
-from .field import format_scalar
+from .field import format_scalar, row_reduce
 from .polyring import Poly, exact_div, ord_at, wronskian
 
 
@@ -87,44 +87,6 @@ def ram_from_exponents(e: Sequence[int], d: int, *, at_infinity: bool = False) -
 
 # -- exponents of an explicit basis ------------------------------------------
 
-def _lead_index(row: list, low: bool) -> int | None:
-    rng = range(len(row)) if low else range(len(row) - 1, -1, -1)
-    for j in rng:
-        if row[j] != 0:
-            return j
-    return None
-
-
-def _echelon(rows: list[list], low: bool) -> list[tuple[int, list]]:
-    """Reduce coefficient rows to pairwise distinct pivot positions.
-
-    Pivots sit at the minimal nonzero index when ``low`` (vanishing orders)
-    and at the maximal one otherwise (degrees).  Ties go to the earliest row,
-    so the outcome is deterministic.  Returns (pivot, row) pairs sorted by
-    pivot.  A row that reduces to zero means the input was dependent.
-    """
-    work = [list(r) for r in rows]
-    pend = list(range(len(work)))
-    placed: list[tuple[int, list]] = []
-    while pend:
-        best_k = best_j = None
-        for k in pend:
-            j = _lead_index(work[k], low)
-            if j is None:
-                raise DependentBasis("input polynomials are linearly dependent")
-            if best_j is None or (j < best_j if low else j > best_j):
-                best_k, best_j = k, j
-        pend.remove(best_k)
-        piv = work[best_k]
-        for m in pend:
-            if work[m][best_j] != 0:
-                c = work[m][best_j] / piv[best_j]
-                work[m] = [u - c * v for u, v in zip(work[m], piv)]
-        placed.append((best_j, piv))
-    placed.sort(key=lambda t: t[0])
-    return placed
-
-
 def _coeff_rows(polys: Sequence[Poly]) -> list[list]:
     ring = polys[0].ring
     width = max(p.degree() for p in polys) + 1
@@ -137,31 +99,39 @@ def _coeff_rows(polys: Sequence[Poly]) -> list[list]:
     return rows
 
 
-def _adapted_at(basis: Sequence[Poly], z) -> list[tuple[int, Poly]]:
-    # shift so z becomes the origin; vanishing orders are leading-zero counts
-    ring = basis[0].ring
-    shifted = [p.shift(z) for p in basis]
-    if any(p.is_zero() for p in shifted):
-        raise DependentBasis("zero polynomial in basis")
-    placed = _echelon(_coeff_rows(shifted), low=True)
-    return [(j, Poly(ring, row)) for j, row in placed]
+def _independent(rows: list[list]) -> tuple[list[int], list[list]]:
+    # row_reduce of the coefficient rows of a basis, which must have full rank
+    pivots, reduced = row_reduce(rows)
+    if len(pivots) < len(rows):
+        raise DependentBasis("input polynomials are linearly dependent")
+    return pivots, reduced
+
+
+def _adapted_at(basis: Sequence[Poly], z) -> tuple[list[int], list[list]]:
+    # shift so z becomes the origin; the lowest nonzero index of each reduced
+    # row is its pivot, so the pivots are the distinct vanishing orders
+    return _independent(_coeff_rows([p.shift(z) for p in basis]))
 
 
 def exponents_at(basis: Sequence[Poly], z) -> tuple[int, ...]:
     """Exponents of span(basis) at the finite point z.
 
-    Shifts the basis to z and eliminates coefficient vectors choosing pivots
-    at minimal order; the pivot positions are the distinct vanishing orders.
+    Shifts the basis to z and row reduces the coefficient vectors; the pivot
+    columns are the distinct vanishing orders.
     """
-    return tuple(j for j, _ in _adapted_at(basis, z))
+    return tuple(_adapted_at(basis, z)[0])
 
 
 def exponents_at_infinity(basis: Sequence[Poly]) -> tuple[int, ...]:
-    """Exponents of span(basis) at infinity: the distinct degrees, sorted."""
-    if any(p.is_zero() for p in basis):
-        raise DependentBasis("zero polynomial in basis")
-    placed = _echelon(_coeff_rows(basis), low=False)
-    return tuple(j for j, _ in placed)
+    """Exponents of span(basis) at infinity: the distinct degrees, sorted.
+
+    They are the pivot columns of the coefficient rows read from the top
+    degree down.
+    """
+    rows = _coeff_rows(basis)
+    top = len(rows[0]) - 1
+    pivots, _ = _independent([row[::-1] for row in rows])
+    return tuple(top - j for j in reversed(pivots))
 
 
 # -- basic situations ----------------------------------------------------------
@@ -281,14 +251,14 @@ def wronskian_ram_check(basis: Sequence[Poly], data: BasicSituation) -> tuple[st
     lines.append(f"exponents at infinity = {fmt_exps(eps_inf)}")
 
     for z, a in data.points:
-        adapted = _adapted_at(basis, z)
-        eps = tuple(j for j, _ in adapted)
+        pivots, adapted = _adapted_at(basis, z)
+        eps = tuple(pivots)
         want_eps = exponents_of_ram(a, data.d)
         if eps != want_eps:
             raise CheckFailed(
                 f"exponents {eps} at z = {format_scalar(z)}, expected {want_eps}")
         for i in range(1, data.N + 2):
-            flag_w = wronskian([p for _, p in adapted[:i]])
+            flag_w = wronskian([Poly(data.ring, row) for row in adapted[:i]])
             want = sum(eps[:i]) - i * (i - 1) // 2
             got = ord_at(flag_w, data.ring.zero())
             if got != want:

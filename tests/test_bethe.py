@@ -496,6 +496,21 @@ def test_point_sector_strictly_minimises_level_sizes(basic):
     assert all(sizes[w] > sizes[point] for w in sizes if w != point)
 
 
+@pytest.mark.parametrize("basic", [
+    translate_master(SL3_N5)[0],
+    translate_master(MasterData(QQ, (2, 2), tuple((z, (1, 0)) for z in (0, 1, -1, 2, -2))))[0],
+    *[_basic_of(load_problem(str(PROBLEMS / name))) for name in
+      ("example_cuberoots.json", "example_cuberoots_master.json", "variant_rational.json")],
+], ids=["sl3-l21", "sl3-l22", "cuberoots", "cuberoots-master", "rational"])
+def test_sectors_share_points_and_weights(basic):
+    # only the level sizes differ between sectors, so build_sector may hand
+    # the data of any sector to induced_space
+    point = master_from_sector(basic, point_sector(basic.N))
+    for spec in sectors_of(basic):
+        data = master_from_sector(basic, spec.w)
+        assert data.points == point.points and data.T == point.T
+
+
 def test_sl3_every_sector_built_from_the_point_sector():
     report = run_verify(SL3_N5, sector="all", starts=200, seed=0)["report"]
     sectors = report["sectors"]
@@ -558,7 +573,7 @@ def test_numeric_climb_builds_no_mpoly(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MPoly, "__init__", counting_init)
-    res = local_multiplicity(system, tuple(bethe._flat(orbit.point)), tol=bethe._MULT_TOL)
+    res = local_multiplicity(system, tuple(bethe._flat(orbit.point)))
     assert res.multiplicity == 1 and built == []
 
 
@@ -716,7 +731,7 @@ def _newton_setup(data, far_factor=bethe._FAR_FACTOR):
 def _draw_starts(data, radius):
     # the 200 starts solve_critical(data, starts=200, seed=0) draws
     rng = np.random.default_rng(0)
-    return np.array([bethe._rand_point(rng, data.size(), radius) for _ in range(200)])
+    return bethe._rand_points(rng, 200, data.size(), radius)
 
 
 @pytest.mark.parametrize("data,far_factor", [
@@ -764,13 +779,35 @@ def test_each_start_drawn_once(monkeypatch):
     # exactly ``starts`` points, however tight the cut
     monkeypatch.setattr(bethe, "_FAR_FACTOR", 2.0)
     drawn = []
-    rand_point = bethe._rand_point
-    monkeypatch.setattr(bethe, "_rand_point",
-                        lambda *a: drawn.append(1) or rand_point(*a))
+    rand_points = bethe._rand_points
+
+    def counting(*args):
+        pts = rand_points(*args)
+        drawn.append(len(pts))
+        return pts
+
+    monkeypatch.setattr(bethe, "_rand_points", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         solve_critical(SL3_L21, starts=200, seed=0)
-    assert len(drawn) == 200
+    assert drawn == [200]
+
+
+@pytest.mark.parametrize("L,radius", [(1, 4.0), (3, 6.0), (4, 2.5)])
+def test_starts_drawn_in_one_call_as_one_at_a_time(L, radius):
+    # one (starts, 2, L) draw gives, bit for bit, the starts of L radii then
+    # L angles per start, and leaves the generator where they left it
+    def one_start(rng):
+        r = radius * np.sqrt(rng.uniform(size=L))
+        ang = rng.uniform(size=L) * 2 * np.pi
+        return r * np.exp(1j * ang)
+
+    old, new = np.random.default_rng(7), np.random.default_rng(7)
+    want = np.array([one_start(old) for _ in range(50)])
+    got = bethe._rand_points(new, 50, L, radius)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 @pytest.mark.parametrize("data", [SL2_L3, cuberoots_data()], ids=["sl2-l3", "rou3"])
@@ -810,8 +847,8 @@ def test_cleared_system_embedded_once(monkeypatch):
     import wroncrit.multiplicity as mult
 
     seen = []
-    to_numeric = mult._to_numeric
-    monkeypatch.setattr(mult, "_to_numeric", lambda v: seen.append(v) or to_numeric(v))
+    embed_scalar = mult.embed_scalar
+    monkeypatch.setattr(mult, "embed_scalar", lambda v: seen.append(v) or embed_scalar(v))
     orbits = solve_critical(cuberoots_data(), starts=40, seed=0)
     assert orbits and seen
     assert all(isinstance(v, (float, complex)) for v in seen)

@@ -222,6 +222,23 @@ def test_mult_cmd(capsys):
     assert "local multiplicity 2" in capsys.readouterr().out
 
 
+def test_mult_cmd_component_sample_not_isolated(capsys):
+    # a sample of the cube roots' 1-dimensional component (sector 1,2): at
+    # the solver's rank tolerance its dual spaces keep growing
+    sample = ("(-1.226638219914659-0.0349352537860204j),(0.5830376412379825-1.1024488205704999j),"
+              "(0.6436006254957382+1.1373840807194442j)")
+    assert main(["mult", CUBE, "--max-order", "6", "--point", sample]) == 1
+    assert "dual space still growing at order 6" in capsys.readouterr().err
+
+
+def test_mult_cmd_reads_the_solver_multiplicity(capsys):
+    # 1e-7 from the double point at 0 is within the solver's rank tolerance,
+    # so mult reads the multiplicity 2 the solver reports there
+    assert main(["mult", CUBE_MASTER, "--point", "0.0000001", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["multiplicity"], out["mode"]) == (2, "numeric")
+
+
 def test_mult_cmd_rejects_bad_points(tmp_path, capsys):
     # F vanishes where two coordinates meet; that root is no critical point
     two = tmp_path / "two.json"

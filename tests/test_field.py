@@ -22,6 +22,7 @@ from wroncrit.field import (
     make_extension,
     parse_scalar,
     ring_of,
+    row_reduce,
 )
 from wroncrit.polyring import Poly, div_rem, xgcd
 
@@ -178,6 +179,63 @@ def test_complex_gen_computed_once(monkeypatch):
         for k in range(5):
             embed_scalar(field.gen + k)
     assert len(calls) == len(fields)
+
+
+# -- exact row reduction -----------------------------------------------------
+
+def matrices(ring):
+    """Row lists over ``ring``, with many zeros and appended combinations of
+    earlier rows, so that zero and rank-deficient inputs come up often."""
+    entries = st.one_of(st.just(ring.zero()), fracs if ring == QQ else ext_elems(ring))
+
+    @st.composite
+    def build(draw):
+        ncols = draw(st.integers(0, 5))
+        rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=4))
+        for _ in range(draw(st.integers(0, 2)) if rows else 0):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(entries), draw(entries)
+            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+        return rows
+
+    return build()
+
+
+@pytest.mark.parametrize("ring", [QQ, OMEGA], ids=["QQ", "omega"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_reduce(ring, data):
+    rows = data.draw(matrices(ring))
+    ncols = len(rows[0]) if rows else 0
+    pivots, reduced = row_reduce(rows)
+    # reduced row echelon form: increasing pivots, each a 1 that leads its
+    # row and is the only nonzero entry of its column
+    assert len(reduced) == len(pivots) and pivots == sorted(set(pivots))
+    for k, row in enumerate(reduced):
+        assert len(row) == ncols and row[pivots[k]] == 1
+        assert all(v == 0 for v in row[:pivots[k]])
+        assert all(row[p] == 0 for j, p in enumerate(pivots) if j != k)
+    # every input row is the combination of reduced rows read off its pivots
+    for row in rows:
+        acc = [ring.zero()] * ncols
+        for p, red in zip(pivots, reduced):
+            acc = [a + row[p] * v for a, v in zip(acc, red)]
+        assert acc == list(row)
+    # and every reduced row lies in the span of the input
+    for red in reduced:
+        assert row_reduce(rows + [red])[0] == pivots
+
+
+def test_row_reduce_degenerate_inputs():
+    assert row_reduce([]) == ([], [])
+    assert row_reduce([[], []]) == ([], [])
+    z = Fraction(0)
+    assert row_reduce([[z, z], [z, z]]) == ([], [])
+    half = Fraction(1, 2)
+    assert row_reduce([[z, 2 * half, half], [z, 2, 1]]) == ([1], [[z, 1, half]])
+    w = OMEGA.gen
+    pivots, reduced = row_reduce([[w, w * w], [OMEGA.one(), w]])
+    assert pivots == [0] and reduced == [[1, w]]
 
 
 # -- dual numbers ------------------------------------------------------------

@@ -8,7 +8,7 @@ determinant identities are checked on random exact inputs.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wroncrit.errors import NotDivisible, NotMonic, ZeroInputs, ZeroPolynomial
@@ -70,6 +70,28 @@ def test_eval_shift():
     f = P("x^2+1")
     assert f(Fraction(2)) == 5
     assert f.shift(1) == P("x^2+2*x+2")   # f(x + 1)
+
+
+OMEGA = make_extension("x^2+x+1")
+
+
+@given(st.sampled_from([QQ, OMEGA]).flatmap(lambda ring: st.tuples(
+    st.lists(_coeffs_in(ring), max_size=6).map(lambda cs: Poly(ring, cs)),
+    st.one_of(st.just(ring.zero()), _coeffs_in(ring)))))
+@example((Poly.zero(QQ), Fraction(2)))
+@example((Poly.constant(QQ, 3), Fraction(2)))
+@example((Poly.zero(OMEGA), OMEGA.gen))
+@example((Poly.constant(OMEGA, OMEGA.gen), OMEGA.gen))
+def test_shift_is_composition_with_x_plus_z(fz):
+    # the in-place synthetic division against f(x + z) by Poly arithmetic,
+    # zero and constant polynomials and z = 0 included
+    f, z = fz
+    x_plus_z = Poly(f.ring, [z, f.ring.one()])
+    want = Poly.zero(f.ring)
+    for k, c in enumerate(f.coeffs):
+        want = want + x_plus_z ** k * c
+    assert f.shift(z) == want
+    assert f.shift(z).shift(-z) == f
 
 
 # -- division ----------------------------------------------------------------
