@@ -383,6 +383,7 @@ def local_multiplicity(system, point, max_order: int = 20) -> MultiplicityResult
 def univariate_multiplicity(f: Poly, p) -> int:
     """Vanishing order of f at p; the one-variable shortcut."""
     p = f.ring.coerce(p)
-    if not f.is_zero() and f.eval(p) != 0:
+    m = ord_at(f, p)
+    if m == 0:
         raise NotARoot(f"{p} is not a root")
-    return ord_at(f, p)
+    return m

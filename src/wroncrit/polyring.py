@@ -186,20 +186,24 @@ class Poly:
                 return self.to_ring(target).eval(z)
             raise
 
-    def shift(self, z) -> "Poly":
-        """g with g(x) = f(x + z), by synthetic division (Ruffini-Horner).
+    def _taylor(self, z):
+        """Taylor coefficients of f at z, by synthetic division (Ruffini-Horner).
 
         Pass i divides c[i:] by x - z in place, from the top down: the
         remainder lands in c[i], the i-th Taylor coefficient of f at z, and
-        the quotient stays above it.
+        the quotient stays above it; c[i] is yielded as its pass ends.
         """
         zc = self.ring.coerce(z)
         c = list(self.coeffs)
-        if _nonzero(zc):
-            for i in range(len(c) - 1):
+        for i in range(len(c)):
+            if _nonzero(zc):
                 for j in range(len(c) - 2, i - 1, -1):
                     c[j] = c[j] + zc * c[j + 1]
-        return Poly(self.ring, c)
+            yield c[i]
+
+    def shift(self, z) -> "Poly":
+        """g with g(x) = f(x + z): the Taylor coefficients of f at z."""
+        return Poly(self.ring, self._taylor(z))
 
     def to_ring(self, ring) -> "Poly":
         return Poly(ring, [ring.coerce(c) for c in self.coeffs])
@@ -345,20 +349,11 @@ def wronskian_pair(f: Poly, g: Poly) -> Poly:
 
 
 def ord_at(f: Poly, z) -> int:
-    """Vanishing order of f at z by repeated exact division by (x - z)."""
+    """Vanishing order of f at z: the index of its first nonzero Taylor
+    coefficient there, so the Ruffini passes stop after ord + 1."""
     if f.is_zero():
         raise ZeroPolynomial("vanishing order of the zero polynomial")
-    ring = f.ring
-    lin = Poly(ring, [-ring.coerce(z), ring.one()])
-    n = 0
-    while True:
-        q, r = div_rem(f, lin)
-        if not r.is_zero():
-            return n
-        f = q
-        n += 1
-        if f.is_zero():
-            return n
+    return next(k for k, c in enumerate(f._taylor(z)) if _nonzero(c))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Any
 
 from .errors import (
-    DependentBasis,
     DimensionMismatch,
     DuplicatePoints,
     IdentityFailed,
@@ -54,9 +53,10 @@ class FertileTuple:
     """Mutation state: y_1..y_N monic, weights T_0..T_N, marked points.
 
     ``points`` must carry every root of every T_j (each T_j splits over
-    them); that is what lets exponent tables be checked without factoring.
-    Fertility itself is a property, checked by is_fertile, not a constructor
-    guarantee.
+    them), and a point that is a root of no T_j is dropped: the marked points
+    are the roots of the weights, so exponent tables and fertility read them
+    without factoring.  Fertility itself is a property, checked by
+    is_fertile, not a constructor guarantee.
     """
 
     ring: Any
@@ -81,12 +81,13 @@ class FertileTuple:
             for b in range(a + 1, len(pts)):
                 if pts[a] == pts[b]:
                     raise DuplicatePoints(f"point {format_scalar(pts[a])} repeats")
+        orders = [[ord_at(t, z) for t in T] for z in pts]
         for k, t in enumerate(T):
-            if sum(ord_at(t, z) for z in pts) != t.degree():
+            if sum(row[k] for row in orders) != t.degree():
                 raise WroncritError(f"T_{k} does not split over the given points")
         # a point dividing no T_j carries no weight: the exponent tables say
         # nothing there, so it is dropped rather than checked against them
-        pts = tuple(z for z in pts if any(ord_at(t, z) for t in T))
+        pts = tuple(z for z, row in zip(pts, orders) if any(row))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "points", pts)
@@ -130,7 +131,9 @@ class FertilityReport:
 
 
 def is_fertile(t: FertileTuple) -> FertilityReport:
-    """Check all fertility conditions; failures are reported, never raised."""
+    """Check all fertility conditions; failures are reported, never raised.
+
+    The roots y_i shares with a T_j are read at the marked points, no gcd."""
     passed, failures = [], []
 
     def note(ok: bool, good: str, bad: str):
@@ -140,9 +143,10 @@ def is_fertile(t: FertileTuple) -> FertilityReport:
         yi = t.y_at(i)
         sqfree = is_squarefree(yi)
         note(sqfree, f"y_{i} square free", f"y_{i} has a multiple root")
+        shared = [z for z in t.points if ord_at(yi, z)]
         for j, Tj in enumerate(t.T):
             if yi.degree() > 0 and Tj.degree() > 0:
-                ok = gcd_monic(yi, Tj).degree() == 0
+                ok = not any(ord_at(Tj, z) for z in shared)
                 note(ok, f"y_{i} avoids roots of T_{j}",
                      f"y_{i} shares a root with T_{j}")
         if i < t.N:
@@ -173,7 +177,8 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     yi = t.y_at(i)
     target = t.rhs(i)
     sol = solve(yi, target)
-    avoid = [Tj for Tj in t.T] + [t.y_at(i - 1), t.y_at(i + 1)]
+    # the marked points are the roots of T_0..T_N
+    avoid = [Poly.from_roots(t.ring, t.points), t.y_at(i - 1), t.y_at(i + 1)]
     cand, c = generic_candidate(sol.particular, yi, avoid_roots_of=avoid)
     if wronskian_pair(yi, cand) != target:
         raise VerificationFailed(f"mutated y_{i} fails its defining equation")
@@ -271,14 +276,11 @@ def build_space(t: FertileTuple) -> PolySpace:
 
 def theta(space: PolySpace) -> tuple[Poly, ...]:
     """Inverse construction: y_i = monic(Wr(u_1..u_i) / K_i), i = 1..N,
-    with the K_i of the space's source tuple."""
-    basis = space.basis
+    with the K_i of the space's source tuple.  The partial Wronskians are
+    the ones the space stores, which build_space verified."""
     K = space.source.K
     out = []
-    for i in range(1, len(basis)):
-        W = wronskian(list(basis[:i]))
-        if W.is_zero():
-            raise DependentBasis("basis is linearly dependent")
+    for i, W in enumerate(space.wronskians[:-1], start=1):
         try:
             q = exact_div(W, K[i])
         except NotDivisible:

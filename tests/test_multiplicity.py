@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wroncrit.errors import NotARoot, NotASolution, NotIsolated
+from wroncrit.errors import NotARoot, NotASolution, NotIsolated, ZeroPolynomial
 from wroncrit.field import QQ, ExtElem, make_extension
 from wroncrit.multiplicity import (
     MPoly,
@@ -134,6 +134,18 @@ def test_univariate_shortcut():
     assert univariate_multiplicity(f, Fraction(1)) == 3
     with pytest.raises(NotARoot):
         univariate_multiplicity(f, Fraction(2))
+
+
+def test_univariate_refusals():
+    # order 0 is NotARoot, over QQ and over Q(omega); the zero polynomial has no order
+    K = make_extension("x^2+x+1")
+    with pytest.raises(NotARoot, match="is not a root"):
+        univariate_multiplicity(P("x^2+1"), 0)
+    with pytest.raises(NotARoot, match="is not a root"):
+        univariate_multiplicity(Poly.x(K) - K.gen, K.one())
+    assert univariate_multiplicity((Poly.x(K) - K.gen) ** 2, K.gen) == 2
+    with pytest.raises(ZeroPolynomial):
+        univariate_multiplicity(Poly.zero(QQ), 0)
 
 
 def test_univariate_agreement_random():

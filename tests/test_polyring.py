@@ -172,6 +172,44 @@ def test_ord_at():
     assert ord_at(f, 2) == 0
 
 
+def ord_by_division(f, z):
+    """Reference: divide by x - z until a remainder is nonzero."""
+    lin = Poly(f.ring, [-f.ring.coerce(z), f.ring.one()])
+    n = 0
+    while True:
+        q, r = div_rem(f, lin)
+        if not r.is_zero():
+            return n
+        f, n = q, n + 1
+
+
+@given(st.sampled_from([QQ, OMEGA]).flatmap(lambda ring: st.tuples(
+    st.lists(_coeffs_in(ring), min_size=1, max_size=4).map(lambda cs: Poly(ring, cs))
+    .filter(lambda g: not g.is_zero()),
+    st.one_of(st.just(ring.zero()), _coeffs_in(ring)),
+    st.integers(0, 4),
+    st.booleans())))
+@example((Poly.constant(QQ, 3), Fraction(2), 0, True))
+@example((Poly.constant(OMEGA, OMEGA.gen), OMEGA.gen, 3, True))
+@example((Poly.x(OMEGA) - OMEGA.gen, OMEGA.gen, 2, True))
+@example((P("x^2+1"), Fraction(1), 0, False))
+def test_ord_at_matches_repeated_division(case):
+    # g (x - z)^m has order m + ord(g) at z; a shifted point is mostly a non-root
+    g, z, m, at_root = case
+    lin = Poly(g.ring, [-z, g.ring.one()])
+    f = g * lin ** m
+    p = z if at_root else z + g.ring.one()
+    assert ord_at(f, p) == ord_by_division(f, p)
+    if at_root:
+        assert ord_at(f, z) == m + ord_at(g, z)
+
+
+def test_ord_at_zero_polynomial():
+    for ring in (QQ, OMEGA):
+        with pytest.raises(ZeroPolynomial):
+            ord_at(Poly.zero(ring), ring.one())
+
+
 # -- Wronskians --------------------------------------------------------------
 
 def test_wronskian_sign_convention():

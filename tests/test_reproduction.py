@@ -10,7 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wroncrit import reproduction, wronskian_eq
 from wroncrit.errors import (
     DuplicatePoints,
     NotFertile,
@@ -18,16 +21,26 @@ from wroncrit.errors import (
     WroncritError,
 )
 from wroncrit.field import QQ, make_extension
-from wroncrit.polyring import Poly, ord_at, parse_poly, wronskian_pair
+from wroncrit.polyring import (
+    Poly,
+    divides,
+    gcd_monic,
+    is_squarefree,
+    ord_at,
+    parse_poly,
+    wronskian_pair,
+)
 from wroncrit.ramification import exponents_at, exponents_at_infinity
 from wroncrit.reproduction import (
     FertileTuple,
+    FertilityReport,
     build_space,
     is_fertile,
     mutate,
     q_witness,
     theta,
 )
+from wroncrit.wronskian_eq import generic_candidate, solve
 
 
 def P(s):
@@ -179,3 +192,120 @@ def test_wronskian_family_factorization():
             expect = space.source.K[i] * t.y_at(i) * Poly.constant(QQ, space.kappa[i - 1])
             assert space.wronskians[i - 1] == expect
         done += 1
+
+
+# -- the exact layer reads what it holds -----------------------------------------
+
+def reference_report(t):
+    """is_fertile with a gcd per (y_i, T_j): the predicate the marked points replace."""
+    passed, failures = [], []
+
+    def note(ok, good, bad):
+        (passed if ok else failures).append(good if ok else bad)
+
+    for i in range(1, t.N + 1):
+        yi = t.y_at(i)
+        sqfree = is_squarefree(yi)
+        note(sqfree, f"y_{i} square free", f"y_{i} has a multiple root")
+        for j, Tj in enumerate(t.T):
+            if yi.degree() > 0 and Tj.degree() > 0:
+                note(gcd_monic(yi, Tj).degree() == 0, f"y_{i} avoids roots of T_{j}",
+                     f"y_{i} shares a root with T_{j}")
+        if i < t.N:
+            ynext = t.y_at(i + 1)
+            ok = (yi.degree() <= 0 or ynext.degree() <= 0
+                  or gcd_monic(yi, ynext).degree() == 0)
+            note(ok, f"y_{i} coprime to y_{i + 1}", f"y_{i} and y_{i + 1} share a root")
+        if sqfree:
+            ok = yi.degree() <= 0 or divides(yi, wronskian_pair(yi.deriv(), t.rhs(i)))
+            note(ok, f"y_{i} divides Wr(y_{i}', T_{i} y_{i - 1} y_{i + 1})",
+                 f"y_{i} does not divide Wr(y_{i}', T_{i} y_{i - 1} y_{i + 1})")
+        else:
+            failures.append(f"divisibility for y_{i} skipped (not square free)")
+    return FertilityReport(not failures, tuple(passed), tuple(failures))
+
+
+def _linear_product(roots, extra):
+    x = Poly.x(QQ)
+    f = Poly.from_roots(QQ, [Fraction(r) for r in roots])
+    return f * (x ** 2 + 1) if extra else f
+
+
+@st.composite
+def drawn_tuples(draw):
+    """Weights split over drawn points; y_i drawn freely, so most are not fertile."""
+    N = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    T = tuple(_linear_product([z for z in pts for _ in range(draw(st.integers(0, 2)))], False)
+              for _ in range(N + 1))
+    y = tuple(_linear_product(draw(st.lists(st.integers(-4, 4), max_size=3)), draw(st.booleans()))
+              for _ in range(N))
+    return FertileTuple(QQ, y, T, tuple(Fraction(z) for z in pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_tuples())
+def test_fertility_report_matches_gcd_reference(t):
+    assert is_fertile(t) == reference_report(t)
+
+
+@st.composite
+def growth_plans(draw):
+    """N, marked points, the roots of each T_j among them, and mutation directions."""
+    N = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    roots = [draw(st.lists(st.sampled_from(pts), unique=True)) for _ in range(N + 1)]
+    return N, pts, roots, draw(st.lists(st.integers(1, N), min_size=1, max_size=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(growth_plans())
+@example((1, [0, 1], [[0], [1]], [1]))   # -x(x-2)/2 at c = 0 vanishes at the root of T_0
+def test_mutate_picks_the_reference_ladder_constant(plan):
+    # grow from the all-ones tuple; each step's constant is the one generic_candidate
+    # picks when told to avoid every T_j and both neighbours
+    N, pts, roots, directions = plan
+    T = tuple(_linear_product(r, False) for r in roots)
+    t = FertileTuple(QQ, (Poly.one(QQ),) * N, T, tuple(Fraction(z) for z in pts))
+    for i in directions:
+        yi = t.y_at(i)
+        avoid = list(t.T) + [t.y_at(i - 1), t.y_at(i + 1)]
+        cand, want = generic_candidate(solve(yi, t.rhs(i)).particular, yi,
+                                       avoid_roots_of=avoid)
+        try:
+            t, _, c = mutate(t, i)
+        except NotFertile:
+            # a rare ladder corner: then the reference member is not fertile either
+            ref = FertileTuple(QQ, t.y[:i - 1] + (cand.monic(),) + t.y[i:], t.T, t.points)
+            assert not is_fertile(ref).ok
+            return
+        assert c == want
+        if max(p.degree() for p in t.y) > 6:
+            break
+
+
+def test_theta_makes_no_wronskian(monkeypatch):
+    space = build_space(cuberoots_tuple())
+    calls = []
+    real = reproduction.wronskian
+    monkeypatch.setattr(reproduction, "wronskian", lambda polys: calls.append(1) or real(polys))
+    assert theta(space) == space.source.y
+    assert calls == []
+
+
+def test_fertility_and_mutation_take_no_gcd_with_a_weight(monkeypatch):
+    one = Poly.one(QQ)
+    t = FertileTuple(QQ, (one, one), (P("x"), P("x-1"), P("x+1")),
+                     (Fraction(0), Fraction(1), Fraction(-1)))
+    t = mutate(mutate(t, 1)[0], 2)[0]
+    args = []
+
+    def recording(real):
+        return lambda f, g: args.append((f, g)) or real(f, g)
+
+    for mod in (reproduction, wronskian_eq):
+        monkeypatch.setattr(mod, "gcd_monic", recording(mod.gcd_monic))
+    assert is_fertile(t).ok
+    mutate(t, 1)
+    assert args       # the neighbour and square-free tests still take gcds
+    assert not any(p in t.T for pair in args for p in pair)
