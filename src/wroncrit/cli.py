@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-import warnings
 
 from .bethe import (
     MasterData,
@@ -233,11 +232,11 @@ def _fmt_point(point) -> list:
     return [[format_scalar(v) for v in lev] for lev in point]
 
 
-def _orbit_rows(orbits, data, tol: float) -> list[dict]:
+def _orbit_rows(orbits, data) -> list[dict]:
     rows = []
     for o in orbits:
         try:
-            certify_divisibility(o.tuple_y, data, tol=tol)
+            certify_divisibility(o.tuple_y, data)
             cert = "certified"
         except WroncritError as e:
             cert = f"UNCERTIFIED: {e}"
@@ -254,27 +253,26 @@ def _orbit_rows(orbits, data, tol: float) -> list[dict]:
     return rows
 
 
-def _solve_sectors(basic: BasicSituation, picks, starts: int, seed: int,
-                   tol: float) -> list[tuple]:
+def _solve_sectors(basic: BasicSituation, picks, starts: int, seed: int) -> list[tuple]:
     """(label, data, orbit rows) per picked sector, solved or built, and certified.
 
     Only the point sector is solved, once; every other sector is built from
-    its orbits.  The solver's count warnings are silenced: the callers
-    report the counts.
+    its orbits.  Each orbit is certified by divisibility at the fixed
+    tolerance of certify_divisibility (1e-9, relative to the dividend's
+    norm).  The counts are not judged here: run_verify compares them with
+    the intersection number.
     """
     point = point_sector(basic.N)
+    point_data = next((data for _, w, data in picks if w == point), None)
+    try:
+        orbits = solve_critical(point_data or master_from_sector(basic, point),
+                                starts=starts, seed=seed)
+    except EmptySector:  # no space realizes the data: no sector has critical points
+        orbits = []
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        point_data = next((data for _, w, data in picks if w == point), None)
-        try:
-            orbits = solve_critical(point_data or master_from_sector(basic, point),
-                                    starts=starts, seed=seed)
-        except EmptySector:  # no space realizes the data: no sector has critical points
-            orbits = []
-        for label, w, data in picks:
-            built = orbits if w == point else build_sector(data, orbits, seed)
-            out.append((label, data, _orbit_rows(built, data, tol)))
+    for label, w, data in picks:
+        built = orbits if w == point else build_sector(data, orbits, seed)
+        out.append((label, data, _orbit_rows(built, data)))
     return out
 
 
@@ -289,7 +287,7 @@ def _cmd_bethe_solve(args) -> int:
     basic, picks = _select_sectors(problem, args.sector)
     payload = {}
     lines = []
-    for label, data, rows in _solve_sectors(basic, picks, args.starts, args.seed, args.tol):
+    for label, data, rows in _solve_sectors(basic, picks, args.starts, args.seed):
         payload[label] = {"l": list(data.l), "orbits": rows}
         lines.append(f"sector {label}: sizes {data.l}, {len(rows)} orbit(s)")
         lines += [_orbit_line(r) for r in rows]
@@ -394,18 +392,19 @@ def _cmd_from_master(args) -> int:
 # verify pipeline
 
 def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0,
-               tol: float = 1e-9, exact_tuple: str | None = None) -> dict:
+               exact_tuple: str | None = None) -> dict:
     """End-to-end check: solve sectors, certify orbits, compare to the target.
 
-    Returns the report dict; the "report" part is byte-stable for fixed
-    inputs, timing sits next to it.
+    This is the one place where a sector's multiplicity sum meets the
+    intersection number and gets its verdict.  Returns the report dict; the
+    "report" part is byte-stable for fixed inputs, timing sits next to it.
     """
     t0 = time.perf_counter()
     basic, picks = _select_sectors(problem, sector)
     target = intersection_number(basic)
     sectors = {}
-    for label, data, rows in _solve_sectors(basic, picks, starts, seed, tol):
-        total = sum(r["multiplicity"] or 0 for r in rows)
+    for label, data, rows in _solve_sectors(basic, picks, starts, seed):
+        total = sum(r["multiplicity"] for r in rows)
         verdict = "MATCH" if total == target else \
             ("UNDERCOUNT" if total < target else "OVERCOUNT")
         # an uncertified orbit may be spurious: without it the sector falls short
@@ -448,7 +447,7 @@ def _exact_leg(problem, basic: BasicSituation, tuple_text: str) -> dict:
 def _cmd_verify(args) -> int:
     problem = load_problem(args.problem, args.field)
     out = run_verify(problem, sector=args.sector, starts=args.starts, seed=args.seed,
-                     tol=args.tol, exact_tuple=args.exact_tuple)
+                     exact_tuple=args.exact_tuple)
     report = out["report"]
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
@@ -496,7 +495,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--sector", default="own", help="identity, all, own, or a permutation 2,1")
         p.add_argument("--starts", type=_positive_int, default=200)
         p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
 
     p = sub.add_parser("validate", help="check a problem file, print derived data")
     common(p)

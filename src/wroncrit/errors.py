@@ -132,12 +132,3 @@ class NotARoot(WroncritError):
 class ParseError(WroncritError):
     pass
 
-
-# warnings (never fatal; callers may escalate)
-
-class UndercountWarning(UserWarning):
-    """Found total multiplicity falls short of the intersection number."""
-
-
-class OvercountWarning(UserWarning):
-    """Found total multiplicity exceeds the intersection number."""

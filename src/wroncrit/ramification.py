@@ -85,6 +85,26 @@ def ram_from_exponents(e: Sequence[int], d: int, *, at_infinity: bool = False) -
     return check_ram_sequence(a, d, N)
 
 
+def infinity_labels(l: Sequence[int], weight_degrees: Sequence[int]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Labels at infinity of level sizes l_1..l_N, and the rank of each.
+
+    ``weight_degrees`` is (deg T_0, ..., deg T_N); for master data deg T_0
+    is 0.  The label of level i is
+        c_i = i - 1 + l_i - l_{i-1} + deg T_0 + ... + deg T_{i-1}
+    (l_0 = l_{N+1} = 0), and w_i = 1 + #{j : c_j > c_i} ranks c_i in the
+    descending sort.  The labels are not checked: callers decide what a
+    negative or colliding label means.
+    """
+    if len(weight_degrees) != len(l) + 1:
+        raise DimensionMismatch(
+            f"{len(l)} level sizes need {len(l) + 1} weight degrees, got {len(weight_degrees)}")
+    ls = (0, *l, 0)
+    c = tuple(i - 1 + ls[i] - ls[i - 1] + sum(weight_degrees[:i]) for i in range(1, len(ls)))
+    w = tuple(1 + sum(1 for cj in c if cj > ci) for ci in c)
+    return c, w
+
+
 # -- exponents of an explicit basis ------------------------------------------
 
 def _coeff_rows(polys: Sequence[Poly]) -> list[list]:

@@ -44,7 +44,7 @@ from .polyring import (
     wronskian,
     wronskian_pair,
 )
-from .ramification import exponents_at, exponents_at_infinity
+from .ramification import exponents_at, exponents_at_infinity, infinity_labels
 from .wronskian_eq import generic_candidate, solve
 
 
@@ -244,11 +244,7 @@ def build_space(t: FertileTuple) -> PolySpace:
                 f"Wr(u_1..u_{i}) / (K_{i} y_{i}) has positive degree {q.degree()}")
         kappa.append(q.coeff(0))
 
-    c_table = []
-    for i in range(1, t.N + 2):
-        ci = (i - 1 + t.y_at(i).degree() - t.y_at(i - 1).degree()
-              + sum(t.T[j].degree() for j in range(i)))
-        c_table.append(ci)
+    c_table, w = infinity_labels([y.degree() for y in t.y], [Tj.degree() for Tj in t.T])
     finite = []
     for z in t.points:
         orders = [ord_at(Tj, z) for Tj in t.T]
@@ -263,15 +259,13 @@ def build_space(t: FertileTuple) -> PolySpace:
                     f"exponents of E_{i} at {format_scalar(z)}: {got}, table says {etab[:i]}")
         want_inf = tuple(sorted(c_table[:i]))
         if len(set(want_inf)) != i:
-            raise VerificationFailed(f"degree table {c_table[:i]} collides")
+            raise VerificationFailed(f"degree table {list(c_table[:i])} collides")
         got_inf = exponents_at_infinity(basis[:i])
         if got_inf != want_inf:
             raise VerificationFailed(
                 f"exponents of E_{i} at infinity: {got_inf}, table says {want_inf}")
 
-    w = tuple(1 + sum(1 for cj in c_table if cj > ci) for ci in c_table)
-    return PolySpace(t, tuple(basis), tuple(wrs), tuple(kappa),
-                     tuple(finite), tuple(c_table), w)
+    return PolySpace(t, tuple(basis), tuple(wrs), tuple(kappa), tuple(finite), c_table, w)
 
 
 def theta(space: PolySpace) -> tuple[Poly, ...]:

@@ -879,3 +879,16 @@ def test_induced_space_span():
     for coeffs in ([0, 1, 0, 0], [2, 0, 0, 1]):
         v = np.array(coeffs, dtype=complex)
         assert np.linalg.norm(proj @ v - v) < 1e-9
+
+
+def test_solve_critical_leaves_the_count_to_its_caller():
+    # an undercount (one start) and an overcount (F3) raise no warning: the
+    # count meets the intersection number only in run_verify's verdict
+    rational = load_problem(str(PROBLEMS / "variant_rational.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        short = solve_critical(rational, starts=1, seed=0)
+        over = solve_critical(rou4_data(), starts=200, seed=0)
+    assert sum(o.multiplicity for o in short) == 1
+    assert sum(o.multiplicity for o in over) > 3
+    assert all(type(o.multiplicity) is int for o in short + over)

@@ -5,6 +5,7 @@ directly and demands the same numbers; the CLI must stay a thin shell.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -278,3 +279,21 @@ def test_reproduce_cmd(capsys):
     # x^2 shares a root with nothing but is not square-free: infertile
     assert main(["reproduce", CUBE, "--tuple", "x^2-2*x+1"]) == 1
     capsys.readouterr()
+
+
+def test_tol_flag_is_gone(capsys):
+    # certification runs at certify_divisibility's fixed tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", RATIONAL, "--tol", "1e-6"])
+    assert exc.value.code == 64
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_undercount_is_named_by_the_verdict_alone(capsys):
+    # one start finds one of the two orbits: exit 4, and nothing on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", RATIONAL, "--starts", "1"]) == 4
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert "multiplicity sum 1 -> UNDERCOUNT" in out.out

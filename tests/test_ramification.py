@@ -19,6 +19,7 @@ from wroncrit.ramification import (
     exponents_at_infinity,
     exponents_of_ram,
     fmt_exps,
+    infinity_labels,
     ram_from_exponents,
     validate_basic,
     wronskian_ram_check,
@@ -207,3 +208,12 @@ def test_wronskian_ram_check_cuberoots_space():
 
 def test_fmt_exps():
     assert fmt_exps((1, 3)) == "{1, 3}"
+
+
+def test_infinity_labels():
+    # variant_rational: l = (1,) and deg T = (0, 3) give d = 3, labels (3, 1)
+    assert infinity_labels((1,), (0, 3)) == ((1, 3), (2, 1))
+    # one simple weight: the labels collide, and the caller decides what that means
+    assert infinity_labels((1,), (0, 1)) == ((1, 1), (1, 1))
+    with pytest.raises(DimensionMismatch):
+        infinity_labels((1,), (0,))
