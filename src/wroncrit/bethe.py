@@ -9,11 +9,14 @@ intersection number bounds how many critical orbits can exist.
 Each space V behind a critical orbit has one population, its flag variety,
 and each sector of the problem sees one Schubert cell of it (Mukhin and
 Varchenko).  In the point sector w = (N+1, .., 1) that cell is a point, so
-V gives one isolated orbit there, and only that sector is solved.  Numeric
-root finding is multistart Gauss-Newton over the complex field: each step
-inverts the Jacobian by LU, and a row whose condition number fails a guard
-takes the pseudoinverse instead, each row on its own.  Local multiplicities
-come from the dual-space machinery of the multiplicity module.  Every other
+V gives one isolated orbit there, and only that sector is solved.  When
+every nonzero weight is omega_1 the orbits are the joint eigenvalues of the
+Gaudin Hamiltonians (the gaudin module, the Bethe route); other weights are
+solved by multistart.  Either way Gauss-Newton over the complex field
+polishes the samples: each step inverts the Jacobian by LU, and a row whose
+condition number fails a guard takes the pseudoinverse instead, each row on
+its own.  Local multiplicities come from the dual-space machinery of the
+multiplicity module.  Every other
 sector is built from the spaces (build_sector): a generic flag of V in the
 sector's cell has partial Wronskians whose quotients by K_i are the tuple of
 a point on a component of the cell's dimension, which carries the
@@ -31,6 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import gaudin
 from .errors import (
     DimensionMismatch,
     DuplicatePoints,
@@ -57,6 +61,9 @@ _RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
 # takes the pseudoinverse above it (_gn_step)
 _LU_COND = 1e12
 _FAR_FACTOR = 1e3      # the filter drops samples beyond this multiple of the start radius
+# the polish of the Bethe route retires a row once its step is this small,
+# relative to 1 + max|t|: a few units in the last place
+_SETTLE = 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -673,21 +680,25 @@ def _gn_step(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
+            settle: float = 0.0) -> np.ndarray:
     """Gauss-Newton on the cleared equations from a batch of starts.
 
     Runs up to _MAX_GN_ITER steps (_gn_step: LU, or the pseudoinverse where
-    J is ill-conditioned) on pts, shape (S, L), in place.  Two kinds of start
-    stop iterating:
+    J is ill-conditioned) on pts, shape (S, L), in place.  Three kinds of
+    start stop iterating:
     - a start whose step leaves it bitwise unchanged sits at a fixed point
       of the iteration: its next input, and so every later step, is the same;
+    - with ``settle`` > 0, a start whose largest step component is at most
+      settle * (1 + max|t|) has converged to rounding: the polish of the
+      Bethe route stops there (_SETTLE), the multistart (settle 0) does not;
     - a start whose new point lies in the collision neighbourhood
       (_near_collision) is running onto an extra zero of F, where w = 0: a
       point the filter of solve_critical (_accepted) rejects.
     Only the live starts are evaluated; each row's step depends on that row
-    alone, so every sample the filter accepts is bitwise that of stepping
-    every start every time, unless a start would leave the collision
-    neighbourhood again.
+    alone, so with settle 0 every sample the filter accepts is bitwise that
+    of stepping every start every time, unless a start would leave the
+    collision neighbourhood again.
     """
     live = np.ones(len(pts), dtype=bool)
     for _ in range(_MAX_GN_ITER):
@@ -696,10 +707,13 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np
             break
         cur = pts[idx]
         F, J, _ = _critical_equations(cur, C, zs, W)
-        new = cur + _gn_step(F, J)
+        step = _gn_step(F, J)
+        new = cur + step
         pts[idx] = new
-        fixed = (new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)
-        live[idx[fixed | _near_collision(new, C, zs, W)]] = False
+        done = (new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)
+        if settle:
+            done |= np.abs(step).max(axis=1) <= settle * (1.0 + np.abs(new).max(axis=1))
+        live[idx[done | _near_collision(new, C, zs, W)]] = False
     return pts
 
 
@@ -708,11 +722,7 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np
 def _wronskian_solve_lstsq(y: Poly, rhs: Poly) -> Poly:
     # least-squares particular solution g of Wr(y, g) = rhs over CC
     dg = max(rhs.degree() - max(y.degree(), 1) + 1, 0) + 1
-    cols = []
-    for k in range(dg + 1):
-        w = wronskian_pair(y, Poly.monomial(CC, 1.0, k))
-        cols.append([complex(w.coeff(m)) for m in range(rhs.degree() + dg + 2)])
-    A = np.array(cols, dtype=complex).T
+    A = gaudin.wronskian_columns(y, dg + 1, rhs.degree() + dg + 2)
     b = np.array([complex(rhs.coeff(m)) for m in range(A.shape[0])], dtype=complex)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return Poly(CC, list(sol))
@@ -864,8 +874,48 @@ def _sorted_orbits(orbits: list[CriticalOrbit], l: Sequence[int]) -> list[Critic
     return sorted(orbits, key=lambda o: _sort_key(_orbit_key(np.array(_flat(o.point)), l)))
 
 
-def _multistart(data: MasterData, target: int, starts: int, seed: int) -> list[CriticalOrbit]:
-    # the critical orbits of a point sector, each with its local multiplicity
+def _clusters(pts: np.ndarray, good: np.ndarray, l: Sequence[int]) -> list[list[int]]:
+    # accepted rows whose tuples y = gamma(t) agree to _DEDUP_RADIUS relative,
+    # each cluster listed from its first row in key order
+    keys = {s: _orbit_key(pts[s], l) for s in np.nonzero(good)[0]}
+    clusters: list[tuple[np.ndarray, list[int]]] = []
+    for s in sorted(keys, key=lambda s: _sort_key(keys[s])):
+        key = keys[s]
+        kscale = 1.0 + np.abs(key).max()
+        for first, rows in clusters:
+            if np.abs(key - first).max() < _DEDUP_RADIUS * kscale:
+                rows.append(s)
+                break
+        else:
+            clusters.append((key, [s]))
+    return [rows for _, rows in clusters]
+
+
+def _key_roots(key: np.ndarray, l: Sequence[int]) -> np.ndarray:
+    # the coordinates whose tuple has the coefficients ``key`` (_orbit_key)
+    out = []
+    pos = 0
+    for li in l:
+        e = key[pos:pos + li] * (-1.0) ** np.arange(1, li + 1)
+        out.append(np.roots(np.concatenate([[1.0], e])))
+        pos += li
+    return np.concatenate(out).astype(complex)
+
+
+def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
+                  seed: int) -> list[CriticalOrbit]:
+    """The critical orbits of a point sector, each with its local multiplicity.
+
+    When every nonzero weight is omega_1 (gaudin.covers), the samples are the
+    D joint eigenvalues of the Gaudin Hamiltonians (gaudin.eigen_points),
+    polished by Newton until their steps settle; ``starts`` and ``seed`` are
+    not read.  A cluster of m > 1 eigenvalues is one orbit represented by
+    the roots of the mean key of its raw eigen-points: a split m-fold
+    eigenvalue is accurate to eps^(1/m) in each member but to O(eps) in its
+    centroid.  Otherwise ``starts`` random points run Newton to its fixed
+    points.  The Macaulay climb is bounded at max(4, D + 1), D the dimension
+    of the singular space or, on the multistart, the intersection number.
+    """
     L = data.size()
     if L == 0:
         one = Poly.one(data.ring)
@@ -875,8 +925,7 @@ def _multistart(data: MasterData, target: int, starts: int, seed: int) -> list[C
     C = _coupling_matrix(data.l)
     zs, W = _embedded_weights(data)
     radius = _start_radius(zs)
-    rng = np.random.default_rng(seed)
-    pts = _rand_points(rng, starts, L, radius)
+    on_bethe = gaudin.covers(data)
 
     # Newton runs on the cleared equations F_p = w_p r_p, evaluated in
     # factored form by _critical_equations: the raw log-gradient r has a
@@ -885,33 +934,34 @@ def _multistart(data: MasterData, target: int, starts: int, seed: int) -> list[C
     # along a noncompact solution curve) keeps its path, and the filter
     # drops its end point beyond _FAR_FACTOR * radius.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pts = _newton(pts, C, zs, W)
-        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius)
-
-    # orbits are identified by the tuple y = gamma(t), not by coordinates
-    keys = {s: _orbit_key(pts[s], data.l) for s in np.nonzero(good)[0]}
-    clusters: list[list] = []  # [key, rep_point, residual, hits]
-    for s in sorted(keys, key=lambda s: _sort_key(keys[s])):
-        key = keys[s]
-        kscale = 1.0 + np.abs(key).max()
-        for cl in clusters:
-            if np.abs(key - cl[0]).max() < _DEDUP_RADIUS * kscale:
-                cl[2] = min(cl[2], float(res[s]))
-                cl[3] += 1
-                break
+        if on_bethe:
+            raw, bound = gaudin.eigen_points(data)
+            pts = _newton(raw.copy(), C, zs, W, settle=_SETTLE)
         else:
-            clusters.append([key, _canonical(pts[s], data.l), float(res[s]), 1])
+            bound = intersection_number(basic)
+            pts = _newton(_rand_points(np.random.default_rng(seed), starts, L, radius),
+                          C, zs, W)
+        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius)
 
     # embedded once: every local_multiplicity call below runs in "numeric" mode
     system = clear_denominators(data).map_coeffs(CC.coerce)
-    max_order = max(4, target + 1)
+    max_order = max(4, bound + 1)
     orbits: list[CriticalOrbit] = []
-    for _, point, rv, hits in clusters:
+    # orbits are identified by the tuple y = gamma(t), not by coordinates
+    for rows in _clusters(pts, good, data.l):
+        if on_bethe and len(rows) > 1:
+            key = np.mean([_orbit_key(raw[s], data.l) for s in rows], axis=0)
+            row = _key_roots(key, data.l)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                rv = float(np.abs(_critical_equations(row[None], C, zs, W)[2]).max())
+        else:
+            row, rv = pts[rows[0]], float(res[rows].min())
+        point = _canonical(row, data.l)
         try:
             m = local_multiplicity(system, tuple(_flat(point)), max_order=max_order)
         except NotASolution:
             continue  # true critical point at a scale the cleared system cannot hold
-        orbits.append(CriticalOrbit(point, rv, m.multiplicity, gamma(point), hits=hits))
+        orbits.append(CriticalOrbit(point, rv, m.multiplicity, gamma(point), hits=len(rows)))
     return _sorted_orbits(orbits, data.l)
 
 
@@ -922,31 +972,35 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     ``data`` is not the point sector of its basic situation, that point
     sector is solved and the orbits of ``data`` are built from its spaces
     (build_sector, random flags drawn from ``seed``).  The point sector is
-    solved by multistart: each of the ``starts`` Newton paths is drawn
-    once, uniformly from a disc of radius 2(max|z_s| + 1).  A Gauss-Newton
-    step inverts a well-conditioned Jacobian by LU and takes the
-    pseudoinverse of the others, so degenerate solutions are reached as
+    solved on one of two routes (_point_orbits):
+    - the Bethe route, when every nonzero weight column is omega_1: the
+      orbits are the joint eigenvalues of the Gaudin Hamiltonians on the
+      singular space (the gaudin module), one small eigendecomposition that
+      finds every orbit; their coordinates are polished by Newton.
+    - the multistart, for every other weight: each of the ``starts`` Newton
+      paths is drawn once, uniformly from a disc of radius
+      2(max|z_s| + 1), and runs to a fixed point of the iteration.
+    A Gauss-Newton step inverts a well-conditioned Jacobian by LU and takes
+    the pseudoinverse of the others, so degenerate solutions are reached as
     well, at a linear rate; the choice is made row by row (_gn_step).
     Samples near a collision are zeros of the cleared equations only and are
-    dropped; Newton stops iterating a start once it gets there (_newton).
+    dropped; Newton stops iterating a sample once it gets there (_newton).
     Samples whose tuples y = gamma(t) agree to 1e-6 relative are one orbit,
     and each orbit gets a local multiplicity.  Every orbit of the point
     sector is isolated, so a sample where the dual spaces keep growing
-    raises NotIsolated.  The intersection number of the translated problem
-    only bounds the order of that dual-space climb; comparing the count with
-    it is the caller's business (cli.run_verify names the verdict).
+    raises NotIsolated.  Comparing the count with the intersection number
+    is the caller's business (cli.run_verify names the verdict).
     """
     try:
         basic, sector = translate_master(data)
-        target = intersection_number(basic)
     except NoCriticalPoints:
         return []
 
     point = point_sector(basic.N)
     if sector.w == point:
-        return _multistart(data, target, starts, seed)
+        return _point_orbits(data, basic, starts, seed)
     try:
         point_data = master_from_sector(basic, point)
     except EmptySector:  # no space realizes the data
         return []
-    return build_sector(data, _multistart(point_data, target, starts, seed), seed)
+    return build_sector(data, _point_orbits(point_data, basic, starts, seed), seed)

@@ -25,6 +25,7 @@ import os
 import sys
 import time
 
+from . import gaudin
 from .bethe import (
     MasterData,
     build_sector,
@@ -397,7 +398,8 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
 
     This is the one place where a sector's multiplicity sum meets the
     intersection number and gets its verdict.  Returns the report dict; the
-    "report" part is byte-stable for fixed inputs, timing sits next to it.
+    "report" part is byte-stable for fixed inputs, and the diagnostics of the
+    point sector's solve and the timing sit next to it.
     """
     t0 = time.perf_counter()
     basic, picks = _select_sectors(problem, sector)
@@ -426,7 +428,25 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     }
     if exact_tuple is not None:
         report["exact"] = _exact_leg(problem, basic, exact_tuple)
-    return {"report": report, "timing_s": round(time.perf_counter() - t0, 3)}
+    return {"report": report, "diagnostics": _diagnostics(basic),
+            "timing_s": round(time.perf_counter() - t0, 3)}
+
+
+def _diagnostics(basic: BasicSituation) -> dict:
+    """How the point sector was solved: its route, and D on the Bethe route.
+
+    The route is "bethe" when every nonzero weight is omega_1 (the joint
+    eigenvalues of the Gaudin Hamiltonians on a singular space of dimension
+    singular_dim), "multistart" otherwise, and null when no space realizes
+    the data.
+    """
+    try:
+        data = master_from_sector(basic, point_sector(basic.N))
+    except EmptySector:
+        return {"route": None, "singular_dim": None}
+    if gaudin.covers(data):
+        return {"route": "bethe", "singular_dim": gaudin.singular_dim(data)}
+    return {"route": "multistart", "singular_dim": None}
 
 
 def _exact_leg(problem, basic: BasicSituation, tuple_text: str) -> dict:
@@ -493,7 +513,8 @@ def _build_parser() -> _Parser:
 
     def solver(p):
         p.add_argument("--sector", default="own", help="identity, all, own, or a permutation 2,1")
-        p.add_argument("--starts", type=_positive_int, default=200)
+        p.add_argument("--starts", type=_positive_int, default=200,
+                       help="Newton paths, for weights outside the Bethe route")
         p.add_argument("--seed", type=int, default=seed_default)
 
     p = sub.add_parser("validate", help="check a problem file, print derived data")

@@ -74,14 +74,23 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 64
     capsys.readouterr()
 
-    # one start finds one of the two simple roots: genuine undercount
-    assert main(["verify", RATIONAL, "--starts", "1", "--seed", "0"]) == 4
+    # one multistart start finds one of the two simple roots: genuine undercount
+    assert main(["verify", _weight_two(tmp_path), "--starts", "1", "--seed", "0"]) == 4
     capsys.readouterr()
 
 
 MASTER_RAW = {"l": [1], "points": [{"z": z, "m": [1]} for z in ("0", "1", "-1")]}
 BASIC_RAW = {"kind": "basic", "d": 3, "N": 1, "infinity": {"ram": [1, 0]},
              "points": [{"z": z, "ram": [1, 0]} for z in ("0", "1", "-1")]}
+# weight 2 at z = 1: outside the Bethe route, so --starts acts on it
+WEIGHT_TWO_RAW = {"l": [1], "points": [{"z": z, "m": [m]} for z, m in (("0", 1), ("1", 2),
+                                                                     ("-1", 1))]}
+
+
+def _weight_two(tmp_path) -> str:
+    path = tmp_path / "weight_two.json"
+    path.write_text(json.dumps(WEIGHT_TWO_RAW))
+    return str(path)
 
 
 @pytest.mark.parametrize("raw, commands", [
@@ -289,11 +298,11 @@ def test_tol_flag_is_gone(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
-def test_undercount_is_named_by_the_verdict_alone(capsys):
-    # one start finds one of the two orbits: exit 4, and nothing on stderr
+def test_undercount_is_named_by_the_verdict_alone(tmp_path, capsys):
+    # one multistart start finds one of the two orbits: exit 4, and nothing on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["verify", RATIONAL, "--starts", "1"]) == 4
+        assert main(["verify", _weight_two(tmp_path), "--starts", "1"]) == 4
     out = capsys.readouterr()
     assert out.err == ""
     assert "multiplicity sum 1 -> UNDERCOUNT" in out.out
