@@ -11,12 +11,13 @@ and each sector of the problem sees one Schubert cell of it (Mukhin and
 Varchenko).  In the point sector w = (N+1, .., 1) that cell is a point, so
 V gives one isolated orbit there, and only that sector is solved.  When
 every nonzero weight is omega_1 the orbits are the joint eigenvalues of the
-Gaudin Hamiltonians (the gaudin module, the Bethe route); other weights are
-solved by multistart.  Either way Gauss-Newton over the complex field
-polishes the samples: each step inverts the Jacobian by LU, and a row whose
-condition number fails a guard takes the pseudoinverse instead, each row on
-its own.  Local multiplicities come from the dual-space machinery of the
-multiplicity module.  Every other
+Gaudin Hamiltonians (the gaudin module, the Bethe route), whose points take
+one Gauss-Newton step (_polish); other weights are solved by multistart,
+Gauss-Newton run to a fixed point (_newton).  Each step is over the complex
+field and inverts the Jacobian by LU, and a row whose condition number
+fails a guard takes the pseudoinverse instead, each row on its own.  Local
+multiplicities come from the dual-space machinery of the multiplicity
+module.  Every other
 sector is built from the spaces (build_sector): a generic flag of V in the
 sector's cell has partial Wronskians whose quotients by K_i are the tuple of
 a point on a component of the cell's dimension, which carries the
@@ -61,9 +62,6 @@ _RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
 # takes the pseudoinverse above it (_gn_step)
 _LU_COND = 1e12
 _FAR_FACTOR = 1e3      # the filter drops samples beyond this multiple of the start radius
-# the polish of the Bethe route retires a row once its step is this small,
-# relative to 1 + max|t|: a few units in the last place
-_SETTLE = 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,9 @@ class CriticalOrbit:
     the local intersection multiplicity when the orbit is isolated; for a
     positive-dimensional family it is the multiplicity transversal to the
     component, and ``dimension`` is the dimension of the family.  ``hits``
-    counts converged starts that landed here.
+    counts the samples that landed here: converged starts on the
+    multistart, the size of the cluster of joint eigenvalues on the Bethe
+    route.  A built sector keeps the hits of its point-sector orbit.
     """
 
     point: tuple[tuple[Any, ...], ...]
@@ -680,25 +680,21 @@ def _gn_step(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
-            settle: float = 0.0) -> np.ndarray:
-    """Gauss-Newton on the cleared equations from a batch of starts.
+def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the cleared equations from the multistart's random starts.
 
     Runs up to _MAX_GN_ITER steps (_gn_step: LU, or the pseudoinverse where
-    J is ill-conditioned) on pts, shape (S, L), in place.  Three kinds of
+    J is ill-conditioned) on pts, shape (S, L), in place.  Two kinds of
     start stop iterating:
     - a start whose step leaves it bitwise unchanged sits at a fixed point
       of the iteration: its next input, and so every later step, is the same;
-    - with ``settle`` > 0, a start whose largest step component is at most
-      settle * (1 + max|t|) has converged to rounding: the polish of the
-      Bethe route stops there (_SETTLE), the multistart (settle 0) does not;
     - a start whose new point lies in the collision neighbourhood
       (_near_collision) is running onto an extra zero of F, where w = 0: a
       point the filter of solve_critical (_accepted) rejects.
     Only the live starts are evaluated; each row's step depends on that row
-    alone, so with settle 0 every sample the filter accepts is bitwise that
-    of stepping every start every time, unless a start would leave the
-    collision neighbourhood again.
+    alone, so every sample the filter accepts is bitwise that of stepping
+    every start every time, unless a start would leave the collision
+    neighbourhood again.
     """
     live = np.ones(len(pts), dtype=bool)
     for _ in range(_MAX_GN_ITER):
@@ -711,22 +707,25 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
         new = cur + step
         pts[idx] = new
         done = (new.view(np.uint64) == cur.view(np.uint64)).all(axis=1)
-        if settle:
-            done |= np.abs(step).max(axis=1) <= settle * (1.0 + np.abs(new).max(axis=1))
         live[idx[done | _near_collision(new, C, zs, W)]] = False
     return pts
 
 
+def _polish(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """One Gauss-Newton step from points built by linear algebra, where it helps.
+
+    Steps every row of pts, shape (S, L), once (_gn_step) and keeps the step
+    on the rows whose largest log-gradient component it lowers; the other
+    rows come back bitwise unchanged, and pts is not modified.
+    """
+    F, J, r = _critical_equations(pts, C, zs, W)
+    stepped = pts + _gn_step(F, J)
+    lower = (np.abs(_critical_equations(stepped, C, zs, W)[2]).max(axis=1)
+             < np.abs(r).max(axis=1))
+    return np.where(lower[:, None], stepped, pts)
+
+
 # -- the space of a tuple ------------------------------------------------------
-
-def _wronskian_solve_lstsq(y: Poly, rhs: Poly) -> Poly:
-    # least-squares particular solution g of Wr(y, g) = rhs over CC
-    dg = max(rhs.degree() - max(y.degree(), 1) + 1, 0) + 1
-    A = gaudin.wronskian_columns(y, dg + 1, rhs.degree() + dg + 2)
-    b = np.array([complex(rhs.coeff(m)) for m in range(A.shape[0])], dtype=complex)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return Poly(CC, list(sol))
-
 
 def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
     """Orthonormal coefficient basis of the space generated by a tuple.
@@ -734,7 +733,7 @@ def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
     Mirrors the reproduction cascade numerically: for each target size the
     tuple is remutated from scratch in directions i..1 and the final first
     entry joins the basis.  Only spans matter here, so least-squares
-    particular solutions are fine.
+    particular solutions are fine (gaudin.wronskian_lstsq with v = 1).
     """
     T = [f.to_ring(CC) for f in data.T]
     ys = [y.to_ring(CC) for y in ys]
@@ -745,8 +744,7 @@ def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
         for j in range(i, 0, -1):
             lo = cur[j - 2] if j >= 2 else one
             hi = cur[j] if j < data.N else one
-            g = _wronskian_solve_lstsq(cur[j - 1], T[j - 1] * lo * hi)
-            cur[j - 1] = g
+            cur[j - 1] = gaudin.wronskian_lstsq(cur[j - 1], T[j - 1] * lo * hi, 0)[0]
         us.append(cur[0])
     deg = max(u.degree() for u in us)
     A = np.array([[complex(u.coeff(k)) for k in range(deg + 1)] for u in us], dtype=complex).T
@@ -823,10 +821,11 @@ def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
     at step i the element of the label w hands out there, plus random
     complex multiples (drawn from ``seed``) of the elements of lower degree.
     The roots of the monic y_i = Wr(f_1..f_i)/K_i are the coordinates of
-    level i.  One Gauss-Newton step is kept where it lowers the residual,
-    and a point is kept only if the solver's own filter (_accepted) accepts
-    it.  Its orbit has the dimension of the cell, #{i < j : w_i < w_j}, and
-    the multiplicity and hits of its point-sector orbit.
+    level i.  The points take one Gauss-Newton step where it lowers the
+    residual (_polish), and a point is kept only if the solver's own filter
+    (_accepted) accepts it.  Its orbit has the dimension of the cell,
+    #{i < j : w_i < w_j}, and the multiplicity and hits of its point-sector
+    orbit.
     """
     if not point_orbits:
         return []
@@ -853,11 +852,7 @@ def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
     zs, W = _embedded_weights(data)
     pts = np.array(rows, dtype=complex).reshape(len(rows), data.size())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        F, J, r = _critical_equations(pts, C, zs, W)
-        stepped = pts + _gn_step(F, J)
-        lower = (np.abs(_critical_equations(stepped, C, zs, W)[2]).max(axis=1)
-                 < np.abs(r).max(axis=1))
-        pts[lower] = stepped[lower]
+        pts = _polish(pts, C, zs, W)
         good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * _start_radius(zs))
     dim = sum(1 for a, b in itertools.combinations(w, 2) if a < b)
     orbits = []
@@ -908,13 +903,14 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
 
     When every nonzero weight is omega_1 (gaudin.covers), the samples are the
     D joint eigenvalues of the Gaudin Hamiltonians (gaudin.eigen_points),
-    polished by Newton until their steps settle; ``starts`` and ``seed`` are
-    not read.  A cluster of m > 1 eigenvalues is one orbit represented by
-    the roots of the mean key of its raw eigen-points: a split m-fold
-    eigenvalue is accurate to eps^(1/m) in each member but to O(eps) in its
-    centroid.  Otherwise ``starts`` random points run Newton to its fixed
-    points.  The Macaulay climb is bounded at max(4, D + 1), D the dimension
-    of the singular space or, on the multistart, the intersection number.
+    each after one Gauss-Newton step where it lowers the residual (_polish);
+    ``starts`` and ``seed`` are not read.  A cluster of m > 1 eigenvalues is
+    one orbit of m hits, represented by the roots of the mean key of its raw
+    eigen-points: a split m-fold eigenvalue is accurate to eps^(1/m) in each
+    member but to O(eps) in its centroid.  Otherwise ``starts`` random
+    points run Newton to its fixed points.  The Macaulay climb is bounded at
+    max(4, D + 1), D the number of eigen-points or, on the multistart, the
+    intersection number.
     """
     L = data.size()
     if L == 0:
@@ -935,8 +931,9 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
     # drops its end point beyond _FAR_FACTOR * radius.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if on_bethe:
-            raw, bound = gaudin.eigen_points(data)
-            pts = _newton(raw.copy(), C, zs, W, settle=_SETTLE)
+            raw = gaudin.eigen_points(data)
+            bound = len(raw)
+            pts = _polish(raw, C, zs, W)
         else:
             bound = intersection_number(basic)
             pts = _newton(_rand_points(np.random.default_rng(seed), starts, L, radius),
@@ -976,7 +973,8 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     - the Bethe route, when every nonzero weight column is omega_1: the
       orbits are the joint eigenvalues of the Gaudin Hamiltonians on the
       singular space (the gaudin module), one small eigendecomposition that
-      finds every orbit; their coordinates are polished by Newton.
+      finds every orbit; their coordinates take one Gauss-Newton step,
+      kept where it lowers the residual (_polish).
     - the multistart, for every other weight: each of the ``starts`` Newton
       paths is drawn once, uniformly from a disc of radius
       2(max|z_s| + 1), and runs to a fixed point of the iteration.

@@ -14,14 +14,13 @@ object is {"type": "rational"} (the default) or {"type": "extension",
 
 Exit codes: 0 success/MATCH, 1 domain failure, 2 parse failure, 3 bad
 dimensions or ramification data, 4 verified undercount, 5 overcount, 64
-usage.  WRONCRIT_SEED sets the default seed.
+usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -502,7 +501,6 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> _Parser:
-    seed_default = int(os.environ.get("WRONCRIT_SEED", "0"))
     top = _Parser(prog="wroncrit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -515,7 +513,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--sector", default="own", help="identity, all, own, or a permutation 2,1")
         p.add_argument("--starts", type=_positive_int, default=200,
                        help="Newton paths, for weights outside the Bethe route")
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check a problem file, print derived data")
     common(p)

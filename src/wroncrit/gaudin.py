@@ -18,8 +18,9 @@ At a critical point the eigenvalue of H_s is
     E_s = sum_{r != s} (N/(N+1)) / (z_s - z_r) - y_1'(z_s) / y_1(z_s),
 so every joint eigenvalue gives y_1'/y_1 at the marked points, y_1 by one
 small least-squares solve, and y_2..y_N by the linear Wronskian equations
-Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}.  The roots of the y_i are the raw
-coordinates that bethe polishes.
+Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}, one least-squares solve each
+(wronskian_lstsq).  The roots of the y_i are the raw coordinates, which
+bethe._polish moves by one Gauss-Newton step.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ def _level_one(zs: np.ndarray, rho: np.ndarray, degree: int) -> np.ndarray:
     return np.append(sol, 1.0) * scale ** (degree - k)
 
 
-def wronskian_columns(y: Poly, ncols: int, nrows: int) -> np.ndarray:
-    """Matrix whose column k holds the coefficients 0..nrows-1 of Wr(y, x^k)."""
+def _wronskian_columns(y: Poly, ncols: int, nrows: int) -> np.ndarray:
+    # column k holds the coefficients 0..nrows-1 of Wr(y, x^k)
     cols = []
     for k in range(ncols):
         w = wronskian_pair(y, Poly.monomial(CC, 1.0, k))
@@ -197,14 +198,14 @@ def wronskian_columns(y: Poly, ncols: int, nrows: int) -> np.ndarray:
     return np.array(cols, dtype=complex).reshape(ncols, nrows).T
 
 
-def _next_level(y: Poly, T: Poly, lower: Poly, degree: int) -> Poly:
-    """Monic y_{i+1} of the given degree with Wr(y_i, ytilde) = T_i y_{i-1} y_{i+1}.
+def wronskian_lstsq(y: Poly, rhs: Poly, degree: int) -> tuple[Poly, Poly]:
+    """(ytilde, v) with Wr(y, ytilde) = rhs v and v monic of the given degree.
 
-    One least-squares solve in the coefficients of ytilde and of y_{i+1}
-    below its leading 1; ytilde is determined up to adding multiples of
-    y_i, which leave y_{i+1} alone.
+    One least-squares solve in the coefficients of ytilde and of v below its
+    leading 1.  ytilde is determined up to adding multiples of y, which
+    leave v alone.  Degree 0 (v = 1) solves Wr(y, ytilde) = rhs; the Bethe
+    route takes v = y_{i+1} from rhs = T_i y_{i-1}.
     """
-    rhs = T * lower
     dg = rhs.degree() + degree - y.degree() + 1  # deg ytilde
     nrows = rhs.degree() + degree + 1
     r = np.array([complex(c) for c in rhs.coeffs])
@@ -212,18 +213,18 @@ def _next_level(y: Poly, T: Poly, lower: Poly, degree: int) -> Poly:
     R = np.zeros((nrows, degree + 1), dtype=complex)
     for k in range(degree + 1):
         R[k:k + len(r), k] = r
-    A = np.hstack([wronskian_columns(y, dg + 1, nrows), -R[:, :degree]])
+    A = np.hstack([_wronskian_columns(y, dg + 1, nrows), -R[:, :degree]])
     sol, *_ = np.linalg.lstsq(A, R[:, degree], rcond=None)
-    return Poly(CC, [*sol[dg + 1:], 1.0])
+    return Poly(CC, list(sol[:dg + 1])), Poly(CC, [*sol[dg + 1:], 1.0])
 
 
-def eigen_points(data: MasterData) -> tuple[np.ndarray, int]:
-    """(raw coordinates of every joint eigenvalue, shape (D, L), and D).
+def eigen_points(data: MasterData) -> np.ndarray:
+    """Raw coordinates of every joint eigenvalue, shape (D, L).
 
     Row k holds the roots of y_1..y_N, level by level, read off the k-th
     joint eigenvalue: rho_s = sum_{r != s} (N/(N+1))/(z_s - z_r) - E_s is
-    y_1'(z_s)/y_1(z_s) (_level_one), and each next level solves a Wronskian
-    equation (_next_level).
+    y_1'(z_s)/y_1(z_s) (_level_one), and each next level is the v of one
+    Wronskian least-squares solve (wronskian_lstsq).
     """
     zs = _sites(data)
     H = hamiltonians(data)
@@ -236,8 +237,9 @@ def eigen_points(data: MasterData) -> tuple[np.ndarray, int]:
     one = Poly.one(CC)
     rows = []
     for rho_k in rho:
-        ys = [Poly(CC, list(_level_one(zs, rho_k, data.l[0])))]
+        # ys[i] is y_i, with y_0 = 1
+        ys = [one, Poly(CC, list(_level_one(zs, rho_k, data.l[0])))]
         for i in range(1, N):
-            ys.append(_next_level(ys[i - 1], T[i - 1], ys[i - 2] if i >= 2 else one, data.l[i]))
+            ys.append(wronskian_lstsq(ys[i], T[i - 1] * ys[i - 1], data.l[i])[1])
         rows.append([t for y in ys if y.degree() > 0 for t in np.roots(y.coeffs[::-1])])
-    return np.array(rows, dtype=complex).reshape(len(rho), data.size()), len(rho)
+    return np.array(rows, dtype=complex).reshape(len(rho), data.size())

@@ -53,8 +53,9 @@ from wroncrit.errors import (
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
 from wroncrit.multiplicity import MPoly, MultivariateSystem, local_multiplicity
-from wroncrit.polyring import parse_poly
+from wroncrit.polyring import Poly, parse_poly
 from wroncrit.ramification import validate_basic
+from wroncrit.reproduction import FertileTuple, build_space, mutate
 from wroncrit.schubert import intersection_number
 
 OMEGA = make_extension("x^2+x+1")
@@ -888,6 +889,21 @@ def test_induced_space_span():
     for coeffs in ([0, 1, 0, 0], [2, 0, 0, 1]):
         v = np.array(coeffs, dtype=complex)
         assert np.linalg.norm(proj @ v - v) < 1e-9
+    # N = 2: a tuple of degrees (5, 6) grown from (1, 1) by exact mutations
+    # in directions 1 then 2 spans the space build_space constructs
+    zs = (0, 1, -1, 2)
+    one = Poly.one(QQ)
+    t = FertileTuple(QQ, (one, one), (one, Poly.from_roots(QQ, zs), one), zs)
+    for direction in (1, 2):
+        t, _, _ = mutate(t, direction)
+    assert [y.degree() for y in t.y] == [5, 6]
+    data = MasterData(QQ, (5, 6), tuple((z, (1, 0)) for z in zs))
+    Q = induced_space([y.to_ring(CC) for y in t.y], data)
+    assert Q.shape[1] == 3
+    proj = Q @ Q.conj().T
+    for u in build_space(t).basis:
+        v = np.array([complex(u.coeff(k)) for k in range(len(Q))])
+        assert np.linalg.norm(proj @ v - v) < 1e-9 * np.linalg.norm(v)
 
 
 def test_solve_critical_leaves_the_count_to_its_caller():

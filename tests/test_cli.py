@@ -181,15 +181,6 @@ def test_exact_leg():
     assert len(exact["ram_checks"]) > 0
 
 
-def test_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("WRONCRIT_SEED", "7")
-    assert main(["bethe-solve", RATIONAL, "--json", "--starts", "30"]) == 0
-    with_env = capsys.readouterr().out
-    monkeypatch.delenv("WRONCRIT_SEED")
-    assert main(["bethe-solve", RATIONAL, "--json", "--starts", "30", "--seed", "7"]) == 0
-    assert capsys.readouterr().out == with_env
-
-
 def test_validate_and_from_master(capsys):
     assert main(["validate", CUBE]) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wroncrit import gaudin
+from wroncrit import bethe, gaudin
 from wroncrit.bethe import MasterData, master_from_sector, point_sector, solve_critical, \
     translate_master
 from wroncrit.cli import _basic_of, load_problem, run_verify
@@ -165,6 +165,49 @@ def test_route_ignores_starts_and_seed():
     a = solve_critical(data, starts=1, seed=0)
     b = solve_critical(data, starts=500, seed=7)
     assert [o.point for o in a] == [o.point for o in b] and len(a) == 14
+
+
+def test_polish_keeps_a_step_only_where_it_lowers_the_residual(monkeypatch):
+    data = sl2(6, 3)
+    C = bethe._coupling_matrix(data.l)
+    zs, W = bethe._embedded_weights(data)
+    rng = np.random.default_rng(0)
+    raw = gaudin.eigen_points(data)
+    pts = raw + 1e-6 * (rng.normal(size=raw.shape) + 1j * rng.normal(size=raw.shape))
+    before = pts.copy()
+
+    def residual(p):
+        return np.abs(bethe._critical_equations(p, C, zs, W)[2]).max(axis=1)
+
+    out = bethe._polish(pts, C, zs, W)
+    assert (residual(out) < 1e-3 * residual(pts)).all()
+    assert np.array_equal(pts.view(np.uint64), before.view(np.uint64))
+    # the step of row 1 points away from the orbit: that row is left alone
+    gn_step = bethe._gn_step
+
+    def away(F, J):
+        step = gn_step(F, J)
+        step[1] = -step[1]
+        return step
+
+    monkeypatch.setattr(bethe, "_gn_step", away)
+    turned = bethe._polish(pts, C, zs, W)
+    assert np.array_equal(turned[1].view(np.uint64), pts[1].view(np.uint64))
+    others = np.arange(len(pts)) != 1
+    assert np.array_equal(turned[others].view(np.uint64), out[others].view(np.uint64))
+
+
+@pytest.mark.parametrize("data,D", [(sl2(10, 5), 42), (sl3((2, 1), 6), 10)],
+                         ids=["sl2-n10-k5", "sl3-n6"])
+def test_bethe_route_evaluates_each_eigen_point_three_times(data, D, monkeypatch):
+    # the raw points and the stepped points in _polish, then the filter
+    rows = []
+    equations = bethe._critical_equations
+    monkeypatch.setattr(bethe, "_critical_equations",
+                        lambda t, *a: rows.append(len(t)) or equations(t, *a))
+    orbits = solve_critical(data)
+    assert gaudin.singular_dim(data) == len(orbits) == D
+    assert rows == [D, D, D]
 
 
 def test_covers_omega_1_columns_only():
