@@ -15,13 +15,15 @@ Gaudin Hamiltonians (the gaudin module, the Bethe route), whose points take
 one Gauss-Newton step (_polish); other weights are solved by multistart,
 Gauss-Newton run to a fixed point (_newton).  Each step is over the complex
 field and inverts the Jacobian by LU, and a row whose condition number
-fails a guard takes the pseudoinverse instead, each row on its own.  Local
-multiplicities come from the dual-space machinery of the multiplicity
-module.  Every other
-sector is built from the spaces (build_sector): a generic flag of V in the
-sector's cell has partial Wronskians whose quotients by K_i are the tuple of
-a point on a component of the cell's dimension, which carries the
-multiplicity of V's point-sector orbit.
+fails a guard takes the pseudoinverse instead, each row on its own.  An
+orbit whose Hessian of log Phi is nonsingular is simple (_hessian_sigma;
+that Hessian is the norm of the Bethe vector, Mukhin and Varchenko); only
+the others climb the dual spaces of the multiplicity module on the cleared
+system, which is built only for them.  Every other sector is built from
+the spaces (build_sector): a generic flag of V in the sector's cell has
+partial Wronskians whose quotients by K_i are the tuple of a point on a
+component of the cell's dimension, which carries the multiplicity of V's
+point-sector orbit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     WroncritError,
 )
 from .field import CC, common_ring, embed_scalar, format_scalar, ring_of
-from .multiplicity import MPoly, MultivariateSystem, local_multiplicity
+from .multiplicity import _MULT_TOL, MPoly, MultivariateSystem, local_multiplicity
 from .polyring import Poly, div_rem, format_poly, wronskian, wronskian_pair
 from .ramification import (BasicSituation, as_int, exponents_of_ram, infinity_labels,
                            ram_from_exponents, validate_basic)
@@ -534,6 +536,31 @@ class CriticalOrbit:
         return self.dimension == 0
 
 
+def _reciprocals(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
+                 W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D, Dz, E, Ez) of a batch of points t, shape (S, L).
+
+    D = t_p - t_q and Dz = t_p - z_s are the differences, E = 1/D where
+    C_pq != 0 and Ez = 1/Dz where W_ps > 0 their reciprocals, zero where
+    the coupling does not reach; a coordinate on a collision makes its row
+    non-finite.
+    """
+    D = t[:, :, None] - t[:, None, :]
+    Dz = t[:, :, None] - zs[None, None, :]
+    E = np.divide(1.0, D, out=np.zeros_like(D), where=C != 0)
+    Ez = np.divide(1.0, Dz, out=np.zeros_like(Dz), where=W > 0)
+    return D, Dz, E, Ez
+
+
+def _log_hessian(C: np.ndarray, E: np.ndarray, WEz: np.ndarray, Ez: np.ndarray) -> np.ndarray:
+    # J_r = dr_p/dt_q, the Hessian of log Phi: C_pq/(t_p - t_q)^2 off the
+    # diagonal, sum_s W_ps/(t_p - z_s)^2 - sum_q C_pq/(t_p - t_q)^2 on it
+    Jr = C * E * E
+    diag = np.arange(Jr.shape[1])
+    Jr[:, diag, diag] = (WEz * Ez).sum(axis=2) - Jr.sum(axis=2)
+    return Jr
+
+
 def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
                         W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, J, r) of the critical equations at a batch of points t, shape (S, L).
@@ -542,26 +569,38 @@ def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
     (bethe_residual).  F_p = w_p r_p with w_p = prod_s (t_p - z_s)^W_ps
     prod_{C_pq != 0} (t_p - t_q), the multiplier clear_denominators clears,
     so F is the cleared system.  Its Jacobian is
-    J = diag(w) (J_r + r (d log w)^T).  All three come from the reciprocal
-    differences 1/(t_p - t_q) and 1/(t_p - z_s); a coordinate on a collision
-    makes its row non-finite.
+    J = diag(w) (J_r + r (d log w)^T), J_r the Hessian of log Phi
+    (_log_hessian).  All three come from the reciprocal differences
+    (_reciprocals); a coordinate on a collision makes its row non-finite.
     """
     L = t.shape[1]
-    A = C != 0
-    D = t[:, :, None] - t[:, None, :]
-    Dz = t[:, :, None] - zs[None, None, :]
-    E = np.divide(1.0, D, out=np.zeros_like(D), where=A)
-    Ez = np.divide(1.0, Dz, out=np.zeros_like(Dz), where=W > 0)
+    D, Dz, E, Ez = _reciprocals(t, C, zs, W)
     WEz = W * Ez
     r = (C * E).sum(axis=2) - WEz.sum(axis=2)
-    w = np.where(A, D, 1.0).prod(axis=2) * (Dz ** W).prod(axis=2)
+    w = np.where(C != 0, D, 1.0).prod(axis=2) * (Dz ** W).prod(axis=2)
     diag = np.arange(L)
-    Jr = C * E * E
-    Jr[:, diag, diag] = (WEz * Ez).sum(axis=2) - Jr.sum(axis=2)
     G = -E
     G[:, diag, diag] = WEz.sum(axis=2) + E.sum(axis=2)
-    J = w[:, :, None] * (Jr + r[:, :, None] * G)
+    J = w[:, :, None] * (_log_hessian(C, E, WEz, Ez) + r[:, :, None] * G)
     return w * r, J, r
+
+
+def _hessian_sigma(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Smallest singular value of the scaled Hessian of log Phi, per point of the batch.
+
+    Row p of J_r (_log_hessian) is divided by its term mass
+      m_p = sum_s W_ps/|t_p - z_s|^2 + sum_q |C_pq|/|t_p - t_q|^2,
+    the size of the terms it sums, so the value is 0 exactly where J_r is
+    singular and does not depend on the scale of the coordinates.  A row
+    scaled by its own largest entry would read 1 for every single
+    coordinate, a double root included.  A coordinate no pole reaches has
+    m_p = 0 and keeps a zero row.
+    """
+    _, _, E, Ez = _reciprocals(t, C, zs, W)
+    mass = (np.abs(C) * np.abs(E) ** 2).sum(axis=2) + (W * np.abs(Ez) ** 2).sum(axis=2)
+    Jr = _log_hessian(C, E, W * Ez, Ez)
+    scaled = np.divide(Jr, mass[:, :, None], out=np.zeros_like(Jr), where=mass[:, :, None] > 0)
+    return np.linalg.svd(scaled, compute_uv=False)[:, -1]
 
 
 def _collision_gap(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -908,9 +947,15 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
     one orbit of m hits, represented by the roots of the mean key of its raw
     eigen-points: a split m-fold eigenvalue is accurate to eps^(1/m) in each
     member but to O(eps) in its centroid.  Otherwise ``starts`` random
-    points run Newton to its fixed points.  The Macaulay climb is bounded at
-    max(4, D + 1), D the number of eigen-points or, on the multistart, the
-    intersection number.
+    points run Newton to its fixed points.
+
+    An orbit whose scaled Hessian of log Phi has its smallest singular value
+    above _MULT_TOL (_hessian_sigma) has multiplicity 1.  Only the others
+    climb the Macaulay dual spaces of the cleared system, which is built
+    once, for the first of them: the orbits whose Hessian is singular, and
+    every merged Bethe cluster, whose representative is not a sample the
+    filter saw.  The climb is bounded at max(4, D + 1), D the number of
+    eigen-points or, on the multistart, the intersection number.
     """
     L = data.size()
     if L == 0:
@@ -940,25 +985,34 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
                           C, zs, W)
         good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius)
 
-    # embedded once: every local_multiplicity call below runs in "numeric" mode
-    system = clear_denominators(data).map_coeffs(CC.coerce)
-    max_order = max(4, bound + 1)
-    orbits: list[CriticalOrbit] = []
     # orbits are identified by the tuple y = gamma(t), not by coordinates
-    for rows in _clusters(pts, good, data.l):
+    clusters = _clusters(pts, good, data.l)
+    # a nondegenerate Hessian of log Phi means multiplicity 1 (_hessian_sigma)
+    simple = _hessian_sigma(pts[[rows[0] for rows in clusters]], C, zs, W) > _MULT_TOL
+    system = None
+    orbits: list[CriticalOrbit] = []
+    for rows, nondegenerate in zip(clusters, simple):
         if on_bethe and len(rows) > 1:
             key = np.mean([_orbit_key(raw[s], data.l) for s in rows], axis=0)
             row = _key_roots(key, data.l)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 rv = float(np.abs(_critical_equations(row[None], C, zs, W)[2]).max())
+            nondegenerate = False
         else:
             row, rv = pts[rows[0]], float(res[rows].min())
         point = _canonical(row, data.l)
-        try:
-            m = local_multiplicity(system, tuple(_flat(point)), max_order=max_order)
-        except NotASolution:
-            continue  # true critical point at a scale the cleared system cannot hold
-        orbits.append(CriticalOrbit(point, rv, m.multiplicity, gamma(point), hits=len(rows)))
+        if nondegenerate:
+            m = 1
+        else:
+            if system is None:
+                # embedded once: every local_multiplicity call runs in "numeric" mode
+                system = clear_denominators(data).map_coeffs(CC.coerce)
+            try:
+                m = local_multiplicity(system, tuple(_flat(point)),
+                                       max_order=max(4, bound + 1)).multiplicity
+            except NotASolution:
+                continue  # true critical point at a scale the cleared system cannot hold
+        orbits.append(CriticalOrbit(point, rv, m, gamma(point), hits=len(rows)))
     return _sorted_orbits(orbits, data.l)
 
 
@@ -984,10 +1038,12 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     Samples near a collision are zeros of the cleared equations only and are
     dropped; Newton stops iterating a sample once it gets there (_newton).
     Samples whose tuples y = gamma(t) agree to 1e-6 relative are one orbit,
-    and each orbit gets a local multiplicity.  Every orbit of the point
-    sector is isolated, so a sample where the dual spaces keep growing
-    raises NotIsolated.  Comparing the count with the intersection number
-    is the caller's business (cli.run_verify names the verdict).
+    and each orbit gets a local multiplicity: 1 where the Hessian of log Phi
+    is nonsingular, and otherwise the dimension of its Macaulay dual space.
+    Every orbit of the point sector is isolated, so a sample where the dual
+    spaces keep growing raises NotIsolated.  Comparing the count with the
+    intersection number is the caller's business (cli.run_verify names the
+    verdict).
     """
     try:
         basic, sector = translate_master(data)

@@ -52,7 +52,7 @@ from wroncrit.errors import (
     NotIsolated,
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
-from wroncrit.multiplicity import MPoly, MultivariateSystem, local_multiplicity
+from wroncrit.multiplicity import _MULT_TOL, MPoly, MultivariateSystem, local_multiplicity
 from wroncrit.polyring import Poly, parse_poly
 from wroncrit.ramification import validate_basic
 from wroncrit.reproduction import FertileTuple, build_space, mutate
@@ -629,8 +629,9 @@ def test_not_isolated_in_the_point_sector_propagates(monkeypatch):
         raise NotIsolated("dual spaces still growing")
 
     monkeypatch.setattr(bethe, "local_multiplicity", refuse)
+    # the cube roots' double point: a simple orbit never reaches the climb
     with pytest.raises(NotIsolated):
-        solve_critical(rational_data(), starts=40, seed=0)
+        solve_critical(cuberoots_data(), starts=40, seed=0)
 
 
 def test_conjugate_pair_prints_in_one_order():
@@ -917,3 +918,72 @@ def test_solve_critical_leaves_the_count_to_its_caller():
     assert sum(o.multiplicity for o in short) == 1
     assert sum(o.multiplicity for o in over) > 3
     assert all(type(o.multiplicity) is int for o in short + over)
+
+
+# -- simple orbits read off the Hessian of log Phi ---------------------------------
+
+def rou3_data(b=Fraction(1, 2), c=Fraction(-2)):
+    # z_s = b + c w^s over Q(w): the cube roots moved, one double point at t = b
+    return MasterData(OMEGA, (1,), tuple((b + c * OMEGA.gen ** s, (1,)) for s in range(3)))
+
+
+def _hessian_sigma_at(data, point):
+    # smallest singular value of the scaled Hessian of log Phi at one point
+    C = _coupling_matrix(data.l)
+    zs, W = _embedded_weights(data)
+    return float(bethe._hessian_sigma(np.array([bethe._flat(point)], dtype=complex),
+                                      C, zs, W)[0])
+
+
+@pytest.mark.parametrize("data", [
+    *[sl2_ladder_data(n, k) for n, k in SL2_LADDER[:7]],
+    *[MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in ladder_points(n))) for n in (4, 5, 6)],
+    cuberoots_data(),
+    rou3_data(),
+    SL2_W2_L2,
+    MasterData(OMEGA, (1,), tuple((z, (2,)) for z, _ in cuberoots_data().points)),
+], ids=[f"sl2-n{n}-k{k}" for n, k in SL2_LADDER[:7]]
+    + ["sl3-n4-l21", "sl3-n5-l21", "sl3-n6-l21", "cuberoots", "rou3", "weight-two",
+       "cuberoots-weight-two"])
+def test_hessian_verdict_agrees_with_macaulay(data):
+    # the Macaulay climb stays the cross-check of the Hessian: an orbit is
+    # simple by the one exactly when the other reads multiplicity 1.  The
+    # Bethe route merges the cube roots' double point from two eigen-points;
+    # with weight 2 the multistart reaches it as one cluster of samples,
+    # and only the Hessian sends it to the climb
+    system = clear_denominators(data).map_coeffs(CC.coerce)
+    orbits = solve_critical(data, starts=200, seed=0)
+    assert orbits
+    for o in orbits:
+        macaulay = local_multiplicity(system, tuple(bethe._flat(o.point))).multiplicity
+        assert (_hessian_sigma_at(data, o.point) > _MULT_TOL) == (macaulay == 1)
+        assert o.multiplicity == macaulay
+
+
+def test_simple_orbits_build_no_cleared_system(monkeypatch):
+    # every orbit of sl2 n10k5 is simple, so neither the cleared system nor
+    # the climb is needed; the cube roots' double point still climbs
+    def refuse(data):
+        raise AssertionError("cleared system built for simple orbits")
+
+    monkeypatch.setattr(bethe, "clear_denominators", refuse)
+    orbits = solve_critical(sl2_ladder_data(10, 5), starts=200, seed=0)
+    assert len(orbits) == 42 and all(o.multiplicity == 1 for o in orbits)
+
+    built, climbs = [], []
+    monkeypatch.setattr(bethe, "clear_denominators",
+                        lambda data: built.append(data) or clear_denominators(data))
+    monkeypatch.setattr(bethe, "local_multiplicity",
+                        lambda *a, **k: climbs.append(a) or local_multiplicity(*a, **k))
+    (orbit,) = solve_critical(cuberoots_data(), starts=200, seed=0)
+    assert orbit.multiplicity == 2 and len(built) == 1 and len(climbs) == 1
+
+
+@pytest.mark.parametrize("data,t", [(rou4_data(), 1), (cuberoots_data(), 0)],
+                         ids=["rou4-t1", "cuberoots-t0"])
+def test_scaled_hessian_is_singular_at_exact_degenerate_points(data, t):
+    # it vanishes at the point and stays far below _MULT_TOL 1e-9 away, where
+    # a row scaled by its own largest entry would read 1 (one coordinate);
+    # at the ladder orbits it is above _MULT_TOL (the cross-check above)
+    assert _hessian_sigma_at(data, ((complex(t),),)) < 1e-12
+    assert _hessian_sigma_at(data, ((complex(t) + 1e-9,),)) < _MULT_TOL
