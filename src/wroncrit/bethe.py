@@ -109,15 +109,9 @@ class MasterData:
 
     @cached_property
     def T(self) -> tuple[Poly, ...]:
-        """Weight polynomials T_1..T_N (index 0 is T_1)."""
-        x = Poly.x(self.ring)
-        out = []
-        for i in range(self.N):
-            f = Poly.one(self.ring)
-            for z, m in self.points:
-                f = f * (x - z) ** m[i]
-            out.append(f)
-        return tuple(out)
+        """Weight polynomials T_1..T_N (index 0 is T_1), read off the weights."""
+        return tuple(Poly.from_roots(self.ring, [z for z, m in self.points for _ in range(m[i])])
+                     for i in range(self.N))
 
     def size(self) -> int:
         return sum(self.l)
@@ -444,34 +438,40 @@ def sector_lengths(c: Sequence[int], w: Sequence[int], K: Sequence[Poly]) -> tup
     return tuple(out)
 
 
-def translate_master(data: MasterData) -> tuple[BasicSituation, SectorSpec]:
-    """Marked-point problem and sector solved by the critical points of ``data``.
+def _sector_of(data: MasterData) -> SectorSpec:
+    """The sector of ``data``: its labels at infinity, descending, and their ranks w.
 
-    The filtration labels are infinity_labels of the level sizes and the
-    weight degrees deg T_j = sum_s m_s(j), with deg T_0 = 0.  Negative or
-    colliding labels mean the master function has no critical points at
-    all; that raises NoCriticalPoints.
+    The labels are infinity_labels of the level sizes and the weight degrees
+    deg T_j = sum_s m_s(j), with deg T_0 = 0.  Negative or colliding labels
+    mean the master function has no critical points at all; that raises
+    NoCriticalPoints.
     """
-    N = data.N
-    weights = (0, *(sum(m[j] for _, m in data.points) for j in range(N)))
+    weights = (0, *(sum(m[j] for _, m in data.points) for j in range(data.N)))
     c, w = infinity_labels(data.l, weights)
     for i, ci in enumerate(c, start=1):
         if ci < 0:
             raise NoCriticalPoints(f"label c_{i} = {ci} is negative")
     if len(set(c)) != len(c):
         raise NoCriticalPoints(f"labels {c} collide")
+    return SectorSpec(tuple(sorted(c, reverse=True)), w)
 
-    d = max(c)
+
+def translate_master(data: MasterData) -> tuple[BasicSituation, SectorSpec]:
+    """Marked-point problem and sector solved by the critical points of ``data``.
+
+    The sector comes from the labels at infinity (_sector_of, which raises
+    NoCriticalPoints), and the basic situation has d the largest label.
+    """
+    N = data.N
+    sector = _sector_of(data)
+    d = sector.labels[0]
     pts = []
     for z, m in data.points:
         a = tuple(sum(m[N - el] for el in range(j, N + 1)) for j in range(1, N + 2))
         pts.append((z, a))
-    a_inf = ram_from_exponents(sorted(c), d, at_infinity=True)
+    a_inf = ram_from_exponents(sector.labels[::-1], d, at_infinity=True)
     basic = validate_basic(data.ring, d, N, pts, a_inf)
-
-    labels = tuple(sorted(c, reverse=True))
-    sector = SectorSpec(labels, w)
-    if sector_lengths(labels, w, basic.K) != data.l:
+    if sector_lengths(sector.labels, sector.w, basic.K) != data.l:
         raise WroncritError("internal: sector sizes fail to reproduce the input")
     return basic, sector
 
@@ -639,26 +639,31 @@ def _accepted(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
     return good, res
 
 
-def _orbit_key(row: np.ndarray, l: Sequence[int]) -> np.ndarray:
-    """Coefficients of the tuple y = gamma(t), levels concatenated.
+def _orbit_keys(pts: np.ndarray, l: Sequence[int]) -> np.ndarray:
+    """Coefficients of the tuples y = gamma(t) of a batch of points, shape (S, L).
 
-    Level i contributes e_1..e_{l_i}, the elementary symmetric functions of
-    its coordinates: the coefficients of y_i up to alternating sign, so a
-    level with one coordinate contributes that coordinate.  The key does
-    not depend on the order of the coordinates, which is what makes it the
-    identity of an orbit.
+    Row s concatenates, level by level, e_1..e_{l_i}, the elementary
+    symmetric functions of the coordinates of level i in row s: the
+    coefficients of y_i up to alternating sign, so a level with one
+    coordinate contributes that coordinate.  A key does not depend on the
+    order of the coordinates, which is what makes it the identity of an
+    orbit.  One pass per coordinate updates every row,
+    e_k <- e_k + t e_{k-1}.
     """
     out = []
     pos = 0
     for li in l:
-        coeffs = np.atleast_1d(np.poly(row[pos:pos + li]))[1:]
-        out.append(coeffs * (-1.0) ** np.arange(1, li + 1))
+        e = np.zeros((len(pts), li + 1), dtype=complex)
+        e[:, 0] = 1.0
+        for j in range(li):
+            e[:, 1:j + 2] += pts[:, pos + j, None] * e[:, :j + 1]
+        out.append(e[:, 1:])
         pos += li
-    return np.concatenate(out)
+    return np.hstack(out)
 
 
-def _sort_key(key: np.ndarray) -> list[tuple[float, float]]:
-    # rounded, so that samples of one orbit sort alike
+def _sort_key(key) -> list[tuple[float, float]]:
+    # rounded, so that samples of one orbit sort alike; key holds Python complex
     return [(round(v.real, 8), round(v.imag, 8)) for v in key]
 
 
@@ -850,17 +855,17 @@ def _start_radius(zs: np.ndarray) -> float:
     return 2.0 * (max((abs(z) for z in zs), default=0.0) + 1.0)
 
 
-def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
+def build_sector(data: MasterData, basic: BasicSituation, point_orbits: Sequence[CriticalOrbit],
                  seed: int = 0) -> list[CriticalOrbit]:
     """Critical orbits of the sector of ``data``, one per point-sector orbit.
 
-    ``point_orbits`` are the orbits of the point sector of the same basic
-    situation.  Each one gives its space V (induced_space), reduced to one
-    basis element e_j per degree.  The flag in the cell of the sector w takes
-    at step i the element of the label w hands out there, plus random
-    complex multiples (drawn from ``seed``) of the elements of lower degree.
-    The roots of the monic y_i = Wr(f_1..f_i)/K_i are the coordinates of
-    level i.  The points take one Gauss-Newton step where it lowers the
+    ``basic`` is the basic situation of ``data`` (translate_master), and
+    ``point_orbits`` are the orbits of its point sector.  Each one gives its
+    space V (induced_space), reduced to one basis element e_j per degree.
+    The flag in the cell of the sector w takes at step i the element of the
+    label w hands out there, plus random complex multiples (drawn from
+    ``seed``) of the elements of lower degree.  The roots of the monic
+    y_i = Wr(f_1..f_i)/K_i are the coordinates of level i.  The points take one Gauss-Newton step where it lowers the
     residual (_polish), and a point is kept only if the solver's own filter
     (_accepted) accepts it.  Its orbit has the dimension of the cell,
     #{i < j : w_i < w_j}, and the multiplicity and hits of its point-sector
@@ -868,7 +873,7 @@ def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
     """
     if not point_orbits:
         return []
-    basic, sector = translate_master(data)
+    sector = _sector_of(data)
     labels, w = sector.labels, sector.w
     K = [k.to_ring(CC) for k in basic.K]
     rng = np.random.default_rng(seed)
@@ -894,39 +899,45 @@ def build_sector(data: MasterData, point_orbits: Sequence[CriticalOrbit],
         pts = _polish(pts, C, zs, W)
         good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * _start_radius(zs))
     dim = sum(1 for a, b in itertools.combinations(w, 2) if a < b)
-    orbits = []
-    for s in np.nonzero(good)[0]:
+    idx = np.nonzero(good)[0]
+    keyed = []
+    for s, key in zip(idx, _orbit_keys(pts[idx], data.l).tolist()):
         point = _canonical(pts[s], data.l)
-        orbits.append(CriticalOrbit(point, float(res[s]), point_orbits[s].multiplicity,
-                                    gamma(point), dimension=dim, hits=point_orbits[s].hits))
-    return _sorted_orbits(orbits, data.l)
+        keyed.append((_sort_key(key), CriticalOrbit(
+            point, float(res[s]), point_orbits[s].multiplicity, gamma(point), dimension=dim,
+            hits=point_orbits[s].hits)))
+    return _sorted_orbits(keyed)
 
 
 # -- the solver ----------------------------------------------------------------
 
-def _sorted_orbits(orbits: list[CriticalOrbit], l: Sequence[int]) -> list[CriticalOrbit]:
-    return sorted(orbits, key=lambda o: _sort_key(_orbit_key(np.array(_flat(o.point)), l)))
+def _sorted_orbits(keyed: list[tuple[list, CriticalOrbit]]) -> list[CriticalOrbit]:
+    # the orbits in the order of the sort keys (_sort_key) they are paired
+    # with, each computed once from its orbit's key (_orbit_keys)
+    return [o for _, o in sorted(keyed, key=lambda ko: ko[0])]
 
 
-def _clusters(pts: np.ndarray, good: np.ndarray, l: Sequence[int]) -> list[list[int]]:
+def _clusters(pts: np.ndarray, good: np.ndarray, l: Sequence[int]) -> list[tuple[list[int], list]]:
     # accepted rows whose tuples y = gamma(t) agree to _DEDUP_RADIUS relative,
-    # each cluster listed from its first row in key order
-    keys = {s: _orbit_key(pts[s], l) for s in np.nonzero(good)[0]}
-    clusters: list[tuple[np.ndarray, list[int]]] = []
-    for s in sorted(keys, key=lambda s: _sort_key(keys[s])):
-        key = keys[s]
+    # each cluster listed from its first row in key order, with that row's sort key
+    idx = np.nonzero(good)[0]
+    keys = _orbit_keys(pts[idx], l)
+    sort_keys = [_sort_key(key) for key in keys.tolist()]
+    clusters: list[tuple[np.ndarray, list[int], list]] = []
+    for j in sorted(range(len(idx)), key=sort_keys.__getitem__):
+        key = keys[j]
         kscale = 1.0 + np.abs(key).max()
-        for first, rows in clusters:
+        for first, rows, _ in clusters:
             if np.abs(key - first).max() < _DEDUP_RADIUS * kscale:
-                rows.append(s)
+                rows.append(int(idx[j]))
                 break
         else:
-            clusters.append((key, [s]))
-    return [rows for _, rows in clusters]
+            clusters.append((key, [int(idx[j])], sort_keys[j]))
+    return [(rows, sort_key) for _, rows, sort_key in clusters]
 
 
 def _key_roots(key: np.ndarray, l: Sequence[int]) -> np.ndarray:
-    # the coordinates whose tuple has the coefficients ``key`` (_orbit_key)
+    # the coordinates whose tuple has the coefficients ``key`` (_orbit_keys)
     out = []
     pos = 0
     for li in l:
@@ -988,13 +999,14 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
     # orbits are identified by the tuple y = gamma(t), not by coordinates
     clusters = _clusters(pts, good, data.l)
     # a nondegenerate Hessian of log Phi means multiplicity 1 (_hessian_sigma)
-    simple = _hessian_sigma(pts[[rows[0] for rows in clusters]], C, zs, W) > _MULT_TOL
+    simple = _hessian_sigma(pts[[rows[0] for rows, _ in clusters]], C, zs, W) > _MULT_TOL
     system = None
-    orbits: list[CriticalOrbit] = []
-    for rows, nondegenerate in zip(clusters, simple):
+    keyed = []
+    for (rows, sort_key), nondegenerate in zip(clusters, simple):
         if on_bethe and len(rows) > 1:
-            key = np.mean([_orbit_key(raw[s], data.l) for s in rows], axis=0)
+            key = _orbit_keys(raw[rows], data.l).mean(axis=0)
             row = _key_roots(key, data.l)
+            sort_key = _sort_key(key.tolist())
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 rv = float(np.abs(_critical_equations(row[None], C, zs, W)[2]).max())
             nondegenerate = False
@@ -1012,14 +1024,17 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
                                        max_order=max(4, bound + 1)).multiplicity
             except NotASolution:
                 continue  # true critical point at a scale the cleared system cannot hold
-        orbits.append(CriticalOrbit(point, rv, m, gamma(point), hits=len(rows)))
-    return _sorted_orbits(orbits, data.l)
+        keyed.append((sort_key, CriticalOrbit(point, rv, m, gamma(point), hits=len(rows))))
+    return _sorted_orbits(keyed)
 
 
-def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[CriticalOrbit]:
+def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
+                   basic: BasicSituation | None = None) -> list[CriticalOrbit]:
     """All critical orbits of a master function: solved in the point sector, built elsewhere.
 
-    Deterministic for fixed (data, starts, seed).  When the sector of
+    Deterministic for fixed (data, starts, seed).  ``basic`` is the basic
+    situation of ``data`` (translate_master); a caller that holds it passes
+    it, and ``data`` is not translated again.  When the sector of
     ``data`` is not the point sector of its basic situation, that point
     sector is solved and the orbits of ``data`` are built from its spaces
     (build_sector, random flags drawn from ``seed``).  The point sector is
@@ -1046,9 +1061,11 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
     verdict).
     """
     try:
-        basic, sector = translate_master(data)
+        sector = _sector_of(data)
     except NoCriticalPoints:
         return []
+    if basic is None:
+        basic = translate_master(data)[0]
 
     point = point_sector(basic.N)
     if sector.w == point:
@@ -1057,4 +1074,4 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0) -> list[C
         point_data = master_from_sector(basic, point)
     except EmptySector:  # no space realizes the data
         return []
-    return build_sector(data, _point_orbits(point_data, basic, starts, seed), seed)
+    return build_sector(data, basic, _point_orbits(point_data, basic, starts, seed), seed)

@@ -43,6 +43,7 @@ from .errors import (
     EmptySector,
     MixedFields,
     NegativeLength,
+    NoCriticalPoints,
     NotIrreducible,
     NotMonic,
     NotRealizable,
@@ -253,25 +254,31 @@ def _orbit_rows(orbits, data) -> list[dict]:
     return rows
 
 
-def _solve_sectors(basic: BasicSituation, picks, starts: int, seed: int) -> list[tuple]:
+def _solve_sectors(problem, basic: BasicSituation, picks, starts: int, seed: int) -> list[tuple]:
     """(label, data, orbit rows) per picked sector, solved or built, and certified.
 
     Only the point sector is solved, once; every other sector is built from
-    its orbits.  Each orbit is certified by divisibility at the fixed
-    tolerance of certify_divisibility (1e-9, relative to the dividend's
-    norm).  The counts are not judged here: run_verify compares them with
-    the intersection number.
+    its orbits.  Both read the basic situation of the sectors' data: a
+    master-data problem's is ``basic``, translated once (_select_sectors); a
+    basic situation read from a file may have base points, which the spaces
+    of its orbits do not, so the point sector's data is translated once
+    instead.  Each orbit is certified by divisibility at the fixed tolerance
+    of certify_divisibility (1e-9, relative to the dividend's norm).  The
+    counts are not judged here: run_verify compares them with the
+    intersection number.
     """
     point = point_sector(basic.N)
     point_data = next((data for _, w, data in picks if w == point), None)
     try:
-        orbits = solve_critical(point_data or master_from_sector(basic, point),
-                                starts=starts, seed=seed)
-    except EmptySector:  # no space realizes the data: no sector has critical points
-        orbits = []
+        point_data = point_data or master_from_sector(basic, point)
+        if not isinstance(problem, MasterData):
+            basic = translate_master(point_data)[0]
+    except (EmptySector, NoCriticalPoints):  # no sector has critical points
+        return [(label, data, []) for label, _, data in picks]
+    orbits = solve_critical(point_data, starts=starts, seed=seed, basic=basic)
     out = []
     for label, w, data in picks:
-        built = orbits if w == point else build_sector(data, orbits, seed)
+        built = orbits if w == point else build_sector(data, basic, orbits, seed)
         out.append((label, data, _orbit_rows(built, data)))
     return out
 
@@ -287,7 +294,7 @@ def _cmd_bethe_solve(args) -> int:
     basic, picks = _select_sectors(problem, args.sector)
     payload = {}
     lines = []
-    for label, data, rows in _solve_sectors(basic, picks, args.starts, args.seed):
+    for label, data, rows in _solve_sectors(problem, basic, picks, args.starts, args.seed):
         payload[label] = {"l": list(data.l), "orbits": rows}
         lines.append(f"sector {label}: sizes {data.l}, {len(rows)} orbit(s)")
         lines += [_orbit_line(r) for r in rows]
@@ -404,7 +411,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     basic, picks = _select_sectors(problem, sector)
     target = intersection_number(basic)
     sectors = {}
-    for label, data, rows in _solve_sectors(basic, picks, starts, seed):
+    for label, data, rows in _solve_sectors(problem, basic, picks, starts, seed):
         total = sum(r["multiplicity"] for r in rows)
         verdict = "MATCH" if total == target else \
             ("UNDERCOUNT" if total < target else "OVERCOUNT")

@@ -16,11 +16,14 @@ number of the problem.
 
 At a critical point the eigenvalue of H_s is
     E_s = sum_{r != s} (N/(N+1)) / (z_s - z_r) - y_1'(z_s) / y_1(z_s),
-so every joint eigenvalue gives y_1'/y_1 at the marked points, y_1 by one
-small least-squares solve, and y_2..y_N by the linear Wronskian equations
-Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}, one least-squares solve each
-(wronskian_lstsq).  The roots of the y_i are the raw coordinates, which
-bethe._polish moves by one Gauss-Newton step.
+so every joint eigenvalue gives y_1'/y_1 at the marked points, and y_1 is
+a small least-squares solve; the D solves are stacked into one call
+(_level_one).  y_2..y_N come from the linear Wronskian equations
+Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}, one least-squares solve per
+eigenvalue and level (wronskian_lstsq).  The roots of the y_i are the raw
+coordinates, the eigenvalues of the companion matrices of every level,
+stacked over the D eigenvalues (_roots); bethe._polish moves them by one
+Gauss-Newton step.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .field import CC, embed_scalar
-from .polyring import Poly, wronskian_pair
+from .polyring import Poly
 
 if TYPE_CHECKING:  # bethe imports this module
     from .bethe import MasterData
@@ -102,11 +105,12 @@ def _contents(word: Sequence[int]) -> list[int]:
     return out
 
 
-def adjacent_transpositions(lam: Sequence[int]) -> list[np.ndarray]:
+def adjacent_transpositions(lam: Sequence[int]) -> np.ndarray:
     """Matrices of (j, j+1), j = 1..n-1, on S^lam in Young's orthogonal form.
 
-    On the tableau basis, with rho = c(j+1) - c(j) the content difference
-    of the entries j and j+1: rho = 1 (one row) acts as +1, rho = -1 (one
+    Stacked in shape (n - 1, D, D), D the number of standard tableaux.  On
+    the tableau basis, with rho = c(j+1) - c(j) the content difference of
+    the entries j and j+1: rho = 1 (one row) acts as +1, rho = -1 (one
     column) as -1, and otherwise the tableau T and the tableau T' with j and
     j+1 swapped span a block [[1/rho, s], [s, -1/rho]], s = sqrt(1 - 1/rho^2).
     The matrices are real, symmetric and orthogonal.
@@ -114,17 +118,15 @@ def adjacent_transpositions(lam: Sequence[int]) -> list[np.ndarray]:
     tabs = standard_tableaux(lam)
     index = {t: k for k, t in enumerate(tabs)}
     contents = [_contents(t) for t in tabs]
-    out = []
-    for j in range(sum(lam) - 1):
-        S = np.zeros((len(tabs), len(tabs)))
+    S = np.zeros((max(sum(lam) - 1, 0), len(tabs), len(tabs)))
+    for j in range(len(S)):
         for k, (t, c) in enumerate(zip(tabs, contents)):
             rho = c[j + 1] - c[j]
-            S[k, k] = 1.0 / rho
+            S[j, k, k] = 1.0 / rho
             if abs(rho) > 1:
                 swapped = t[:j] + (t[j + 1], t[j]) + t[j + 2:]
-                S[k, index[swapped]] = np.sqrt(1.0 - 1.0 / rho ** 2)
-        out.append(S)
-    return out
+                S[j, k, index[swapped]] = np.sqrt(1.0 - 1.0 / rho ** 2)
+    return S
 
 
 def hamiltonians(data: MasterData) -> np.ndarray:
@@ -136,7 +138,7 @@ def hamiltonians(data: MasterData) -> np.ndarray:
     zs = _sites(data)
     n = len(zs)
     S = adjacent_transpositions(shape(data))
-    D = singular_dim(data)
+    D = S.shape[1]
     shift = 1.0 / (data.N + 1)
     H = np.zeros((n, D, D), dtype=complex)
     eye = np.eye(D)
@@ -175,8 +177,10 @@ def joint_eigenvalues(H: np.ndarray, real: bool) -> np.ndarray:
 def _level_one(zs: np.ndarray, rho: np.ndarray, degree: int) -> np.ndarray:
     """Coefficients (ascending, monic) of y with y'(z_s) = rho_s y(z_s), least squares.
 
-    Works in u = x / scale, scale = max |z_s|, so the Vandermonde rows stay
-    of order one, and maps the coefficients back.
+    rho has one row per joint eigenvalue, shape (D, n), and so has the
+    result, shape (D, degree + 1): all D systems are solved by one stacked
+    pseudoinverse.  Works in u = x / scale, scale = max |z_s|, so the
+    Vandermonde rows stay of order one, and maps the coefficients back.
     """
     scale = max(np.abs(zs).max(initial=0.0), 1.0)
     u = zs / scale
@@ -184,18 +188,34 @@ def _level_one(zs: np.ndarray, rho: np.ndarray, degree: int) -> np.ndarray:
     powers = u[:, None] ** k[None, :]
     dpowers = np.zeros_like(powers)
     dpowers[:, 1:] = k[1:] * powers[:, :-1]
-    A = dpowers - (scale * rho)[:, None] * powers
-    sol, *_ = np.linalg.lstsq(A[:, :degree], -A[:, degree], rcond=None)
-    return np.append(sol, 1.0) * scale ** (degree - k)
+    A = dpowers[None] - (scale * rho)[:, :, None] * powers[None]
+    sol = (np.linalg.pinv(A[:, :, :degree]) @ -A[:, :, degree:])[:, :, 0]
+    return np.hstack([sol, np.ones((len(rho), 1))]) * scale ** (degree - k)
 
 
-def _wronskian_columns(y: Poly, ncols: int, nrows: int) -> np.ndarray:
-    # column k holds the coefficients 0..nrows-1 of Wr(y, x^k)
-    cols = []
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of every monic row of coeffs (ascending, shape (D, k + 1)), shape (D, k).
+
+    The eigenvalues of the companion matrices, stacked: np.roots row by row.
+    """
+    D, k = coeffs.shape[0], coeffs.shape[1] - 1
+    A = np.zeros((D, k, k), dtype=complex)
+    if k:
+        A[:, 0, :] = -coeffs[:, k - 1::-1]
+    A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    return np.linalg.eigvals(A)
+
+
+def _wronskian_columns(y: np.ndarray, ncols: int, nrows: int) -> np.ndarray:
+    # column k holds the coefficients 0..nrows-1 of Wr(y, x^k) = x^k y' - k x^(k-1) y,
+    # y given by its coefficient array
+    dy = y[1:] * np.arange(1, len(y))
+    A = np.zeros((max(nrows, ncols + len(y)), ncols), dtype=complex)
     for k in range(ncols):
-        w = wronskian_pair(y, Poly.monomial(CC, 1.0, k))
-        cols.append([complex(w.coeff(m)) for m in range(nrows)])
-    return np.array(cols, dtype=complex).reshape(ncols, nrows).T
+        A[k:k + len(dy), k] = dy
+        if k:
+            A[k - 1:k - 1 + len(y), k] -= k * y
+    return A[:nrows]
 
 
 def wronskian_lstsq(y: Poly, rhs: Poly, degree: int) -> tuple[Poly, Poly]:
@@ -213,7 +233,8 @@ def wronskian_lstsq(y: Poly, rhs: Poly, degree: int) -> tuple[Poly, Poly]:
     R = np.zeros((nrows, degree + 1), dtype=complex)
     for k in range(degree + 1):
         R[k:k + len(r), k] = r
-    A = np.hstack([_wronskian_columns(y, dg + 1, nrows), -R[:, :degree]])
+    Y = np.array([complex(c) for c in y.coeffs])
+    A = np.hstack([_wronskian_columns(Y, dg + 1, nrows), -R[:, :degree]])
     sol, *_ = np.linalg.lstsq(A, R[:, degree], rcond=None)
     return Poly(CC, list(sol[:dg + 1])), Poly(CC, [*sol[dg + 1:], 1.0])
 
@@ -223,23 +244,30 @@ def eigen_points(data: MasterData) -> np.ndarray:
 
     Row k holds the roots of y_1..y_N, level by level, read off the k-th
     joint eigenvalue: rho_s = sum_{r != s} (N/(N+1))/(z_s - z_r) - E_s is
-    y_1'(z_s)/y_1(z_s) (_level_one), and each next level is the v of one
-    Wronskian least-squares solve (wronskian_lstsq).
+    y_1'(z_s)/y_1(z_s), and y_1 of every row comes from one stacked
+    least-squares solve (_level_one).  Each next level is the v of one
+    Wronskian least-squares solve per row (wronskian_lstsq).  The roots of
+    every level are the eigenvalues of its companion matrices, stacked over
+    the D rows (_roots).  D = 0, a shape that is not a partition, gives an
+    empty (0, L) array.
     """
     zs = _sites(data)
     H = hamiltonians(data)
+    if not H.shape[1]:
+        return np.zeros((0, data.size()), dtype=complex)
     E = joint_eigenvalues(H, bool(np.all(zs.imag == 0)))
     N = data.N
     diff = zs[:, None] - zs[None, :]
     np.fill_diagonal(diff, np.inf)
     rho = (N / (N + 1)) * (1.0 / diff).sum(axis=1) - E
-    T = [f.to_ring(CC) for f in data.T]
-    one = Poly.one(CC)
-    rows = []
-    for rho_k in rho:
-        # ys[i] is y_i, with y_0 = 1
-        ys = [one, Poly(CC, list(_level_one(zs, rho_k, data.l[0])))]
+    # levels[i] holds the coefficients of y_{i+1}, one row per eigenvalue
+    levels = [_level_one(zs, rho, data.l[0])]
+    if N > 1:
+        T = [f.to_ring(CC) for f in data.T]
+        one = Poly.one(CC)
+        ys = [[one, Poly(CC, list(row))] for row in levels[0]]
         for i in range(1, N):
-            ys.append(wronskian_lstsq(ys[i], T[i - 1] * ys[i - 1], data.l[i])[1])
-        rows.append([t for y in ys if y.degree() > 0 for t in np.roots(y.coeffs[::-1])])
-    return np.array(rows, dtype=complex).reshape(len(rho), data.size())
+            for y in ys:
+                y.append(wronskian_lstsq(y[i], T[i - 1] * y[i - 1], data.l[i])[1])
+            levels.append(np.array([y[i + 1].coeffs for y in ys], dtype=complex))
+    return np.hstack([_roots(c) for c in levels])

@@ -67,11 +67,19 @@ class Poly:
 
     @classmethod
     def from_roots(cls, ring, roots: Iterable) -> "Poly":
-        """Monic product of (x - r) over the given roots (repeats allowed)."""
-        out = cls.one(ring)
+        """Monic product of (x - r) over the given roots (repeats allowed).
+
+        One in-place pass per root: multiplying by x - r appends the leading
+        1 and sets c_k <- c_{k-1} - r c_k from the top down.
+        """
+        c = [ring.one()]
         for r in roots:
-            out = out * cls(ring, [-ring.coerce(r), ring.one()])
-        return out
+            r = ring.coerce(r)
+            c.append(c[-1])
+            for k in range(len(c) - 2, 0, -1):
+                c[k] = c[k - 1] - r * c[k]
+            c[0] = -r * c[0]
+        return cls(ring, c)
 
     # -- basic queries -------------------------------------------------------
 

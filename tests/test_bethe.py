@@ -394,6 +394,23 @@ def test_orbits_identified_by_tuple():
     assert [r["multiplicity"] for r in sec["orbits"]] == [1, 1]
 
 
+@pytest.mark.parametrize("l", [(5,), (2, 1), (3, 2, 1), (0, 2)], ids=str)
+def test_orbit_keys_equal_np_poly_row_by_row(l):
+    # the batched elementary symmetric functions against np.poly of each
+    # level, whose coefficients are (-1)^k e_k
+    rng = np.random.default_rng(3)
+    pts = 3 * (rng.normal(size=(40, sum(l))) + 1j * rng.normal(size=(40, sum(l))))
+    keys = bethe._orbit_keys(pts, l)
+    assert keys.shape == pts.shape
+    for row, key in zip(pts, keys):
+        want = []
+        pos = 0
+        for li in l:
+            want.extend(np.atleast_1d(np.poly(row[pos:pos + li]))[1:] * (-1.0) ** np.arange(1, li + 1))
+            pos += li
+        assert np.abs(key - want).max() <= 1e-14 * (1 + np.abs(want).max())
+
+
 def test_collision_samples_dropped():
     # near t = (e, -e) the pole terms at z = 0 cancel, so the residual alone
     # does not reject this collision of two coordinates on a marked point
@@ -545,7 +562,7 @@ def test_built_components_agree_with_slicing():
             continue
         system = clear_denominators(data).map_coeffs(CC.coerce)
         rng = np.random.default_rng(2)
-        for o in build_sector(data, orbits, seed=0):
+        for o in build_sector(data, basic, orbits, seed=0):
             flat = [t for lev in o.point for t in lev]
             assert component_multiplicity(system, flat, rng) == (o.dimension, o.multiplicity)
         checked.append(data.l)

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from wroncrit import cli
+from wroncrit import bethe, cli
 from wroncrit.bethe import MasterData, solve_critical, translate_master
 from wroncrit.cli import load_problem, main, run_verify
 from wroncrit.errors import NotCertified, ParseError
-from wroncrit.field import format_scalar, make_extension
+from wroncrit.field import QQ, format_scalar, make_extension
 from wroncrit.polyring import format_poly, parse_poly
 from wroncrit.ramification import BasicSituation
 from wroncrit.schubert import intersection_number
@@ -297,3 +297,25 @@ def test_undercount_is_named_by_the_verdict_alone(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     assert "multiplicity sum 1 -> UNDERCOUNT" in out.out
+
+
+@pytest.mark.parametrize("problem, sector", [
+    (MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2, -2))), "own"),
+    (MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2, -2))), "all"),
+    (MasterData(QQ, (3,), tuple((z, (1,)) for z in (0, 1, -1))), "own"),
+    (load_problem(CUBE), "all"),
+], ids=["sl3-own", "sl3-all", "identity-own", "cuberoots-basic-all"])
+def test_verify_translates_its_problem_once(problem, sector, monkeypatch):
+    # the basic situation is built once and handed to the point-sector solve
+    # and to every built sector; a basic problem translates its point sector once
+    calls = []
+    translate = bethe.translate_master
+
+    def counting(data):
+        calls.append(data)
+        return translate(data)
+
+    monkeypatch.setattr(bethe, "translate_master", counting)
+    monkeypatch.setattr(cli, "translate_master", counting)
+    report = run_verify(problem, sector=sector)["report"]
+    assert report["verdict"] == "MATCH" and len(calls) <= 1

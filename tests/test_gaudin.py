@@ -17,7 +17,8 @@ from wroncrit import bethe, gaudin
 from wroncrit.bethe import MasterData, master_from_sector, point_sector, solve_critical, \
     translate_master
 from wroncrit.cli import _basic_of, load_problem, run_verify
-from wroncrit.field import QQ, embed_scalar, make_extension
+from wroncrit.field import CC, QQ, embed_scalar, make_extension
+from wroncrit.polyring import Poly
 from wroncrit.schubert import intersection_number
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -208,6 +209,55 @@ def test_bethe_route_evaluates_each_eigen_point_three_times(data, D, monkeypatch
     orbits = solve_critical(data)
     assert gaudin.singular_dim(data) == len(orbits) == D
     assert rows == [D, D, D]
+
+
+def _rho(data):
+    # rho_s = y_1'(z_s)/y_1(z_s) of every joint eigenvalue, as eigen_points reads it
+    zs = gaudin._sites(data)
+    E = gaudin.joint_eigenvalues(gaudin.hamiltonians(data), bool(np.all(zs.imag == 0)))
+    diff = zs[:, None] - zs[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return zs, (data.N / (data.N + 1)) * (1.0 / diff).sum(axis=1) - E
+
+
+@pytest.mark.parametrize("data,D", [(sl2(10, 5), 42), (sl3((2, 1), 6), 10)],
+                         ids=["sl2-n10-k5", "sl3-n6"])
+def test_stacked_level_one_matches_per_row_lstsq_and_roots(data, D):
+    zs, rho = _rho(data)
+    degree = data.l[0]
+    coeffs = gaudin._level_one(zs, rho, degree)
+    assert coeffs.shape == (D, degree + 1)
+    # per row: the scaled Vandermonde system by np.linalg.lstsq, roots by np.roots
+    scale = max(np.abs(zs).max(), 1.0)
+    k = np.arange(degree + 1)
+    powers = (zs / scale)[:, None] ** k[None, :]
+    dpowers = np.zeros_like(powers)
+    dpowers[:, 1:] = k[1:] * powers[:, :-1]
+    for row, rho_k in zip(coeffs, rho):
+        A = dpowers - (scale * rho_k)[:, None] * powers
+        sol, *_ = np.linalg.lstsq(A[:, :degree], -A[:, degree], rcond=None)
+        want = np.append(sol, 1.0) * scale ** (degree - k)
+        assert np.abs(row - want).max() < 1e-12 * np.abs(want).max()
+    roots = gaudin._roots(coeffs)
+    assert all(np.array_equal(r, np.roots(c[::-1])) for r, c in zip(roots, coeffs))
+    # every eigen-point's first level is that row's roots, the next level is
+    # the monic v of the row's Wronskian least-squares solve
+    pts = gaudin.eigen_points(data)
+    assert pts.shape == (D, data.size())
+    assert np.array_equal(pts[:, :degree], roots)
+    if data.N > 1:
+        T = data.T[0].to_ring(CC)
+        for row, c in zip(pts, coeffs):
+            v = gaudin.wronskian_lstsq(Poly(CC, list(c)), T, data.l[1])[1]
+            assert np.array_equal(row[degree:], np.roots(v.coeffs[::-1]))
+
+
+@pytest.mark.parametrize("l", [(1, 1), (0, 2)], ids=["l11", "l02"])
+def test_a_shape_that_is_not_a_partition_has_no_eigen_points(l):
+    # sl3 at 4 points: lam = (3, 0, 1) and (4, -2, 2), so D = 0
+    data = sl3(l, 4)
+    assert gaudin.singular_dim(data) == 0
+    assert gaudin.eigen_points(data).shape == (0, sum(l))
 
 
 def test_covers_omega_1_columns_only():

@@ -45,6 +45,20 @@ def test_constructors():
     assert Poly.from_roots(QQ, [1, 2]) == P("x^2-3*x+2")
 
 
+@pytest.mark.parametrize("ring", [QQ, make_extension("x^2+x+1")], ids=["QQ", "Q(omega)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_roots_is_the_product_of_linear_factors(ring, data):
+    # the in-place coefficient pass against Poly.__mul__, repeated roots included
+    roots = data.draw(st.lists(_coeffs_in(ring), max_size=5))
+    roots += roots[:data.draw(st.integers(0, len(roots)))]
+    prod = Poly.one(ring)
+    for r in roots:
+        prod = prod * Poly(ring, [-r, ring.one()])
+    assert Poly.from_roots(ring, roots) == prod
+    assert Poly.from_roots(ring, []) == Poly.one(ring)
+
+
 # format_poly prints a bare multiple of the generator without parentheses
 # (x^2 - a, 2*a*x, 3*a^2*x^2), and parse_poly must read it back
 ROUNDTRIP_RINGS = (QQ, make_extension("x^2-3"), make_extension("x^2+x+1"),

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wroncrit.bethe import MasterData, translate_master
+from wroncrit.cli import _basic_of, load_problem
 from wroncrit.errors import (
     CheckFailed,
     DimensionMismatch,
@@ -12,7 +15,7 @@ from wroncrit.errors import (
     NotRealizable,
 )
 from wroncrit.field import QQ, make_extension
-from wroncrit.polyring import Poly, parse_poly, wronskian
+from wroncrit.polyring import Poly, exact_div, parse_poly, wronskian
 from wroncrit.ramification import (
     check_ram_sequence,
     exponents_at,
@@ -168,6 +171,50 @@ def test_total_weight_identity():
         assert total == (N + 1) * (d - N)
         # K_{N+1} collects the full tails
         assert b.K[N + 1].degree() == sum(sum(a) for _, a in b.points)
+
+
+def ladder_points(n):
+    return [(-1) ** (j + 1) * ((j + 1) // 2) for j in range(n)]
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+REFERENCE_BASICS = {
+    **{f"sl2-n{n}-k{k}": translate_master(MasterData(
+        QQ, (k,), tuple((z, (1,)) for z in ladder_points(n))))[0]
+       for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4), (10, 5))},
+    **{f"sl3-l21-n{n}": translate_master(MasterData(
+        QQ, (2, 1), tuple((z, (1, 0)) for z in ladder_points(n))))[0] for n in (4, 5, 6)},
+    **{name: _basic_of(load_problem(str(PROBLEMS / f"{name}.json")))
+       for name in ("example_cuberoots", "example_cuberoots_master", "variant_rational")},
+}
+
+
+def reference_K_T(b):
+    # the definition by powers and division: K_i = prod_z (x - z)^{e_i(z)}
+    # with e_i the sum of the i smallest entries, T_0 = K_1 and
+    # T_i = K_{i+1} K_{i-1} / K_i^2
+    x = Poly.x(b.ring)
+    K = [Poly.one(b.ring)]
+    for i in range(1, b.N + 2):
+        prod = Poly.one(b.ring)
+        for z, a in b.points:
+            prod = prod * (x - z) ** sum(a[len(a) - i:])
+        K.append(prod)
+    T = [K[1]] + [exact_div(K[i + 1] * K[i - 1], K[i] * K[i]) for i in range(1, b.N + 1)]
+    return tuple(K), tuple(T)
+
+
+@pytest.mark.parametrize("b", list(REFERENCE_BASICS.values()), ids=list(REFERENCE_BASICS))
+def test_K_and_T_read_off_the_exponents_equal_the_quotients(b):
+    assert (b.K, b.T) == reference_K_T(b)
+
+
+def test_K_and_T_with_base_points_equal_the_quotients():
+    # random data, where a(z) often ends in a positive entry (a base point)
+    rng = random.Random(21)
+    for _ in range(40):
+        b = validate_basic(QQ, *random_basic(rng))
+        assert (b.K, b.T) == reference_K_T(b)
 
 
 # -- exponents of explicit spaces ----------------------------------------------
