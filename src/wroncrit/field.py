@@ -4,7 +4,10 @@ Three scalar kinds live here.
 
 * Rationals are plain ``fractions.Fraction`` (already normalized and hashable).
 * ``ExtElem`` is an element of Q[a]/(p(a)) for a monic irreducible p of degree
-  at least 2, stored as a reduced coefficient vector in the generator ``a``.
+  at least 2, stored as the integer numerators of its coordinates in the
+  generator ``a`` over one positive denominator, in lowest terms; its
+  arithmetic runs on Python integers, and the Fraction coordinates are built
+  only when read.
 * ``DualNum`` is a + b*eps with eps^2 = 0 over a base field, used to carry
   first-order deformations through polynomial algebra.
 
@@ -131,34 +134,47 @@ def row_reduce(rows) -> tuple[list[int], list[list]]:
 class ExtElem:
     """Element of a NumberField, reduced mod the minimal polynomial.
 
-    ``coeffs`` holds exactly ``field.degree`` Fractions: the coordinates in
-    the power basis 1, a, ..., a^(n-1).
+    Stored as integers: ``num`` holds ``field.degree`` numerators, the
+    coordinates in the power basis 1, a, ..., a^(n-1) times ``den``, the one
+    positive denominator, and the form is in lowest terms (gcd(den, *num) is
+    1), so equal elements have equal ``num`` and ``den``.  ``coeffs`` is the
+    tuple of Fraction coordinates: built on its first read and kept, or kept
+    as given when the element is made by ``ExtElem(field, coeffs)``.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den", "_coeffs")
 
     def __init__(self, field: "NumberField", coeffs):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if len(cs) > field.degree:
-            cs = field._reduce(cs)
-        cs += [_ZERO] * (field.degree - len(cs))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _reduced(cls, field: "NumberField", coeffs: tuple) -> "ExtElem":
-        """Wrap a tuple that already holds ``field.degree`` Fractions."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
+        n = field.degree
+        if len(cs) > n:
+            # Horner in the generator folds the powers a^n, a^(n+1), ... back
+            x = field.zero()
+            for c in reversed(cs):
+                x = field._times_gen(x) + c
+            _init(self, field, x.num, x.den, None)
+            return
+        cs += [_ZERO] * (n - len(cs))
+        den = math.lcm(*[c.denominator for c in cs])
+        # over the lcm of reduced denominators the numerators have gcd 1 with it
+        _init(self, field, tuple([c.numerator * (den // c.denominator) for c in cs]),
+              den, tuple(cs))
 
     def __setattr__(self, *a):
         raise AttributeError("ExtElem is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple([Fraction(c, den) for c in self.num])
+            _SET_COEFFS(self, cs)
+        return cs
+
     def _lift(self, other) -> "ExtElem":
         if isinstance(other, ExtElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields("elements of different extension fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -169,18 +185,24 @@ class ExtElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtElem._reduced(self.field, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
+        d, e = self.den, o.den
+        if d == e:
+            return _lowest(self.field, tuple([a + b for a, b in zip(self.num, o.num)]), d)
+        return _lowest(self.field, tuple([a * e + b * d for a, b in zip(self.num, o.num)]), d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElem._reduced(self.field, tuple([-a for a in self.coeffs]))
+        return _wrap(self.field, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtElem._reduced(self.field, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
+        d, e = self.den, o.den
+        if d == e:
+            return _lowest(self.field, tuple([a - b for a, b in zip(self.num, o.num)]), d)
+        return _lowest(self.field, tuple([a * e - b * d for a, b in zip(self.num, o.num)]), d * e)
 
     def __rsub__(self, other):
         return -self + other
@@ -189,7 +211,7 @@ class ExtElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExtElem._reduced(self.field, self.field._mul(self.coeffs, o.coeffs))
+        return self.field._mul(self, o)
 
     __rmul__ = __mul__
 
@@ -205,21 +227,60 @@ class ExtElem:
     def __pow__(self, n: int):
         return _power(self, n, self.field.one(), self.field.inv)
 
+    def _is_rational(self) -> bool:
+        return not any(self.num[1:])
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
         if isinstance(other, ExtElem):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return ((self.field is other.field or self.field == other.field)
+                    and self.den == other.den and self.num == other.num)
+        if isinstance(other, (int, Fraction)):
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and self._is_rational())
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # a rational element hashes as the rational it equals
+        if self._is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return format_scalar(self)
+
+
+_new_elem = object.__new__
+_SET_FIELD = ExtElem.field.__set__
+_SET_NUM = ExtElem.num.__set__
+_SET_DEN = ExtElem.den.__set__
+_SET_COEFFS = ExtElem._coeffs.__set__
+
+
+def _init(self: ExtElem, field, num: tuple, den: int, coeffs) -> None:
+    _SET_FIELD(self, field)
+    _SET_NUM(self, num)
+    _SET_DEN(self, den)
+    _SET_COEFFS(self, coeffs)
+
+
+def _wrap(field, num: tuple, den: int) -> ExtElem:
+    """The element num/den; num and den must already be in lowest terms."""
+    self = _new_elem(ExtElem)
+    _init(self, field, num, den, None)
+    return self
+
+
+def _lowest(field, num: tuple, den: int) -> ExtElem:
+    """The element num/den, den > 0, brought to lowest terms by one gcd."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return _wrap(field, num, den)
 
 
 class NumberField:
@@ -227,9 +288,11 @@ class NumberField:
 
     Build through make_extension, which also checks irreducibility.
 
-    Elements multiply by structure constants: a product is the convolution
-    of two coordinate tuples, whose terms of degree n..2n-2 are folded back
-    with the coordinates of a^n..a^(2n-2), computed once here.
+    Elements are integer numerators over one denominator (see ExtElem).  A
+    product convolves the two numerator tuples; its terms of degree
+    n..2n-2 are folded back with the coordinates of a^n..a^(2n-2), computed
+    once here as integer rows over their common denominator (1 when p has
+    integer coefficients), and one gcd brings the result to lowest terms.
     """
 
     is_field = True
@@ -242,11 +305,20 @@ class NumberField:
             raise NotMonic("minimal polynomial must be monic")
         self.minpoly = mp
         self.degree = n = len(mp) - 1
-        self._zeros = (_ZERO,) * (n - 1)
-        powers = [tuple(-c for c in mp[:n])]
-        for _ in range(n - 2):
-            powers.append(self._times_gen(powers[-1]))
-        self._powers = tuple(powers)
+        self._hash = hash(("NumberField", mp))
+        self._zeros = (0,) * (n - 1)
+        # a^n = -(p_0 + p_1 a + ... + p_(n-1) a^(n-1)), where
+        # p_i = _mp_num[i] / _mp_den with integer _mp_num[i] and _mp_den
+        self._mp_den = math.lcm(*[c.denominator for c in mp])
+        self._mp_num = tuple([c.numerator * (self._mp_den // c.denominator) for c in mp[:n]])
+        power, powers = _wrap(self, self._zeros + (1,), 1), []
+        for _ in range(n - 1):
+            power = self._times_gen(power)
+            powers.append(power)
+        self._den = math.lcm(*[p.den for p in powers])
+        self._powers = tuple(tuple([c * (self._den // p.den) for c in p.num]) for p in powers)
+        self._zero = self._scalar(0)
+        self._one = self._scalar(1)
         self._complex_gen: complex | None = None
 
     @property
@@ -254,58 +326,54 @@ class NumberField:
         return ExtElem(self, [0, 1])
 
     def _scalar(self, c) -> ExtElem:
-        return ExtElem._reduced(self, (c if isinstance(c, Fraction) else Fraction(c),) + self._zeros)
+        """The rational c (an int or a Fraction, so in lowest terms)."""
+        return _wrap(self, (c.numerator,) + self._zeros, c.denominator)
 
     def zero(self) -> ExtElem:
-        return self._scalar(_ZERO)
+        return self._zero
 
     def one(self) -> ExtElem:
-        return self._scalar(_ONE)
+        return self._one
 
     def coerce(self, v) -> ExtElem:
         if isinstance(v, ExtElem):
-            if v.field != self:
+            if v.field is not self and v.field != self:
                 raise MixedFields("element of a different extension field")
             return v
         if isinstance(v, (int, Fraction)):
             return self._scalar(v)
         raise MixedFields(f"cannot coerce {v!r} into {self!r}")
 
-    def _reduce(self, coeffs: list[Fraction]) -> list[Fraction]:
-        coeffs = list(coeffs)
-        n = self.degree
-        for k in range(len(coeffs) - 1, n - 1, -1):
-            c = coeffs[k]
-            if c:
-                coeffs[k] = _ZERO
-                for i in range(n):
-                    coeffs[k - n + i] -= c * self.minpoly[i]
-        return coeffs[:n]
-
-    def _times_gen(self, v: tuple) -> tuple:
-        """Coordinates of a*v, for v given by its coordinates."""
-        shifted = (_ZERO, *v[:-1])
-        top = v[-1]
+    def _times_gen(self, v: ExtElem) -> ExtElem:
+        """a * v."""
+        top = v.num[-1]
+        shifted = (0,) + v.num[:-1]
         if not top:
-            return shifted
-        return tuple([s - top * m for s, m in zip(shifted, self.minpoly)])
+            return _wrap(self, shifted, v.den)
+        d = self._mp_den
+        return _lowest(self, tuple([s * d - top * m for s, m in zip(shifted, self._mp_num)]),
+                       v.den * d)
 
-    def _mul(self, x: tuple, y: tuple) -> tuple:
-        """Coordinates of the product of the elements with coordinates x, y."""
+    def _mul(self, x: ExtElem, y: ExtElem) -> ExtElem:
+        """x * y: convolve the numerators, fold the high terms back."""
         n = self.degree
-        prod = [_ZERO] * (2 * n - 1)
-        for i, xi in enumerate(x):
+        prod = [0] * (2 * n - 1)
+        ys = tuple(enumerate(y.num))
+        for i, xi in enumerate(x.num):
             if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        prod[i + j] += xi * yj
+                for j, yj in ys:
+                    prod[i + j] += xi * yj
+        den = x.den * y.den
         out = prod[:n]
+        d = self._den
+        if d != 1:
+            out = [c * d for c in out]
+            den *= d
         for c, row in zip(prod[n:], self._powers):
             if c:
                 for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return tuple(out)
+                    out[i] += c * r
+        return _lowest(self, tuple(out), den)
 
     def invertible(self, a: ExtElem) -> bool:
         return bool(self.coerce(a))
@@ -318,14 +386,15 @@ class NumberField:
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
         n = self.degree
-        cols = [a.coeffs]
+        cols = [a]
         for _ in range(n - 1):
             cols.append(self._times_gen(cols[-1]))
+        cols = [col.coeffs for col in cols]
         pivots, rows = row_reduce(
             [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)])
         if pivots != list(range(n)):
             raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
-        return ExtElem._reduced(self, tuple([row[n] for row in rows]))
+        return ExtElem(self, [row[n] for row in rows])
 
     def complex_gen(self) -> complex:
         """Deterministic complex embedding of the generator.
@@ -344,10 +413,10 @@ class NumberField:
         return self._complex_gen
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
+        return other is self or (isinstance(other, NumberField) and self.minpoly == other.minpoly)
 
     def __hash__(self):
-        return hash(("NumberField", self.minpoly))
+        return self._hash
 
     def _format_minpoly(self) -> str:
         """The minimal polynomial in the generator a, e.g. "a^2 + a + 1"."""
@@ -827,7 +896,8 @@ def embed_scalar(x: Scalar) -> complex:
     if isinstance(x, ExtElem):
         gen = x.field.complex_gen()
         out = 0j
-        for c in reversed(x.coeffs):
-            out = out * gen + complex(c)
+        # c / den is the correctly rounded float of the coordinate, as Fraction's
+        for c in reversed(x.num):
+            out = out * gen + c / x.den
         return out
     raise MixedFields(f"no complex embedding for {x!r}")

@@ -6,6 +6,11 @@ degree -1). "Monic" means the leading coefficient is invertible in the ring
 and normalized to 1; over the dual ring a nilpotent leading coefficient is
 not invertible and division by such a polynomial is refused.
 
+Over QQ, products and division run on integer numerators over one
+denominator and build Fractions only for the result; the other rings go
+through the generic loops over ring elements. Results of ring arithmetic are
+wrapped by ``Poly._of``, which does not coerce what is already in the ring.
+
 The Wronskian of f_1..f_k is the k x k determinant whose rows are the
 derivatives in descending order (order k-1 at the top, the functions at the
 bottom), so the two-argument form is Wr(f, g) = f'g - fg'. The determinant is
@@ -15,6 +20,7 @@ ring. It is multilinear and antisymmetric in the functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,16 +35,22 @@ from .errors import (
 )
 from .field import DualRing, RationalField, Scalar
 
+_ZERO = Fraction(0)
+
 
 class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs: Iterable):
-        cs = [ring.coerce(c) for c in coeffs]
-        while cs and not _nonzero(cs[-1]):
-            cs.pop()
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _trimmed(self, ring, [ring.coerce(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, ring, coeffs: list) -> "Poly":
+        """The polynomial of a list of coefficients that are already elements
+        of ``ring``, as ring arithmetic returns them: no coercion."""
+        self = object.__new__(cls)
+        _trimmed(self, ring, coeffs)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -47,15 +59,15 @@ class Poly:
 
     @classmethod
     def zero(cls, ring) -> "Poly":
-        return cls(ring, [])
+        return cls._of(ring, [])
 
     @classmethod
     def one(cls, ring) -> "Poly":
-        return cls(ring, [ring.one()])
+        return cls._of(ring, [ring.one()])
 
     @classmethod
     def x(cls, ring) -> "Poly":
-        return cls(ring, [ring.zero(), ring.one()])
+        return cls._of(ring, [ring.zero(), ring.one()])
 
     @classmethod
     def constant(cls, ring, c) -> "Poly":
@@ -79,7 +91,7 @@ class Poly:
             for k in range(len(c) - 2, 0, -1):
                 c[k] = c[k - 1] - r * c[k]
             c[0] = -r * c[0]
-        return cls(ring, c)
+        return cls._of(ring, c)
 
     # -- basic queries -------------------------------------------------------
 
@@ -110,7 +122,7 @@ class Poly:
         if not self.ring.invertible(lead):
             raise NotMonic(f"leading coefficient {lead!r} is not invertible")
         inv = self.ring.inv(lead)
-        return Poly(self.ring, [c * inv for c in self.coeffs])
+        return Poly._of(self.ring, [c * inv for c in self.coeffs])
 
     # -- ring operations -----------------------------------------------------
 
@@ -122,14 +134,15 @@ class Poly:
         return Poly(self.ring, [other])
 
     def __add__(self, other):
-        o = self._match(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.ring, [self.coeff(i) + o.coeff(i) for i in range(n)])
+        a, b = self.coeffs, self._match(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._of(self.ring, [u + v for u, v in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
+        return Poly._of(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._match(other))
@@ -140,16 +153,26 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = self.ring.coerce(other)
-            return Poly(self.ring, [a * c for a in self.coeffs])
+            return Poly._of(self.ring, [a * c for a in self.coeffs])
         o = self._match(other)
         if self.is_zero() or o.is_zero():
             return Poly.zero(self.ring)
+        if isinstance(self.ring, RationalField):
+            # integer numerators over each factor's lcm denominator
+            (a, da), (b, db) = _numerators(self.coeffs), _numerators(o.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            b_terms = tuple(enumerate(b))
+            for i, u in enumerate(a):
+                if u:
+                    for j, v in b_terms:
+                        out[i + j] += u * v
+            return Poly._of(self.ring, _over(out, da * db))
         out = [self.ring.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if _nonzero(a):
                 for j, b in enumerate(o.coeffs):
                     out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+        return Poly._of(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -170,12 +193,12 @@ class Poly:
     def deriv(self, k: int = 1) -> "Poly":
         out = self
         for _ in range(k):
-            out = Poly(out.ring, [c * i for i, c in enumerate(out.coeffs)][1:])
+            out = Poly._of(out.ring, [c * i for i, c in enumerate(out.coeffs)][1:])
         return out
 
     def antideriv(self) -> "Poly":
         """Antiderivative with zero constant term (characteristic zero)."""
-        return Poly(self.ring, [self.ring.zero()] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return Poly._of(self.ring, [self.ring.zero()] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def __call__(self, z):
         return self.eval(z)
@@ -211,10 +234,12 @@ class Poly:
 
     def shift(self, z) -> "Poly":
         """g with g(x) = f(x + z): the Taylor coefficients of f at z."""
-        return Poly(self.ring, self._taylor(z))
+        return Poly._of(self.ring, list(self._taylor(z)))
 
     def to_ring(self, ring) -> "Poly":
-        return Poly(ring, [ring.coerce(c) for c in self.coeffs])
+        if ring == self.ring:
+            return self
+        return Poly._of(ring, [ring.coerce(c) for c in self.coeffs])
 
     def __repr__(self):
         return format_poly(self)
@@ -224,6 +249,28 @@ def _nonzero(c) -> bool:
     if isinstance(c, Fraction):
         return c != 0
     return bool(c)
+
+
+def _trimmed(self: Poly, ring, cs: list) -> None:
+    while cs and not _nonzero(cs[-1]):
+        cs.pop()
+    object.__setattr__(self, "ring", ring)
+    object.__setattr__(self, "coeffs", tuple(cs))
+
+
+def _numerators(cs) -> tuple[list[int], int]:
+    """Integer numerators of rational coefficients over their lcm denominator."""
+    den = math.lcm(*[c.denominator for c in cs])
+    if den == 1:
+        return [c.numerator for c in cs], 1
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _over(nums: list[int], den: int) -> list[Fraction]:
+    """The rationals nums[i] / den."""
+    if den == 1:
+        return [Fraction(c) for c in nums]
+    return [Fraction(c, den) for c in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +284,8 @@ def div_rem(f: Poly, y: Poly) -> tuple[Poly, Poly]:
         raise ZeroPolynomial("division by the zero polynomial")
     if not f.ring.invertible(y.lead()):
         raise NotMonic(f"divisor lead {y.lead()!r} is not invertible")
+    if isinstance(f.ring, RationalField):
+        return _div_rem_qq(f, y)
     # a monic divisor needs no inverse: over Q(a) each product by it is a
     # full number-field product
     inv = None if y.lead() == f.ring.one() else f.ring.inv(y.lead())
@@ -250,7 +299,40 @@ def div_rem(f: Poly, y: Poly) -> tuple[Poly, Poly]:
             q[k] = c
             for i, yc in enumerate(y.coeffs):
                 rem[k + i] = rem[k + i] - c * yc
-    return Poly(f.ring, q), Poly(f.ring, rem[:dy])
+    return Poly._of(f.ring, q), Poly._of(f.ring, rem[:dy])
+
+
+def _div_rem_qq(f: Poly, y: Poly) -> tuple[Poly, Poly]:
+    """div_rem over QQ on integer numerators.
+
+    The remainder is R / D with integer R and one running denominator D > 0,
+    and y = Y / e with integer Y of leading coefficient L.  Taking the
+    quotient term c x^k with c = R[k+dy] e / (D L) leaves
+    (|L| R - sign(L) R[k+dy] x^k Y) / (D |L|); one gcd per step removes the
+    content of that fraction.
+    """
+    R, D = _numerators(f.coeffs)
+    Y, e = _numerators(y.coeffs)
+    dy = len(Y) - 1
+    L = Y[-1]
+    La, sign = abs(L), (1 if L > 0 else -1)
+    qlen = max(0, len(R) - dy)
+    q = [_ZERO] * qlen
+    for k in range(qlen - 1, -1, -1):
+        top = R.pop()
+        if top:
+            q[k] = Fraction(sign * top * e, D * La)
+            c = sign * top
+            if La != 1:
+                R = [La * r for r in R]
+                D *= La
+            for i in range(dy):
+                R[k + i] -= c * Y[i]
+            g = math.gcd(D, *R)
+            if g != 1:
+                R = [r // g for r in R]
+                D //= g
+    return Poly._of(f.ring, q), Poly._of(f.ring, _over(R, D))
 
 
 def divides(y: Poly, f: Poly) -> bool:

@@ -107,6 +107,11 @@ class FertileTuple:
         return self.T[i] * self.y_at(i - 1) * self.y_at(i + 1)
 
     @cached_property
+    def marked(self) -> Poly:
+        """The monic polynomial whose roots are the marked points."""
+        return Poly.from_roots(self.ring, self.points)
+
+    @cached_property
     def K(self) -> tuple[Poly, ...]:
         """K_0..K_{N+1} with K_i = T_0^i T_1^{i-1} ... T_{i-1}."""
         out = [Poly.one(self.ring)]
@@ -178,12 +183,14 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     target = t.rhs(i)
     sol = solve(yi, target)
     # the marked points are the roots of T_0..T_N
-    avoid = [Poly.from_roots(t.ring, t.points), t.y_at(i - 1), t.y_at(i + 1)]
+    avoid = [t.marked, t.y_at(i - 1), t.y_at(i + 1)]
     cand, c = generic_candidate(sol.particular, yi, avoid_roots_of=avoid)
     if wronskian_pair(yi, cand) != target:
         raise VerificationFailed(f"mutated y_{i} fails its defining equation")
     ytilde = cand.monic()
     new_t = FertileTuple(t.ring, t.y[:i - 1] + (ytilde,) + t.y[i:], t.T, t.points)
+    # a cascade keeps T and the points, so the new tuple shares their product
+    object.__setattr__(new_t, "marked", t.marked)
     report = is_fertile(new_t)
     if not report.ok:
         raise NotFertile(f"mutation in direction {i}: {report}")

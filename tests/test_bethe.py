@@ -485,8 +485,8 @@ def test_roots_of_unity_identity_sector_is_built_from_the_point_sector():
 
 
 @pytest.mark.xfail(strict=True, reason="F3: the point sector reports the triple point "
-                   "t = 1 as 13 fragments of multiplicity 2, and the identity sector "
-                   "carries them over: 26, not 3")
+                   "t = 1 as 3 fragments of multiplicity 2, and the identity sector "
+                   "carries them over: 6, not 3")
 def test_roots_of_unity_identity_sector_sums_to_target():
     report = run_verify(rou4_data(), sector="all", starts=200, seed=0)["report"]
     assert report["sectors"]["1,2"]["multiplicity_sum"] == report["lr_target"] == 3

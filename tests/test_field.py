@@ -1,5 +1,6 @@
 """Scalar arithmetic: rationals, number fields, dual numbers, parsing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,62 @@ def test_extension_arithmetic_builds_no_poly(monkeypatch):
     for field in (OMEGA, CUBE2, ZETA8):
         x = field.gen + 3
         assert x * field.inv(x) == field.one()
+
+
+# the integer form: numerators over one denominator.  Monic minimal
+# polynomials with non-integral coefficients put a denominator on the table
+# of powers (a^2 = 1/2; a^3 = a/3 - 1/2 and a^4 = a^2/3 - a/2 over 6)
+HALF = make_extension("x^2-1/2")
+THIRDS = make_extension((Fraction(1, 2), Fraction(-1, 3), 0, 1))
+INTEGER_FORM_FIELDS = pytest.mark.parametrize(
+    "field", [OMEGA, CUBE2, HALF, THIRDS], ids=["a2+a+1", "a3-2", "a2-1/2", "a3-a/3+1/2"])
+
+
+def assert_lowest_terms(x):
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+
+
+@INTEGER_FORM_FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_form_matches_rational_reference(field, data):
+    x, y = data.draw(ext_elems(field)), data.draw(ext_elems(field))
+    assert (x + y).coeffs == tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+    assert (x - y).coeffs == tuple(a - b for a, b in zip(x.coeffs, y.coeffs))
+    assert (-x).coeffs == tuple(-a for a in x.coeffs)
+    assert (x * y).coeffs == poly_reference_product(x, y).coeffs
+    for z in (x, x + y, x - y, -x, x * y):
+        assert_lowest_terms(z)
+    if x:
+        inv = field.inv(x)
+        assert_lowest_terms(inv)
+        assert poly_reference_product(x, inv) == field.one()
+    # coordinates past the degree fold back as the remainder mod p
+    long = data.draw(st.lists(fracs, min_size=field.degree + 1, max_size=2 * field.degree + 2))
+    _, r = div_rem(Poly(QQ, long), Poly(QQ, field.minpoly))
+    folded = ExtElem(field, long)
+    assert_lowest_terms(folded)
+    assert folded == ExtElem(field, r.coeffs)
+
+
+@INTEGER_FORM_FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equal_elements_have_one_form_and_hash(field, data):
+    x, y = data.draw(ext_elems(field)), data.draw(ext_elems(field))
+    q = data.draw(fracs)
+    for z in [(x + y) - y, -(-x), x * field.one()] + ([(x * y) / y] if y else []):
+        assert z == x and (z.num, z.den) == (x.num, x.den) and hash(z) == hash(x)
+    # a rational element equals, and hashes as, the rational
+    s = ExtElem(field, [q])
+    assert s == q and q == s and hash(s) == hash(q)
+    assert (s == int(q)) == (q.denominator == 1)
+    if q.denominator == 1:
+        assert hash(s) == hash(int(q))
+    assert (x == q) == (x.coeffs == (q,) + (0,) * (field.degree - 1))
+    assert s + field.gen != q and (s + field.gen) * 0 == 0
+    assert bool(x) == any(x.coeffs)
 
 
 def test_coefficients_kept_not_rewrapped():

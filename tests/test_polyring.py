@@ -117,6 +117,57 @@ def test_div_rem_identity(f, y):
     assert r.is_zero() or r.degree() < y.degree()
 
 
+def schoolbook_product(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def long_division(f, y):
+    """Quotient and remainder coefficient lists, in Fractions."""
+    rem, q = list(f), [Fraction(0)] * max(0, len(f) - len(y) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + len(y) - 1] / y[-1]
+        for i, v in enumerate(y):
+            rem[k + i] -= q[k] * v
+    return q, rem[:len(y) - 1]
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+# divisor leads that are fractional, negative, or both
+leads = st.one_of(st.sampled_from([Fraction(-1), Fraction(-3, 4), Fraction(5, 3),
+                                   Fraction(-7, 2), Fraction(1, 6)]),
+                  fracs.filter(bool))
+
+
+@given(polys, polys)
+def test_qq_product_matches_schoolbook(f, g):
+    prod = f * g
+    assert prod.coeffs == trimmed(schoolbook_product(f.coeffs, g.coeffs))
+    assert all(type(c) is Fraction for c in prod.coeffs)
+
+
+@example(f=Poly(QQ, []), low=[Fraction(1, 2)], lead=Fraction(-3, 4))
+@example(f=Poly(QQ, [1, 2]), low=[1, 1, 1], lead=Fraction(-1))
+@given(polys, st.lists(fracs, max_size=4), leads)
+def test_qq_div_rem_matches_long_division(f, low, lead):
+    y = Poly(QQ, low + [lead])
+    q, r = div_rem(f, y)
+    assert q * y + r == f
+    assert r.is_zero() or r.degree() < y.degree()
+    want_q, want_r = long_division(f.coeffs, y.coeffs)
+    assert q.coeffs == trimmed(want_q) and r.coeffs == trimmed(want_r)
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
 @given(polys, nonzero_polys)
 def test_exact_div_of_product(f, y):
     if f.is_zero():
