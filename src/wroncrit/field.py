@@ -389,9 +389,12 @@ class NumberField:
         cols = [a]
         for _ in range(n - 1):
             cols.append(self._times_gen(cols[-1]))
-        cols = [col.coeffs for col in cols]
+        # M_a is an integer matrix M over one denominator d, and M_a x = e_0
+        # is M x = d e_0: the columns' Fraction coordinates are never built
+        d = math.lcm(*[col.den for col in cols])
+        cols = [[c * (d // col.den) for c in col.num] for col in cols]
         pivots, rows = row_reduce(
-            [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)])
+            [[col[i] for col in cols] + [d if i == 0 else 0] for i in range(n)])
         if pivots != list(range(n)):
             raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
         return ExtElem(self, [row[n] for row in rows])
