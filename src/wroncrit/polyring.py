@@ -6,10 +6,11 @@ degree -1). "Monic" means the leading coefficient is invertible in the ring
 and normalized to 1; over the dual ring a nilpotent leading coefficient is
 not invertible and division by such a polynomial is refused.
 
-Over QQ, products and division run on integer numerators over one
-denominator and build Fractions only for the result; the other rings go
-through the generic loops over ring elements. Results of ring arithmetic are
-wrapped by ``Poly._of``, which does not coerce what is already in the ring.
+Over QQ, products, division and Taylor passes run on integer numerators
+over one denominator and build Fractions only for the result; the other
+rings go through the generic loops over ring elements. Results of ring
+arithmetic are wrapped by ``Poly._of``, which does not coerce what is
+already in the ring.
 
 The Wronskian of f_1..f_k is the k x k determinant whose rows are the
 derivatives in descending order (order k-1 at the top, the functions at the
@@ -223,8 +224,12 @@ class Poly:
         Pass i divides c[i:] by x - z in place, from the top down: the
         remainder lands in c[i], the i-th Taylor coefficient of f at z, and
         the quotient stays above it; c[i] is yielded as its pass ends.
+        Over QQ the passes run on integers (see _taylor_qq).
         """
         zc = self.ring.coerce(z)
+        if isinstance(self.ring, RationalField):
+            yield from _taylor_qq(self.coeffs, zc)
+            return
         c = list(self.coeffs)
         for i in range(len(c)):
             if _nonzero(zc):
@@ -264,6 +269,29 @@ def _numerators(cs) -> tuple[list[int], int]:
     if den == 1:
         return [c.numerator for c in cs], 1
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _taylor_qq(cs, z: Fraction):
+    """The Taylor passes of _taylor over QQ, on integers.
+
+    With f = C / D (integer C) of degree n and z = p / q, the integers
+    a_k = C_k q^(n-k) are the coefficients of g(x) = D q^n f(x / q), whose
+    Taylor coefficient b_j at the integer p gives f's at z as
+    b_j / (D q^(n-j)); Ruffini by p keeps every b_j an integer.
+    """
+    a, D = _numerators(cs)
+    p, q = z.numerator, z.denominator
+    n = len(a) - 1
+    qpow = [1]
+    for _ in range(n):
+        qpow.append(qpow[-1] * q)
+    if q != 1:
+        a = [c * qpow[n - k] for k, c in enumerate(a)]
+    for i in range(n + 1):
+        if p:
+            for j in range(n - 1, i - 1, -1):
+                a[j] += p * a[j + 1]
+        yield Fraction(a[i], D * qpow[n - i])
 
 
 def _over(nums: list[int], den: int) -> list[Fraction]:

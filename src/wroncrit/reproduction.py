@@ -18,7 +18,7 @@ by theta, which divides partial Wronskians by K_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
@@ -56,13 +56,17 @@ class FertileTuple:
     them), and a point that is a root of no T_j is dropped: the marked points
     are the roots of the weights, so exponent tables and fertility read them
     without factoring.  Fertility itself is a property, checked by
-    is_fertile, not a constructor guarantee.
+    is_fertile, not a constructor guarantee.  ``verified`` is the fertility
+    report mutate verified when it built the tuple, and None for a tuple
+    built by the constructor.
     """
 
     ring: Any
     y: tuple[Poly, ...]
     T: tuple[Poly, ...]
     points: tuple[Any, ...] = ()
+    verified: FertilityReport | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         y = tuple(p.to_ring(self.ring) for p in self.y)
@@ -91,6 +95,19 @@ class FertileTuple:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "points", pts)
+
+    def _replaced(self, i: int, yi: Poly) -> FertileTuple:
+        """This tuple with y_i replaced by yi.  A mutation keeps T, the points
+        and their polynomial, which this tuple validated, so only yi is
+        checked."""
+        if yi.is_zero() or not yi.is_monic():
+            raise NotMonic(f"y_{i} must be monic")
+        new = object.__new__(FertileTuple)
+        for name, value in (("ring", self.ring), ("y", self.y[:i - 1] + (yi,) + self.y[i:]),
+                            ("T", self.T), ("points", self.points), ("verified", None),
+                            ("marked", self.marked)):
+            object.__setattr__(new, name, value)
+        return new
 
     @property
     def N(self) -> int:
@@ -124,10 +141,42 @@ class FertileTuple:
 
 
 @dataclass(frozen=True)
+class _Level:
+    """Verdicts of the fertility conditions on y_i.
+
+    ``avoids`` pairs each T_j of positive degree with whether y_i avoids its
+    roots (empty when y_i is constant); ``coprime`` (y_i and y_{i+1}) is None
+    at i = N; ``divides`` is None when y_i is not square free, which skips it.
+    """
+
+    sqfree: bool
+    avoids: tuple[tuple[int, bool], ...]
+    coprime: bool | None
+    divides: bool | None
+
+    def entries(self, i: int):
+        """(verdict, entry if it holds, entry if it fails), in report order."""
+        yield self.sqfree, f"y_{i} square free", f"y_{i} has a multiple root"
+        for j, ok in self.avoids:
+            yield ok, f"y_{i} avoids roots of T_{j}", f"y_{i} shares a root with T_{j}"
+        if self.coprime is not None:
+            yield (self.coprime, f"y_{i} coprime to y_{i + 1}",
+                   f"y_{i} and y_{i + 1} share a root")
+        if self.divides is None:
+            yield False, None, f"divisibility for y_{i} skipped (not square free)"
+        else:
+            yield (self.divides, f"y_{i} divides Wr(y_{i}', T_{i} y_{i - 1} y_{i + 1})",
+                   f"y_{i} does not divide Wr(y_{i}', T_{i} y_{i - 1} y_{i + 1})")
+
+
+@dataclass(frozen=True)
 class FertilityReport:
     ok: bool
     passed: tuple[str, ...]
     failures: tuple[str, ...]
+    # the verdicts on y_1..y_N the entries were rendered from, which mutate
+    # reads; two reports are equal when their entries are
+    levels: tuple[_Level, ...] = field(default=(), repr=False, compare=False)
 
     def __str__(self):
         if self.ok:
@@ -135,47 +184,65 @@ class FertilityReport:
         return "not fertile: " + "; ".join(self.failures)
 
 
-def is_fertile(t: FertileTuple) -> FertilityReport:
-    """Check all fertility conditions; failures are reported, never raised.
-
-    The roots y_i shares with a T_j are read at the marked points, no gcd."""
+def _report(levels: list[_Level]) -> FertilityReport:
     passed, failures = [], []
+    for i, level in enumerate(levels, start=1):
+        for ok, good, bad in level.entries(i):
+            (passed if ok else failures).append(good if ok else bad)
+    return FertilityReport(not failures, tuple(passed), tuple(failures), tuple(levels))
 
-    def note(ok: bool, good: str, bad: str):
-        (passed if ok else failures).append(good if ok else bad)
 
-    for i in range(1, t.N + 1):
-        yi = t.y_at(i)
+def _avoids(t: FertileTuple, yi: Poly, shared) -> tuple[tuple[int, bool], ...]:
+    """For each T_j of positive degree, whether yi avoids its roots, given the
+    marked points where yi vanishes."""
+    if yi.degree() <= 0:
+        return ()
+    return tuple((j, not any(ord_at(Tj, z) for z in shared))
+                 for j, Tj in enumerate(t.T) if Tj.degree() > 0)
+
+
+def _check_level(t: FertileTuple, i: int, sqfree: bool | None = None,
+                 avoids: tuple | None = None, coprime: bool | None = None) -> _Level:
+    """The verdicts on y_i in t.  A verdict passed in is taken as verified
+    and the others are computed; divisibility always is.  The roots y_i
+    shares with a T_j are read at the marked points, no gcd."""
+    yi = t.y_at(i)
+    if sqfree is None:
         sqfree = is_squarefree(yi)
-        note(sqfree, f"y_{i} square free", f"y_{i} has a multiple root")
-        shared = [z for z in t.points if ord_at(yi, z)]
-        for j, Tj in enumerate(t.T):
-            if yi.degree() > 0 and Tj.degree() > 0:
-                ok = not any(ord_at(Tj, z) for z in shared)
-                note(ok, f"y_{i} avoids roots of T_{j}",
-                     f"y_{i} shares a root with T_{j}")
-        if i < t.N:
-            ynext = t.y_at(i + 1)
-            ok = (yi.degree() <= 0 or ynext.degree() <= 0
-                  or gcd_monic(yi, ynext).degree() == 0)
-            note(ok, f"y_{i} coprime to y_{i + 1}",
-                 f"y_{i} and y_{i + 1} share a root")
-        if sqfree:
-            ok = yi.degree() <= 0 or divides(yi, wronskian_pair(yi.deriv(), t.rhs(i)))
-            note(ok, f"y_{i} divides Wr(y_{i}', T_{i} y_{i - 1} y_{i + 1})",
-                 f"y_{i} does not divide Wr(y_{i}', T_{i} y_{i - 1} y_{i + 1})")
-        else:
-            failures.append(f"divisibility for y_{i} skipped (not square free)")
-    return FertilityReport(not failures, tuple(passed), tuple(failures))
+    if avoids is None:
+        avoids = _avoids(t, yi, [z for z in t.points if ord_at(yi, z)])
+    if i == t.N:
+        coprime = None
+    elif coprime is None:
+        ynext = t.y_at(i + 1)
+        coprime = (yi.degree() <= 0 or ynext.degree() <= 0
+                   or gcd_monic(yi, ynext).degree() == 0)
+    div = None
+    if sqfree:
+        div = yi.degree() <= 0 or divides(yi, wronskian_pair(yi.deriv(), t.rhs(i)))
+    return _Level(sqfree, avoids, coprime, div)
 
 
-def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
+def is_fertile(t: FertileTuple) -> FertilityReport:
+    """Check all fertility conditions; failures are reported, never raised."""
+    return _report([_check_level(t, i) for i in range(1, t.N + 1)])
+
+
+def mutate(t: FertileTuple, i: int,
+           verified: FertilityReport | None = None) -> tuple[FertileTuple, Poly, int]:
     """Reproduce in direction i: swap y_i for a generic mutated partner.
 
     Returns the new tuple, the monic replacement, and the ladder constant
     that made it generic.  The replacement is rechecked against the
-    Wronskian equation before scaling, and the output tuple's fertility is
-    re-verified.
+    Wronskian equation before scaling, and the new tuple's fertility is
+    verified; its report becomes the new tuple's ``verified``.
+
+    ``verified`` is t's report: is_fertile(t), or t.verified when mutate
+    built t.  Without it every condition is checked.  With it, only the
+    divisibility conditions at levels i-1, i and i+1 are re-checked.  The
+    new y_i is square free, avoids the roots of every T_j and is coprime to
+    both neighbours, since generic_candidate chose it so; every other
+    verdict is the parent's, whose inputs the mutation left unchanged.
     """
     if not 1 <= i <= t.N:
         raise WroncritError(f"direction {i} outside 1..{t.N}")
@@ -188,12 +255,24 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     if wronskian_pair(yi, cand) != target:
         raise VerificationFailed(f"mutated y_{i} fails its defining equation")
     ytilde = cand.monic()
-    new_t = FertileTuple(t.ring, t.y[:i - 1] + (ytilde,) + t.y[i:], t.T, t.points)
-    # a cascade keeps T and the points, so the new tuple shares their product
-    object.__setattr__(new_t, "marked", t.marked)
-    report = is_fertile(new_t)
+    new_t = t._replaced(i, ytilde)
+    if verified is None:
+        report = is_fertile(new_t)
+    else:
+        levels = list(verified.levels)
+        # generic_candidate took the candidate square free and coprime to
+        # t.marked and to both neighbours: it vanishes at no marked point
+        levels[i - 1] = _check_level(new_t, i, True, _avoids(new_t, ytilde, ()), True)
+        if i > 1:
+            p = levels[i - 2]
+            levels[i - 2] = _check_level(new_t, i - 1, p.sqfree, p.avoids, True)
+        if i < t.N:
+            p = levels[i]
+            levels[i] = _check_level(new_t, i + 1, p.sqfree, p.avoids, p.coprime)
+        report = _report(levels)
     if not report.ok:
         raise NotFertile(f"mutation in direction {i}: {report}")
+    object.__setattr__(new_t, "verified", report)
     return new_t, ytilde, c
 
 
@@ -222,7 +301,9 @@ def build_space(t: FertileTuple) -> PolySpace:
 
     u_1 = K_1 y_1; u_{i+1} comes from cascading mutations in directions
     i, i-1, ..., 1, always restarted from the original tuple, then scaling
-    the final first entry by K_1.  All three conclusions are then verified:
+    the final first entry by K_1.  The source tuple's fertility is checked
+    once per call, and each mutation of a cascade starts from the verified
+    report of the tuple before it.  All three conclusions are then verified:
     the Wronskian family, the finite exponent tables, and the degrees at
     infinity.
     """
@@ -232,9 +313,10 @@ def build_space(t: FertileTuple) -> PolySpace:
     K = t.K
     basis = [K[1] * t.y_at(1)]
     for i in range(1, t.N + 1):
-        cur = t
+        cur, facts = t, report
         for direction in range(i, 0, -1):
-            cur, _, _ = mutate(cur, direction)
+            cur, _, _ = mutate(cur, direction, facts)
+            facts = cur.verified
         basis.append(K[1] * cur.y_at(1))
 
     wrs = [wronskian(basis[:i]) for i in range(1, t.N + 2)]

@@ -168,6 +168,31 @@ def test_qq_div_rem_matches_long_division(f, low, lead):
     assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
 
 
+def fraction_ruffini(cs, z):
+    """Taylor coefficients at z of sum cs[k] x^k, by Ruffini passes on Fractions."""
+    c = list(cs)
+    out = []
+    for i in range(len(c)):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = c[j] + z * c[j + 1]
+        out.append(c[i])
+    return out
+
+
+@example(f=Poly(QQ, [Fraction(1, 2), 3, Fraction(-2, 3)]), z=Fraction(0))
+@example(f=Poly(QQ, [Fraction(5, 4)]), z=Fraction(-7, 3))
+@example(f=Poly(QQ, [1, 0, Fraction(1, 6), 2]), z=Fraction(3, 4))
+@given(polys, fracs)
+def test_qq_taylor_pass_matches_fraction_ruffini(f, z):
+    want = fraction_ruffini(f.coeffs, z)
+    got = list(f._taylor(z))
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+    assert f.shift(z).coeffs == trimmed(want)
+    if not f.is_zero():
+        assert ord_at(f, z) == next(k for k, c in enumerate(want) if c)
+
+
 @given(polys, nonzero_polys)
 def test_exact_div_of_product(f, y):
     if f.is_zero():

@@ -284,6 +284,61 @@ def test_mutate_picks_the_reference_ladder_constant(plan):
             break
 
 
+@settings(max_examples=25, deadline=None)
+@given(growth_plans())
+@example((1, [0, 1], [[0], [1]], [1]))
+@example((3, [-1, 0, 1], [[0], [1], [-1], [0, 1]], [2, 1, 3]))
+def test_threaded_report_equals_full_check(plan):
+    # each mutation starts from the report of its parent, as build_space threads it
+    N, pts, roots, directions = plan
+    T = tuple(_linear_product(r, False) for r in roots)
+    t = FertileTuple(QQ, (Poly.one(QQ),) * N, T, tuple(Fraction(z) for z in pts))
+    report = is_fertile(t)
+    for i in directions:
+        try:
+            t, _, _ = mutate(t, i, report)
+        except NotFertile:
+            return
+        report = t.verified
+        full = is_fertile(t)
+        assert report == full == reference_report(t)
+        assert report.levels == full.levels
+        if max(p.degree() for p in t.y) > 6:
+            break
+
+
+@pytest.mark.parametrize("ring", [QQ, make_extension("x^2+x+1")], ids=["QQ", "Q(omega)"])
+def test_build_space_tests_square_freeness_only_on_its_source(ring, monkeypatch):
+    # a mutation takes the square-free verdicts from generic_candidate and from
+    # its parent's report, so only the source tuple's check takes them
+    one = ring.one()
+    pts = (ring.zero(), one, -one) if ring is QQ else (one, ring.gen, -one - ring.gen)
+    x = Poly.x(ring)
+    T = (x - pts[0], x - pts[1], x - pts[2], (x - pts[0]) * (x - pts[1]))
+    t = FertileTuple(ring, (Poly.one(ring),) * 3, T, pts)
+    for i in (1, 2, 3, 2):
+        t = mutate(t, i)[0]
+    calls = []
+    real = reproduction.is_squarefree
+    monkeypatch.setattr(reproduction, "is_squarefree", lambda f: calls.append(f) or real(f))
+    space = build_space(t)
+    assert theta(space) == t.y
+    assert len(calls) == t.N == 3
+
+
+def test_mutate_of_an_infertile_parent_names_every_failure():
+    one = Poly.one(QQ)
+    t = FertileTuple(QQ, (one, P("x^2-4*x+4"), P("x")), (one, one, P("x"), one),
+                     (Fraction(0),))
+    want = ("mutation in direction 1: not fertile: y_2 has a multiple root; "
+            "divisibility for y_2 skipped (not square free); y_3 shares a root with T_2; "
+            "y_3 does not divide Wr(y_3', T_3 y_2 y_4)")
+    for facts in (None, is_fertile(t)):
+        with pytest.raises(NotFertile) as err:
+            mutate(t, 1, facts)
+        assert str(err.value) == want
+
+
 def test_theta_makes_no_wronskian(monkeypatch):
     space = build_space(cuberoots_tuple())
     calls = []
