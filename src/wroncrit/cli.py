@@ -326,7 +326,7 @@ def _cmd_reproduce(args) -> int:
         print(f"tuple is not fertile:\n{report}", file=sys.stderr)
         return 1
     if args.mutate:
-        new, ytilde, c = mutate(t, args.mutate, report)
+        new, ytilde, c = mutate(t._with(verified=report), args.mutate)
         payload = {"direction": args.mutate, "ytilde": format_poly(ytilde),
                    "shift": c, "tuple": [format_poly(y) for y in new.y]}
         _emit(args, payload,

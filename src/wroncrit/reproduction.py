@@ -5,8 +5,11 @@ polynomials T_0..T_N, is *fertile* when every y_i is square free, shares no
 root with any T_j or with its neighbors, and the Wronskian equation
 Wr(y_i, *) = T_i y_{i-1} y_{i+1} is solvable (y_0 = y_{N+1} = 1).  Solving
 that equation and picking a generic member of the solution family replaces
-y_i by a mutated partner; fertility survives mutation, which is re-verified
-rather than assumed.
+y_i by a mutated partner; fertility survives mutation.  Each mutated tuple
+carries a verified fertility report: only the divisibility conditions at
+levels i-1, i and i+1 are re-checked, the new y_i's square-free, root-avoiding
+and coprimality verdicts are the ones generic_candidate chose it for, and
+every other verdict is the parent's, whose inputs the mutation left unchanged.
 
 Cascades of mutations in directions i, i-1, ..., 1, each restarted from the
 original tuple, produce a basis u_1, ..., u_{N+1} whose partial Wronskians
@@ -18,6 +21,7 @@ by theta, which divides partial Wronskians by K_i.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -56,9 +60,9 @@ class FertileTuple:
     them), and a point that is a root of no T_j is dropped: the marked points
     are the roots of the weights, so exponent tables and fertility read them
     without factoring.  Fertility itself is a property, checked by
-    is_fertile, not a constructor guarantee.  ``verified`` is the fertility
-    report mutate verified when it built the tuple, and None for a tuple
-    built by the constructor.
+    is_fertile, not a constructor guarantee.  ``verified`` is the tuple's
+    fertility report when mutate or build_space verified it, which mutate
+    then starts from, and None for a tuple built by the constructor.
     """
 
     ring: Any
@@ -96,16 +100,12 @@ class FertileTuple:
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "points", pts)
 
-    def _replaced(self, i: int, yi: Poly) -> FertileTuple:
-        """This tuple with y_i replaced by yi.  A mutation keeps T, the points
-        and their polynomial, which this tuple validated, so only yi is
-        checked."""
-        if yi.is_zero() or not yi.is_monic():
-            raise NotMonic(f"y_{i} must be monic")
-        new = object.__new__(FertileTuple)
-        for name, value in (("ring", self.ring), ("y", self.y[:i - 1] + (yi,) + self.y[i:]),
-                            ("T", self.T), ("points", self.points), ("verified", None),
-                            ("marked", self.marked)):
+    def _with(self, **changes) -> FertileTuple:
+        """A copy of this tuple with the given fields replaced.  It shares T,
+        the points and their cached polynomials, which this tuple validated,
+        so the constructor's checks do not run again."""
+        new = copy.copy(self)
+        for name, value in changes.items():
             object.__setattr__(new, name, value)
         return new
 
@@ -228,8 +228,7 @@ def is_fertile(t: FertileTuple) -> FertilityReport:
     return _report([_check_level(t, i) for i in range(1, t.N + 1)])
 
 
-def mutate(t: FertileTuple, i: int,
-           verified: FertilityReport | None = None) -> tuple[FertileTuple, Poly, int]:
+def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     """Reproduce in direction i: swap y_i for a generic mutated partner.
 
     Returns the new tuple, the monic replacement, and the ladder constant
@@ -237,12 +236,12 @@ def mutate(t: FertileTuple, i: int,
     Wronskian equation before scaling, and the new tuple's fertility is
     verified; its report becomes the new tuple's ``verified``.
 
-    ``verified`` is t's report: is_fertile(t), or t.verified when mutate
-    built t.  Without it every condition is checked.  With it, only the
-    divisibility conditions at levels i-1, i and i+1 are re-checked.  The
-    new y_i is square free, avoids the roots of every T_j and is coprime to
-    both neighbours, since generic_candidate chose it so; every other
-    verdict is the parent's, whose inputs the mutation left unchanged.
+    The new report starts from t's: t.verified, or is_fertile(t) for a
+    tuple that carries none.  Only the divisibility conditions at levels
+    i-1, i and i+1 are re-checked.  The new y_i is square free, avoids the
+    roots of every T_j and is coprime to both neighbours, since
+    generic_candidate chose it so; every other verdict is t's, whose inputs
+    the mutation left unchanged.
     """
     if not 1 <= i <= t.N:
         raise WroncritError(f"direction {i} outside 1..{t.N}")
@@ -255,21 +254,20 @@ def mutate(t: FertileTuple, i: int,
     if wronskian_pair(yi, cand) != target:
         raise VerificationFailed(f"mutated y_{i} fails its defining equation")
     ytilde = cand.monic()
-    new_t = t._replaced(i, ytilde)
-    if verified is None:
-        report = is_fertile(new_t)
-    else:
-        levels = list(verified.levels)
-        # generic_candidate took the candidate square free and coprime to
-        # t.marked and to both neighbours: it vanishes at no marked point
-        levels[i - 1] = _check_level(new_t, i, True, _avoids(new_t, ytilde, ()), True)
-        if i > 1:
-            p = levels[i - 2]
-            levels[i - 2] = _check_level(new_t, i - 1, p.sqfree, p.avoids, True)
-        if i < t.N:
-            p = levels[i]
-            levels[i] = _check_level(new_t, i + 1, p.sqfree, p.avoids, p.coprime)
-        report = _report(levels)
+    if ytilde.is_zero() or not ytilde.is_monic():
+        raise NotMonic(f"y_{i} must be monic")
+    new_t = t._with(y=t.y[:i - 1] + (ytilde,) + t.y[i:], verified=None)
+    levels = list((t.verified or is_fertile(t)).levels)
+    # generic_candidate took the candidate square free and coprime to
+    # t.marked and to both neighbours: it vanishes at no marked point
+    levels[i - 1] = _check_level(new_t, i, True, _avoids(new_t, ytilde, ()), True)
+    if i > 1:
+        p = levels[i - 2]
+        levels[i - 2] = _check_level(new_t, i - 1, p.sqfree, p.avoids, True)
+    if i < t.N:
+        p = levels[i]
+        levels[i] = _check_level(new_t, i + 1, p.sqfree, p.avoids, p.coprime)
+    report = _report(levels)
     if not report.ok:
         raise NotFertile(f"mutation in direction {i}: {report}")
     object.__setattr__(new_t, "verified", report)
@@ -302,21 +300,21 @@ def build_space(t: FertileTuple) -> PolySpace:
     u_1 = K_1 y_1; u_{i+1} comes from cascading mutations in directions
     i, i-1, ..., 1, always restarted from the original tuple, then scaling
     the final first entry by K_1.  The source tuple's fertility is checked
-    once per call, and each mutation of a cascade starts from the verified
-    report of the tuple before it.  All three conclusions are then verified:
-    the Wronskian family, the finite exponent tables, and the degrees at
+    once per call, on a copy that carries the report down each cascade, so
+    nothing is kept on t.  All three conclusions are then verified: the
+    Wronskian family, the finite exponent tables, and the degrees at
     infinity.
     """
     report = is_fertile(t)
     if not report.ok:
         raise NotFertile(str(report))
+    src = t._with(verified=report)
     K = t.K
     basis = [K[1] * t.y_at(1)]
     for i in range(1, t.N + 1):
-        cur, facts = t, report
+        cur = src
         for direction in range(i, 0, -1):
-            cur, _, _ = mutate(cur, direction, facts)
-            facts = cur.verified
+            cur, _, _ = mutate(cur, direction)
         basis.append(K[1] * cur.y_at(1))
 
     wrs = [wronskian(basis[:i]) for i in range(1, t.N + 2)]

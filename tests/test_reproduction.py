@@ -289,14 +289,14 @@ def test_mutate_picks_the_reference_ladder_constant(plan):
 @example((1, [0, 1], [[0], [1]], [1]))
 @example((3, [-1, 0, 1], [[0], [1], [-1], [0, 1]], [2, 1, 3]))
 def test_threaded_report_equals_full_check(plan):
-    # each mutation starts from the report of its parent, as build_space threads it
+    # each mutation starts from the report its parent carries, as in a cascade
     N, pts, roots, directions = plan
     T = tuple(_linear_product(r, False) for r in roots)
     t = FertileTuple(QQ, (Poly.one(QQ),) * N, T, tuple(Fraction(z) for z in pts))
-    report = is_fertile(t)
+    assert t.verified is None
     for i in directions:
         try:
-            t, _, _ = mutate(t, i, report)
+            t, _, _ = mutate(t, i)
         except NotFertile:
             return
         report = t.verified
@@ -321,9 +321,11 @@ def test_build_space_tests_square_freeness_only_on_its_source(ring, monkeypatch)
     calls = []
     real = reproduction.is_squarefree
     monkeypatch.setattr(reproduction, "is_squarefree", lambda f: calls.append(f) or real(f))
+    t = FertileTuple(ring, t.y, T, pts)     # freshly built: it carries no report
     space = build_space(t)
     assert theta(space) == t.y
     assert len(calls) == t.N == 3
+    assert t.verified is None      # build_space keeps no report on its argument
 
 
 def test_mutate_of_an_infertile_parent_names_every_failure():
@@ -333,9 +335,9 @@ def test_mutate_of_an_infertile_parent_names_every_failure():
     want = ("mutation in direction 1: not fertile: y_2 has a multiple root; "
             "divisibility for y_2 skipped (not square free); y_3 shares a root with T_2; "
             "y_3 does not divide Wr(y_3', T_3 y_2 y_4)")
-    for facts in (None, is_fertile(t)):
+    for parent in (t, t._with(verified=is_fertile(t))):
         with pytest.raises(NotFertile) as err:
-            mutate(t, 1, facts)
+            mutate(parent, 1)
         assert str(err.value) == want
 
 
