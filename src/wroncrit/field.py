@@ -7,7 +7,10 @@ Three scalar kinds live here.
   at least 2, stored as the integer numerators of its coordinates in the
   generator ``a`` over one positive denominator, in lowest terms; its
   arithmetic runs on Python integers, and the Fraction coordinates are built
-  only when read.
+  only when read.  A rational factor or divisor scales the numerators or the
+  denominator; ``NumberField._fold`` maps a convolution of two numerator
+  rows back to coordinates, for ``ExtElem`` products and for the polynomial
+  kernels of polyring alike.
 * ``DualNum`` is a + b*eps with eps^2 = 0 over a base field, used to carry
   first-order deformations through polynomial algebra.
 
@@ -15,6 +18,9 @@ Ring descriptors (``QQ``, ``NumberField``, ``DualRing``) provide the small
 protocol the polynomial layer needs: ``zero``, ``one``, ``coerce``,
 ``invertible``, ``inv`` and an ``is_field`` flag. All scalars are immutable
 with structural equality.
+
+``row_reduce`` is the one exact Gauss-Jordan elimination; rational rows are
+reduced fraction free on integers.
 """
 
 from __future__ import annotations
@@ -102,10 +108,18 @@ def row_reduce(rows) -> tuple[list[int], list[list]]:
     increasing pivot column, with a 1 at its pivot and 0 in every other
     pivot column; zero rows are dropped, so the rank is len(pivot_columns).
     Columns are scanned left to right and each takes the first remaining
-    row that is nonzero there.  Each pivot is inverted once and its row is
-    multiplied by that inverse; zero entries are skipped.
+    row that is nonzero there.
+
+    Rows of ints and Fractions are reduced fraction free on integers (see
+    _row_reduce_qq), and every entry of the reduced rows is a Fraction.
+    Other rows are reduced on their own elements: each pivot is inverted
+    once and its row is multiplied by that inverse; zero entries are
+    skipped.  The reduced row echelon form is unique, so both give the same
+    rows.
     """
     rows = [list(r) for r in rows]
+    if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        return _row_reduce_qq(rows)
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -126,6 +140,46 @@ def row_reduce(rows) -> tuple[list[int], list[list]]:
                 rows[i] = [u - f * v if v else u for u, v in zip(row, pivot_row)]
         pivots.append(c)
     return pivots, rows[:len(pivots)]
+
+
+def _row_reduce_qq(rows: list[list]) -> tuple[list[int], list[list]]:
+    """row_reduce of rational rows, by fraction-free Gauss-Jordan (Bareiss).
+
+    Each row is scaled to integers by the lcm of its denominators.  A pivot
+    p in row r updates every other row by row_i <- (p row_i - f row_r) / d,
+    where f is row_i's entry in the pivot column and d the previous pivot
+    (1 at the start).  By Sylvester's identity every entry stays an integer,
+    a minor of the scaled rows, and every pivot row carries the latest
+    pivot at its pivot column, so the reduced rows are the pivot rows over
+    the last pivot.
+    """
+    m = []
+    for row in rows:
+        den = math.lcm(*[v.denominator for v in row])
+        m.append([v.numerator * (den // v.denominator) for v in row])
+    pivots: list[int] = []
+    d = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot_row = m[r]
+        piv = pivot_row[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(piv * u - f * v) // d for u, v in zip(row, pivot_row)]
+            elif piv != d:
+                m[i] = [piv * u // d for u in row]
+        d = piv
+        pivots.append(c)
+    return pivots, [[Fraction(v, d) for v in row] for row in m[:len(pivots)]]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +262,10 @@ class ExtElem:
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the numerators and the denominator
+            return _lowest(self.field, tuple([c * other.numerator for c in self.num]),
+                           self.den * other.denominator)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -216,6 +274,13 @@ class ExtElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError("division of an extension element by zero")
+            if p < 0:
+                p, q = -p, -q
+            return _lowest(self.field, tuple([c * q for c in self.num]), self.den * p)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -354,26 +419,30 @@ class NumberField:
         return _lowest(self, tuple([s * d - top * m for s, m in zip(shifted, self._mp_num)]),
                        v.den * d)
 
+    def _fold(self, prod: list) -> list:
+        """The integer coordinates, over ``_den``, of the element
+        prod[0] + prod[1] a + ... + prod[2n-2] a^(2n-2): the terms of degree
+        n..2n-2 fold back through the rows of ``_powers``."""
+        n = self.degree
+        out = prod[:n]
+        d = self._den
+        if d != 1:
+            out = [c * d for c in out]
+        for c, row in zip(prod[n:], self._powers):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return out
+
     def _mul(self, x: ExtElem, y: ExtElem) -> ExtElem:
         """x * y: convolve the numerators, fold the high terms back."""
-        n = self.degree
-        prod = [0] * (2 * n - 1)
+        prod = [0] * (2 * self.degree - 1)
         ys = tuple(enumerate(y.num))
         for i, xi in enumerate(x.num):
             if xi:
                 for j, yj in ys:
                     prod[i + j] += xi * yj
-        den = x.den * y.den
-        out = prod[:n]
-        d = self._den
-        if d != 1:
-            out = [c * d for c in out]
-            den *= d
-        for c, row in zip(prod[n:], self._powers):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return _lowest(self, tuple(out), den)
+        return _lowest(self, tuple(self._fold(prod)), x.den * y.den * self._den)
 
     def invertible(self, a: ExtElem) -> bool:
         return bool(self.coerce(a))

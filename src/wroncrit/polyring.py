@@ -7,10 +7,13 @@ and normalized to 1; over the dual ring a nilpotent leading coefficient is
 not invertible and division by such a polynomial is refused.
 
 Over QQ, products, division and Taylor passes run on integer numerators
-over one denominator and build Fractions only for the result; the other
-rings go through the generic loops over ring elements. Results of ring
-arithmetic are wrapped by ``Poly._of``, which does not coerce what is
-already in the ring.
+over one denominator and build Fractions only for the result.  Over a
+number field Q(a) they run on the integer coordinate rows of the
+coefficients over one denominator: each coefficient of a result is folded
+back through the field's table of powers once and built as one ExtElem.
+The dual ring and CC go through the generic loops over ring elements.
+Results of ring arithmetic are wrapped by ``Poly._of``, which does not
+coerce what is already in the ring.
 
 The Wronskian of f_1..f_k is the k x k determinant whose rows are the
 derivatives in descending order (order k-1 at the top, the functions at the
@@ -34,7 +37,7 @@ from .errors import (
     ZeroInputs,
     ZeroPolynomial,
 )
-from .field import DualRing, RationalField, Scalar
+from .field import DualRing, NumberField, RationalField, Scalar
 
 _ZERO = Fraction(0)
 
@@ -168,6 +171,8 @@ class Poly:
                     for j, v in b_terms:
                         out[i + j] += u * v
             return Poly._of(self.ring, _over(out, da * db))
+        if isinstance(self.ring, NumberField):
+            return Poly._of(self.ring, _mul_nf(self.ring, self.coeffs, o.coeffs))
         out = [self.ring.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if _nonzero(a):
@@ -224,11 +229,15 @@ class Poly:
         Pass i divides c[i:] by x - z in place, from the top down: the
         remainder lands in c[i], the i-th Taylor coefficient of f at z, and
         the quotient stays above it; c[i] is yielded as its pass ends.
-        Over QQ the passes run on integers (see _taylor_qq).
+        Over QQ and Q(a) the passes run on integers (see _taylor_qq and
+        _taylor_nf).
         """
         zc = self.ring.coerce(z)
         if isinstance(self.ring, RationalField):
             yield from _taylor_qq(self.coeffs, zc)
+            return
+        if isinstance(self.ring, NumberField):
+            yield from _taylor_nf(self.coeffs, zc)
             return
         c = list(self.coeffs)
         for i in range(len(c)):
@@ -301,6 +310,85 @@ def _over(nums: list[int], den: int) -> list[Fraction]:
     return [Fraction(c, den) for c in nums]
 
 
+# Over Q(a) = Q[a]/(p) of degree n a coefficient is a row of n integer
+# coordinates (ExtElem.num), and a polynomial is its rows over their lcm
+# denominator.  A product of two rows convolves them into 2n-1 integers, and
+# NumberField._fold maps those to the n coordinates of the product times the
+# field's _den (1 when p has integer coefficients).
+
+def _rows(cs) -> tuple[list[tuple[int, ...]], int]:
+    """Integer coordinate rows of number-field coefficients over their lcm
+    denominator."""
+    den = math.lcm(*[c.den for c in cs])
+    if den == 1:
+        return [c.num for c in cs], 1
+    return [tuple([v * (den // c.den) for v in c.num]) for c in cs], den
+
+
+def _terms(row, shift: int = 0) -> list[tuple[int, int]]:
+    """The nonzero entries of a row as (shift + index, value)."""
+    return [(shift + t, v) for t, v in enumerate(row) if v]
+
+
+def _mul_nf(K: NumberField, a, b) -> list:
+    """The coefficients of the product of two nonzero polynomials over K.
+
+    With each coordinate t of coefficient i at the flat index i (2n-1) + t,
+    the product is one integer convolution of the flat rows: the coordinates
+    of a product of two coefficients sum to at most 2n-2, so no index
+    carries into the next coefficient.  Each coefficient of the result is
+    then folded and brought to lowest terms once.
+    """
+    (A, da), (B, db) = _rows(a), _rows(b)
+    w = 2 * K.degree - 1
+    at = [term for i, row in enumerate(A) for term in _terms(row, i * w)]
+    bt = [term for j, row in enumerate(B) for term in _terms(row, j * w)]
+    out = [0] * ((len(A) + len(B) - 1) * w)
+    for i, u in at:
+        for j, v in bt:
+            out[i + j] += u * v
+    den = da * db * K._den
+    return [field_mod._lowest(K, tuple(K._fold(out[k:k + w])), den)
+            for k in range(0, len(out), w)]
+
+
+def _times_row(K: NumberField, terms, row) -> list[int]:
+    """The coordinates, over K._den, of the product of the integer row whose
+    nonzero entries are ``terms`` (from _terms) and ``row``."""
+    prod = [0] * (2 * K.degree - 1)
+    for t, v in terms:
+        for s, u in enumerate(row):
+            prod[s + t] += u * v
+    return K._fold(prod)
+
+
+def _taylor_nf(cs, z):
+    """The Taylor passes of _taylor over a number field K, on integers.
+
+    With f = R / D (integer rows R) of degree m and z = Z / q, put
+    s = q K._den.  Multiplying an integer row by w = s z is the integer fold
+    of its convolution with Z, so the Ruffini passes of
+    g(x) = D s^m f(x / s), whose coefficients R_k s^(m-k) are integer rows,
+    run by w on integers, and g's Taylor coefficient b_j at w gives f's at
+    z as b_j / (D s^(m-j)), as in _taylor_qq.
+    """
+    K = z.field
+    R, D = _rows(cs)
+    s = z.den * K._den
+    m = len(R) - 1
+    spow = [1]
+    for _ in range(m):
+        spow.append(spow[-1] * s)
+    if s != 1:
+        R = [[c * spow[m - k] for c in row] for k, row in enumerate(R)]
+    zt = _terms(z.num)
+    for i in range(m + 1):
+        if zt:
+            for j in range(m - 1, i - 1, -1):
+                R[j] = [a + b for a, b in zip(R[j], _times_row(K, zt, R[j + 1]))]
+        yield field_mod._lowest(K, tuple(R[i]), D * spow[m - i])
+
+
 # ---------------------------------------------------------------------------
 # division, gcd
 
@@ -314,8 +402,8 @@ def div_rem(f: Poly, y: Poly) -> tuple[Poly, Poly]:
         raise NotMonic(f"divisor lead {y.lead()!r} is not invertible")
     if isinstance(f.ring, RationalField):
         return _div_rem_qq(f, y)
-    # a monic divisor needs no inverse: over Q(a) each product by it is a
-    # full number-field product
+    if isinstance(f.ring, NumberField):
+        return _div_rem_nf(f, y)
     inv = None if y.lead() == f.ring.one() else f.ring.inv(y.lead())
     rem = list(f.coeffs)
     dy = y.degree()
@@ -361,6 +449,50 @@ def _div_rem_qq(f: Poly, y: Poly) -> tuple[Poly, Poly]:
                 R = [r // g for r in R]
                 D //= g
     return Poly._of(f.ring, q), Poly._of(f.ring, _over(R, D))
+
+
+def _div_rem_nf(f: Poly, y: Poly) -> tuple[Poly, Poly]:
+    """div_rem over a number field K on integer rows.
+
+    A non-monic divisor is made monic by one inverse of its lead, and each
+    quotient term by the monic divisor is multiplied by that inverse; a
+    monic divisor takes none.  Then y = Y / e with Y's lead row (e, 0, ..., 0), and the
+    remainder is R / D with integer rows R and one running denominator D.
+    The quotient term c x^k with c = R[k+dy] / D leaves
+    (s R - x^k fold(R[k+dy] * Y)) / (D s), s = e K._den; when s is not 1,
+    one gcd per step removes the content of that fraction.
+    """
+    K = f.ring
+    inv = None if y.lead() == K.one() else K.inv(y.lead())
+    if inv is not None:
+        y = y * inv
+    R, D = _rows(f.coeffs)
+    R = [list(row) for row in R]
+    Y, e = _rows(y.coeffs)
+    dy = len(Y) - 1
+    s = e * K._den
+    qlen = max(0, len(R) - dy)
+    q = [K.zero()] * qlen
+    for k in range(qlen - 1, -1, -1):
+        top = R.pop()
+        tt = _terms(top)
+        if tt:
+            if inv is None:
+                q[k] = field_mod._lowest(K, tuple(top), D)
+            else:
+                q[k] = field_mod._lowest(K, tuple(_times_row(K, tt, inv.num)),
+                                         D * inv.den * K._den)
+            if s != 1:
+                R = [[c * s for c in row] for row in R]
+                D *= s
+            for i in range(dy):
+                R[k + i] = [r - v for r, v in zip(R[k + i], _times_row(K, tt, Y[i]))]
+            if s != 1:
+                g = math.gcd(D, *[c for row in R for c in row])
+                if g != 1:
+                    R = [[c // g for c in row] for row in R]
+                    D //= g
+    return Poly._of(K, q), Poly._of(K, [field_mod._lowest(K, tuple(row), D) for row in R])
 
 
 def divides(y: Poly, f: Poly) -> bool:

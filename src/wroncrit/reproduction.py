@@ -202,10 +202,12 @@ def _avoids(t: FertileTuple, yi: Poly, shared) -> tuple[tuple[int, bool], ...]:
 
 
 def _check_level(t: FertileTuple, i: int, sqfree: bool | None = None,
-                 avoids: tuple | None = None, coprime: bool | None = None) -> _Level:
+                 avoids: tuple | None = None, coprime: bool | None = None,
+                 rhs: Poly | None = None) -> _Level:
     """The verdicts on y_i in t.  A verdict passed in is taken as verified
-    and the others are computed; divisibility always is.  The roots y_i
-    shares with a T_j are read at the marked points, no gcd."""
+    and the others are computed; divisibility always is, against ``rhs``
+    when given (it must be t.rhs(i)).  The roots y_i shares with a T_j are
+    read at the marked points, no gcd."""
     yi = t.y_at(i)
     if sqfree is None:
         sqfree = is_squarefree(yi)
@@ -219,7 +221,9 @@ def _check_level(t: FertileTuple, i: int, sqfree: bool | None = None,
                    or gcd_monic(yi, ynext).degree() == 0)
     div = None
     if sqfree:
-        div = yi.degree() <= 0 or divides(yi, wronskian_pair(yi.deriv(), t.rhs(i)))
+        if rhs is None:
+            rhs = t.rhs(i)
+        div = yi.degree() <= 0 or divides(yi, wronskian_pair(yi.deriv(), rhs))
     return _Level(sqfree, avoids, coprime, div)
 
 
@@ -240,8 +244,9 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     tuple that carries none.  Only the divisibility conditions at levels
     i-1, i and i+1 are re-checked.  The new y_i is square free, avoids the
     roots of every T_j and is coprime to both neighbours, since
-    generic_candidate chose it so; every other verdict is t's, whose inputs
-    the mutation left unchanged.
+    generic_candidate chose it so, and its divisibility is checked against
+    the target T_i y_{i-1} y_{i+1} already built; every other verdict is
+    t's, whose inputs the mutation left unchanged.
     """
     if not 1 <= i <= t.N:
         raise WroncritError(f"direction {i} outside 1..{t.N}")
@@ -259,8 +264,9 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     new_t = t._with(y=t.y[:i - 1] + (ytilde,) + t.y[i:], verified=None)
     levels = list((t.verified or is_fertile(t)).levels)
     # generic_candidate took the candidate square free and coprime to
-    # t.marked and to both neighbours: it vanishes at no marked point
-    levels[i - 1] = _check_level(new_t, i, True, _avoids(new_t, ytilde, ()), True)
+    # t.marked and to both neighbours: it vanishes at no marked point; its
+    # neighbours are t's, so its right side is the target
+    levels[i - 1] = _check_level(new_t, i, True, _avoids(new_t, ytilde, ()), True, target)
     if i > 1:
         p = levels[i - 2]
         levels[i - 2] = _check_level(new_t, i - 1, p.sqfree, p.avoids, True)

@@ -187,11 +187,42 @@ def test_coefficients_kept_not_rewrapped():
     assert ExtElem(CUBE2, [1, 2]).coeffs == (1, 2, 0)
 
 
+@INTEGER_FORM_FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_scaling_matches_field_product(field, data):
+    # a rational factor or divisor scales the integer form; the full product
+    # by the rational lifted into the field is the reference
+    x, q = data.draw(ext_elems(field)), data.draw(fracs)
+    for r in (q, q.numerator, -3):
+        assert (x * r).coeffs == (x * field.coerce(r)).coeffs == (r * x).coeffs
+        assert_lowest_terms(x * r)
+        if r:
+            assert (x / r).coeffs == (x * field.inv(field.coerce(r))).coeffs
+            assert_lowest_terms(x / r)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+def test_rational_scaling_takes_no_inverse(monkeypatch):
+    monkeypatch.setattr(NumberField, "inv", lambda self, v: pytest.fail("inv called"))
+    x = OMEGA.gen + Fraction(1, 3)
+    assert x / Fraction(-2, 5) == ExtElem(OMEGA, [Fraction(-5, 6), Fraction(-5, 2)])
+    assert x * 6 == ExtElem(OMEGA, [2, 6])
+
+
 def test_zero_divisor_in_reducible_cubic():
     split = NumberField((0, -1, 0, 1))     # a^3 - a, built without the gate
     with pytest.raises(NotIrreducible):
         split.inv(split.gen)
     assert split.inv(split.gen + 2) * (split.gen + 2) == split.one()
+    # a^3 - a/4 = a (a - 1/2) (a + 1/2): a denominator on the table of powers
+    quarter = NumberField((0, Fraction(-1, 4), 0, 1))
+    for v in (quarter.gen, 2 * quarter.gen - 1):
+        with pytest.raises(NotIrreducible):
+            quarter.inv(v)
+    assert quarter.inv(quarter.gen + 1) * (quarter.gen + 1) == quarter.one()
 
 
 def test_irreducibility_gate():
@@ -281,6 +312,48 @@ def test_row_reduce(ring, data):
     # and every reduced row lies in the span of the input
     for red in reduced:
         assert row_reduce(rows + [red])[0] == pivots
+
+
+def fraction_gauss_jordan(rows):
+    """The Gauss-Jordan loop on Fractions: each pivot row is divided by its
+    pivot and cleared from every other row."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [u - row[c] * v for u, v in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+@st.composite
+def rank_deficient(draw):
+    """The m x n product of an m x k and a k x n matrix, so of rank at most
+    k <= min(m, n).  Factor entries are zeros, ints and Fractions, so the
+    product mixes ints (where every term was an int) with Fractions."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(m, n)))
+    small = st.one_of(st.just(0), st.integers(-4, 4), fracs)
+    left = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum((a * right[t][j] for t, a in enumerate(row)), 0) for j in range(n)]
+            for row in left]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient())
+def test_rational_row_reduce_matches_fraction_gauss_jordan(rows):
+    pivots, reduced = row_reduce(rows)
+    want_pivots, want_rows = fraction_gauss_jordan(rows)
+    assert pivots == want_pivots and reduced == want_rows
+    assert all(type(v) is Fraction for row in reduced for v in row)
 
 
 def test_row_reduce_degenerate_inputs():

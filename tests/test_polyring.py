@@ -218,6 +218,84 @@ def test_div_rem_by_monic_takes_no_inverse(monkeypatch):
     assert q * y + r == f and r.degree() < y.degree()
 
 
+# -- number-field kernels ------------------------------------------------------
+#
+# Products, division and Taylor passes over Q(a) run on integer coordinate
+# rows; the references are the loops over ExtElem arithmetic.  The fields
+# include minimal polynomials with fractional coefficients, which put a
+# denominator on the table of powers.
+
+NF_FIELDS = [make_extension(p) for p in
+             ("x^2+x+1", "x^2-3", "x^3-2", "x^4+1", "x^2-1/2", "x^3-1/3*x+1/2")]
+NF_IDS = ["a2+a+1", "a2-3", "a3-2", "a4+1", "a2-1/2", "a3-a/3+1/2"]
+
+
+def nf_polys(K, max_size=5):
+    return st.lists(_coeffs_in(K), max_size=max_size).map(lambda cs: Poly(K, cs))
+
+
+def elem_product(f, g):
+    K = f.ring
+    out = [K.zero()] * max(0, len(f.coeffs) + len(g.coeffs) - 1)
+    for i, u in enumerate(f.coeffs):
+        for j, v in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + u * v
+    return trimmed(out)
+
+
+def elem_long_division(f, y):
+    K = f.ring
+    inv = K.inv(y.lead())
+    rem, q = list(f.coeffs), [K.zero()] * max(0, len(f.coeffs) - y.degree())
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + y.degree()] * inv
+        for i, v in enumerate(y.coeffs):
+            rem[k + i] = rem[k + i] - q[k] * v
+    return trimmed(q), trimmed(rem[:y.degree()])
+
+
+@pytest.mark.parametrize("K", NF_FIELDS, ids=NF_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_number_field_product_and_division_match_element_loops(K, data):
+    f, g = data.draw(nf_polys(K)), data.draw(nf_polys(K))
+    assert (f * g).coeffs == elem_product(f, g)
+    # monic, non-monic (a lead of -1 among them) and constant divisors, and
+    # the zero dividend
+    low = data.draw(st.lists(_coeffs_in(K), max_size=3))
+    lead = data.draw(st.one_of(st.just(K.one()), _coeffs_in(K).filter(bool)))
+    for y in (Poly(K, low + [lead]), Poly(K, [lead]), Poly(K, low + [-K.one()])):
+        for dividend in (f, Poly.zero(K)):
+            q, r = div_rem(dividend, y)
+            assert (q.coeffs, r.coeffs) == elem_long_division(dividend, y)
+
+
+@pytest.mark.parametrize("K", NF_FIELDS, ids=NF_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_number_field_taylor_and_calculus_match_element_loops(K, data):
+    f = data.draw(nf_polys(K, 6))
+    for z in (data.draw(_coeffs_in(K)), K.zero(), K.coerce(Fraction(-5, 3))):
+        want = fraction_ruffini(f.coeffs, z)
+        assert f.shift(z).coeffs == trimmed(want)
+        if not f.is_zero():
+            assert ord_at(f, z) == next(k for k, c in enumerate(want) if c)
+    one = K.one()
+    assert f.deriv().coeffs == trimmed([c * (one * i) for i, c in enumerate(f.coeffs)][1:])
+    assert f.antideriv().coeffs == trimmed(
+        [K.zero()] + [c * K.inv(one * (i + 1)) for i, c in enumerate(f.coeffs)])
+
+
+def test_antiderivative_takes_no_inverse(monkeypatch):
+    f = Poly(OMEGA, [OMEGA.gen, 3, Fraction(1, 2), OMEGA.gen - 1])
+    want = f.antideriv()
+    calls = []
+    inv = type(OMEGA).inv
+    monkeypatch.setattr(type(OMEGA), "inv", lambda self, v: calls.append(v) or inv(self, v))
+    assert f.antideriv() == want and f.antideriv().deriv() == f
+    assert calls == []
+
+
 def test_exact_div_rejects_remainder():
     with pytest.raises(NotDivisible):
         exact_div(P("x^2+1"), P("x"))

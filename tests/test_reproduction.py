@@ -328,6 +328,24 @@ def test_build_space_tests_square_freeness_only_on_its_source(ring, monkeypatch)
     assert t.verified is None      # build_space keeps no report on its argument
 
 
+def test_mutate_builds_the_right_side_only_for_changed_neighbours(monkeypatch):
+    # the target T_i y_{i-1} y_{i+1} serves the new y_i's divisibility check;
+    # levels i-1 and i+1, whose neighbour y_i changed, build their own
+    one = Poly.one(QQ)
+    T = (P("x"), P("x-1"), P("x+1"), P("x^2-x"))
+    t = FertileTuple(QQ, (one,) * 3, T, (Fraction(0), Fraction(1), Fraction(-1)))
+    t = t._with(verified=is_fertile(t))
+    calls = []
+    rhs = FertileTuple.rhs
+    monkeypatch.setattr(FertileTuple, "rhs", lambda self, i: calls.append(i) or rhs(self, i))
+    for i, want in ((1, [1, 2]), (2, [2, 1, 3]), (3, [3, 2]), (2, [2, 1, 3])):
+        calls.clear()
+        child = mutate(t, i)[0]
+        assert calls == want
+        assert child.verified == is_fertile(child) and child.verified.ok
+        t = child
+
+
 def test_mutate_of_an_infertile_parent_names_every_failure():
     one = Poly.one(QQ)
     t = FertileTuple(QQ, (one, P("x^2-4*x+4"), P("x")), (one, one, P("x"), one),
