@@ -20,7 +20,8 @@ protocol the polynomial layer needs: ``zero``, ``one``, ``coerce``,
 with structural equality.
 
 ``row_reduce`` is the one exact Gauss-Jordan elimination; rational rows are
-reduced fraction free on integers.
+reduced fraction free on integers (``_bareiss``), and ``NumberField.inv``
+reads its solution from that reduction as integers over the last pivot.
 """
 
 from __future__ import annotations
@@ -143,20 +144,28 @@ def row_reduce(rows) -> tuple[list[int], list[list]]:
 
 
 def _row_reduce_qq(rows: list[list]) -> tuple[list[int], list[list]]:
-    """row_reduce of rational rows, by fraction-free Gauss-Jordan (Bareiss).
-
-    Each row is scaled to integers by the lcm of its denominators.  A pivot
-    p in row r updates every other row by row_i <- (p row_i - f row_r) / d,
-    where f is row_i's entry in the pivot column and d the previous pivot
-    (1 at the start).  By Sylvester's identity every entry stays an integer,
-    a minor of the scaled rows, and every pivot row carries the latest
-    pivot at its pivot column, so the reduced rows are the pivot rows over
-    the last pivot.
-    """
+    """row_reduce of rational rows: each row is scaled to integers by the
+    lcm of its denominators and reduced fraction free by _bareiss."""
     m = []
     for row in rows:
         den = math.lcm(*[v.denominator for v in row])
         m.append([v.numerator * (den // v.denominator) for v in row])
+    pivots, m, d = _bareiss(m)
+    return pivots, [[Fraction(v, d) for v in row] for row in m]
+
+
+def _bareiss(m: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) of integer rows, in place.
+
+    A pivot p in row r updates every other row by
+    row_i <- (p row_i - f row_r) / d, where f is row_i's entry in the pivot
+    column and d the previous pivot (1 at the start).  By Sylvester's
+    identity every entry stays an integer, a minor of the rows, and every
+    pivot row carries the latest pivot at its pivot column.  Returns
+    (pivot_columns, pivot_rows, d): the reduced rows of row_reduce are the
+    pivot rows over the last pivot d, which may be negative (1 when there
+    is no pivot).
+    """
     pivots: list[int] = []
     d = 1
     for c in range(len(m[0]) if m else 0):
@@ -179,7 +188,7 @@ def _row_reduce_qq(rows: list[list]) -> tuple[list[int], list[list]]:
                 m[i] = [piv * u // d for u in row]
         d = piv
         pivots.append(c)
-    return pivots, [[Fraction(v, d) for v in row] for row in m[:len(pivots)]]
+    return pivots, m[:len(pivots)], d
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +458,10 @@ class NumberField:
 
     def inv(self, a: ExtElem) -> ExtElem:
         """Solve M_a x = e_0, where column j of M_a holds the coordinates of
-        a * a^j, by row reducing [M_a | e_0] over Q. A column of M_a without
-        a pivot makes a a zero divisor, so the minimal polynomial factors."""
+        a * a^j, by fraction-free row reduction of [M_a | e_0]: x is the last
+        column of the pivot rows over the last pivot, read as integers.  A
+        column of M_a without a pivot makes a a zero divisor, so the minimal
+        polynomial factors."""
         a = self.coerce(a)
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
@@ -462,11 +473,13 @@ class NumberField:
         # is M x = d e_0: the columns' Fraction coordinates are never built
         d = math.lcm(*[col.den for col in cols])
         cols = [[c * (d // col.den) for c in col.num] for col in cols]
-        pivots, rows = row_reduce(
+        pivots, rows, piv = _bareiss(
             [[col[i] for col in cols] + [d if i == 0 else 0] for i in range(n)])
         if pivots != list(range(n)):
             raise NotIrreducible("minimal polynomial is not irreducible (zero divisor found)")
-        return ExtElem(self, [row[n] for row in rows])
+        if piv < 0:
+            return _lowest(self, tuple([-row[n] for row in rows]), -piv)
+        return _lowest(self, tuple([row[n] for row in rows]), piv)
 
     def complex_gen(self) -> complex:
         """Deterministic complex embedding of the generator.

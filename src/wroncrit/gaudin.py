@@ -28,6 +28,7 @@ Gauss-Newton step.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -62,8 +63,25 @@ def shape(data: MasterData) -> tuple[int, ...]:
 
 
 def singular_dim(data: MasterData) -> int:
-    """D, the dimension of the singular space: the standard tableaux of shape(data)."""
-    return len(standard_tableaux(shape(data)))
+    """D, the dimension of the singular space: the number of standard
+    tableaux of shape(data), by the hook length formula
+    D = n! / (product of the hook lengths), and 0 when the shape is not a
+    partition."""
+    lam = shape(data)
+    if not _is_partition(lam):
+        return 0
+    # the hook of box (i, j) has lam[i] - j - 1 boxes to its right and
+    # column[j] - i - 1 below it, column[j] the length of column j
+    column = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + column[j] - i - 1
+    return math.factorial(sum(lam)) // hooks
+
+
+def _is_partition(lam: tuple[int, ...]) -> bool:
+    return all(v >= 0 for v in lam) and all(a >= b for a, b in zip(lam, lam[1:]))
 
 
 def standard_tableaux(lam: Sequence[int]) -> list[tuple[int, ...]]:
@@ -73,7 +91,7 @@ def standard_tableaux(lam: Sequence[int]) -> list[tuple[int, ...]]:
     lexicographic order of their row words.
     """
     lam = tuple(lam)
-    if any(v < 0 for v in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+    if not _is_partition(lam):
         return []
     out = []
     word: list[int] = []

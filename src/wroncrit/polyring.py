@@ -12,6 +12,14 @@ number field Q(a) they run on the integer coordinate rows of the
 coefficients over one denominator: each coefficient of a result is folded
 back through the field's table of powers once and built as one ExtElem.
 The dual ring and CC go through the generic loops over ring elements.
+
+gcd_monic proves a coprime pair over QQ or Q(a) by one gcd of its images
+modulo a prime.  With F and G the integer rows of f and g and phi a ring
+map into F_p (reduction mod p, and over Q(a) the generator sent to a root
+of the minimal polynomial mod p): if phi keeps both leading coefficients
+and gcd(phi F, phi G) = 1, then phi(Res(F, G)) = Res(phi F, phi G) != 0,
+so gcd(f, g) = 1.  Any other pair runs the remainder sequence; xgcd and
+divisibility stay exact.
 Results of ring arithmetic are wrapped by ``Poly._of``, which does not
 coerce what is already in the ring.
 
@@ -535,11 +543,161 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 def gcd_monic(f: Poly, g: Poly) -> Poly:
     """Monic gcd by the remainder sequence alone (no cofactors); same guards
-    as xgcd."""
+    as xgcd.
+
+    Over QQ and Q(a) a coprime pair is first tried modulo a prime, and a
+    pair proved coprime there returns 1 without the remainder sequence.
+    Scale f and g to integer rows F and G (over QQ the numerators, over
+    Q(a) the coordinate rows over one denominator, as in _rows), and let
+    phi be a ring map into F_p: reduction mod p over QQ; over Q(a),
+    reduction mod p with a -> r, r a root of the minimal polynomial mod p,
+    p not dividing its denominator.  If phi(lc F) != 0, phi(lc G) != 0 and
+    gcd(phi F, phi G) = 1 in F_p[x], then
+    phi(Res(F, G)) = Res(phi F, phi G) != 0, so Res(F, G) != 0 and
+    gcd(f, g) = 1.  The lead check is needed: (p x - 1)(x - 2) and
+    (p x - 1)(x - 3) share the root 1/p, yet their images, of lower
+    degree, are coprime.  The converse is not claimed: a pair whose image
+    gcd is not 1 takes the remainder sequence, so the prime changes only
+    how often that runs, never the answer.
+    """
     g = _gcd_args(f, g)
+    if _coprime_mod_p(f, g):
+        return Poly.one(f.ring)
     while not g.is_zero():
         f, g = g, div_rem(f, g)[1]
     return f.monic()
+
+
+# ---------------------------------------------------------------------------
+# coprimality modulo a prime (the certificate of gcd_monic)
+#
+# A polynomial over F_p is the list of its residues in [0, p), lowest degree
+# first, without trailing zeros.
+
+# the primes tried, in order: over QQ the first; over Q(a) the first that does
+# not divide the minimal polynomial's denominator and has a root of it
+_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121,
+           1000133, 1000151, 1000159, 1000171, 1000183, 1000187, 1000193, 1000199)
+
+# minimal polynomial -> (p, (1, r, .., r^(n-1)) mod p) for a root r of it mod
+# p, or None when no prime of _PRIMES has one; filled on the first gcd over
+# each field
+_ROOTS_MOD_P: dict[tuple, tuple[int, tuple[int, ...]] | None] = {}
+
+
+def _trim_mod(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sub_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+    return _trim_mod([(u - v) % p for u, v in zip(a, b)])
+
+
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, b nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a.pop() * inv % p
+        if c:
+            for i in range(db):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    return _trim_mod(a)
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b over F_p, not made monic."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return a
+
+
+def _pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m over F_p, by square and multiply; a is reduced mod m and m
+    has degree at least 1."""
+    def mul(u, v):
+        if not u or not v:
+            return []
+        out = [0] * (len(u) + len(v) - 1)
+        for i, s in enumerate(u):
+            if s:
+                for j, t in enumerate(v):
+                    out[i + j] += s * t
+        return _rem_mod([c % p for c in out], m, p)
+
+    out = [1]
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
+    return out
+
+
+def _root_mod(m: list[int], p: int) -> int | None:
+    """A root in F_p (p odd) of m, or None when m has none.
+
+    h = gcd(x^p - x, m) is the product of m's distinct linear factors;
+    gcd((x + t)^((p-1)/2) - 1, h) for t = 0, 1, 2, .. splits h (Cantor and
+    Zassenhaus) until one linear factor is left.  Two roots r != s are
+    split by every t at which r + t and s + t differ in quadratic
+    character, and some t in F_p is one, so the loop ends.
+    """
+    x = [0, 1]
+    h = _gcd_mod(m, _sub_mod(_pow_mod(x, p, m, p), x, p), p)
+    if len(h) < 2:
+        return None
+    t = 0
+    while len(h) > 2:
+        g = _gcd_mod(h, _sub_mod(_pow_mod([t, 1], (p - 1) // 2, h, p), [1], p), p)
+        if 1 < len(g) < len(h):
+            h = g
+        t += 1
+    return -h[0] * pow(h[1], -1, p) % p
+
+
+def _field_root(K: NumberField) -> tuple[int, tuple[int, ...]] | None:
+    """(p, the powers 1, r, .., r^(n-1) mod p) for the first prime p of
+    _PRIMES at which K's minimal polynomial has a root r, found once per
+    minimal polynomial; None when there is none."""
+    if K.minpoly not in _ROOTS_MOD_P:
+        found = None
+        for p in _PRIMES:
+            if K._mp_den % p == 0:
+                continue
+            dinv = pow(K._mp_den, -1, p)
+            r = _root_mod([c * dinv % p for c in K._mp_num] + [1], p)
+            if r is not None:
+                found = (p, tuple(pow(r, t, p) for t in range(K.degree)))
+                break
+        _ROOTS_MOD_P[K.minpoly] = found
+    return _ROOTS_MOD_P[K.minpoly]
+
+
+def _coprime_mod_p(f: Poly, g: Poly) -> bool:
+    """True when gcd(f, g) = 1 is proved by one gcd of their images in
+    F_p[x] (see gcd_monic); False proves nothing."""
+    K = f.ring
+    if f.is_zero() or g.is_zero():
+        return False
+    if isinstance(K, RationalField):
+        p = _PRIMES[0]
+        F, G = ([c % p for c in _numerators(h.coeffs)[0]] for h in (f, g))
+    elif isinstance(K, NumberField):
+        root = _field_root(K)
+        if root is None:
+            return False
+        p, rpow = root
+        F, G = ([sum(v * w for v, w in zip(row, rpow)) % p for row in _rows(h.coeffs)[0]]
+                for h in (f, g))
+    else:
+        return False
+    # the lead check: the images keep the degrees of f and g
+    return bool(F[-1] and G[-1]) and len(_gcd_mod(F, G, p)) == 1
 
 
 def is_squarefree(f: Poly) -> bool:

@@ -106,6 +106,38 @@ def test_singular_dimension_is_the_intersection_number(basic):
     assert D == hook_length_count(gaudin.shape(point)) == intersection_number(basic)
 
 
+def partitions(n, cap=None):
+    cap = n if cap is None else cap
+    if n == 0:
+        yield ()
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def with_shape(lam):
+    # n points of weight omega_1 and the level sizes l_i = lam_i + lam_(i+1) + ..,
+    # so that shape() reads lam with a zero appended
+    levels = tuple(sum(lam[i:]) for i in range(1, len(lam) + 1))
+    omega_1 = (1,) + (0,) * (len(levels) - 1)
+    return MasterData(QQ, levels, tuple((z, omega_1) for z in range(sum(lam))))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_singular_dim_counts_the_standard_tableaux(n):
+    for lam in partitions(n):
+        data = with_shape(lam)
+        assert gaudin.shape(data) == lam + (0,)
+        assert gaudin.singular_dim(data) == len(gaudin.standard_tableaux(lam)) > 0
+
+
+@pytest.mark.parametrize("data", [sl3((1, 1), 4), sl3((0, 2), 4), sl2(3, 4),
+                                  MasterData(QQ, (1, 2, 1), ((0, (1, 0, 0)), (1, (1, 0, 0))))],
+                         ids=["l11", "l02", "n3k4", "l121"])
+def test_singular_dim_is_zero_where_there_is_no_tableau(data):
+    assert gaudin.singular_dim(data) == len(gaudin.standard_tableaux(gaudin.shape(data))) == 0
+
+
 def rv_eigenvalues(data, point):
     zs = np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
     N = data.N

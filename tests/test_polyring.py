@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wroncrit import polyring
 from wroncrit.errors import NotDivisible, NotMonic, ZeroInputs, ZeroPolynomial
 from wroncrit.field import QQ, DualRing, ExtElem, make_extension
 from wroncrit.polyring import (
@@ -329,6 +330,115 @@ def test_squarefree_detector():
     assert is_squarefree(P("x^2-1"))
     assert not is_squarefree(P("x^2-2*x+1"))
     assert is_squarefree(P("5"))
+
+
+# -- the coprimality certificate of gcd_monic -----------------------------------
+#
+# gcd_monic returns 1 for a pair whose images modulo a prime are coprime with
+# their leads intact, and runs the remainder sequence otherwise.  The
+# reference is that sequence alone, by long division on ring elements.
+
+CERT_RINGS = [QQ] + NF_FIELDS
+CERT_IDS = ["QQ"] + NF_IDS
+
+
+def prime_and_root(K):
+    """The prime of K's images and the image of its generator (None over QQ)."""
+    if K == QQ:
+        return polyring._PRIMES[0], None
+    p, rpow = polyring._field_root(K)
+    return p, rpow[1]
+
+
+def euclid_gcd(f, g):
+    while not g.is_zero():
+        f, g = g, Poly(f.ring, elem_long_division(f, g)[1])
+    return Poly(f.ring, [c * f.ring.inv(f.lead()) for c in f.coeffs])
+
+
+def count_divisions(monkeypatch):
+    calls = []
+    div = polyring.div_rem
+    monkeypatch.setattr(polyring, "div_rem", lambda f, y: calls.append(y) or div(f, y))
+    return calls
+
+
+@pytest.mark.parametrize("K", NF_FIELDS, ids=NF_IDS)
+def test_every_test_field_has_a_root_modulo_a_listed_prime(K):
+    p, r = prime_and_root(K)
+    assert p in polyring._PRIMES
+    assert polyring._field_root(K)[1] == tuple(pow(r, t, p) for t in range(K.degree))
+    value = sum(c * r ** i for i, c in enumerate(K.minpoly))
+    assert value.numerator % p == 0 and value.denominator % p != 0
+
+
+@pytest.mark.parametrize("K", CERT_RINGS, ids=CERT_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_gcd_monic_matches_euclid(K, data):
+    nonzero = nf_polys(K, 4).filter(lambda h: not h.is_zero())
+    f, g, common = data.draw(nonzero), data.draw(nonzero), data.draw(nonzero)
+    # a pair, mostly coprime, and the pair with a planted common factor
+    for u, v in ((f, g), (f * common, g * common)):
+        assert gcd_monic(u, v) == euclid_gcd(u, v)
+    assert gcd_monic(f * common, g * common).degree() >= common.degree()
+    # a planted double root
+    h = f * common * common
+    assert is_squarefree(h) == (euclid_gcd(h, h.deriv()).degree() == 0)
+    if common.degree() > 0:
+        assert not is_squarefree(h)
+
+
+@pytest.mark.parametrize("K", CERT_RINGS, ids=CERT_IDS)
+def test_a_coprime_pair_is_proved_without_division(K, monkeypatch):
+    f = Poly(K, [1, 2, 0, 3])
+    g = Poly(K, [Fraction(-1, 2), 1, 1])
+    calls = count_divisions(monkeypatch)
+    assert gcd_monic(f, g) == Poly.one(K) and is_squarefree(f)
+    assert calls == []
+
+
+@pytest.mark.parametrize("K", CERT_RINGS, ids=CERT_IDS)
+def test_a_root_shared_at_a_lead_that_vanishes_mod_p_is_found(K):
+    # p x - 1 vanishes mod p, so the images of the two products are the
+    # coprime x - 2 and x - 3; the lead check sends them down the exact path
+    p, _ = prime_and_root(K)
+    lin = Poly(K, [-1, p])
+    f, g = lin * Poly(K, [-2, 1]), lin * Poly(K, [-3, 1])
+    assert gcd_monic(f, g) == Poly(K, [Fraction(-1, p), 1])
+    assert not is_squarefree(lin * lin * Poly(K, [-2, 1]))
+
+
+@pytest.mark.parametrize("K", CERT_RINGS, ids=CERT_IDS)
+def test_a_coprime_pair_with_a_common_root_mod_p_takes_the_exact_path(K, monkeypatch):
+    # x and x - p share the root 0 mod p; over Q(a), x - a and x - r share
+    # the image r of a
+    p, r = prime_and_root(K)
+    f, g = (Poly(K, [0, 1]), Poly(K, [-p, 1])) if r is None else \
+        (Poly(K, [-K.gen, 1]), Poly(K, [-r, 1]))
+    calls = count_divisions(monkeypatch)
+    assert gcd_monic(f, g) == Poly.one(K)
+    assert calls
+
+
+def test_a_field_without_a_root_mod_the_primes_takes_the_exact_path(monkeypatch):
+    # x^2 + x + 1 has no root modulo 1000037, which is 2 mod 3
+    monkeypatch.setattr(polyring, "_PRIMES", (1000037,))
+    monkeypatch.setattr(polyring, "_ROOTS_MOD_P", {})
+    K = NF_FIELDS[0]
+    assert polyring._field_root(K) is None
+    calls = count_divisions(monkeypatch)
+    assert gcd_monic(Poly(K, [1, 2, 0, 3]), Poly(K, [-K.gen, 1])) == Poly.one(K)
+    assert calls
+
+
+@pytest.mark.parametrize("K", CERT_RINGS, ids=CERT_IDS)
+def test_a_lead_divisible_by_p_takes_the_exact_path(K, monkeypatch):
+    p, _ = prime_and_root(K)
+    lead = K.coerce(p) if K == QQ else K.gen * p
+    calls = count_divisions(monkeypatch)
+    assert gcd_monic(Poly(K, [1, 0, lead]), Poly(K, [1, 1])) == Poly.one(K)
+    assert calls
 
 
 # -- order of vanishing ------------------------------------------------------
