@@ -28,6 +28,7 @@ from .polyring import (
     gcd_monic,
     ord_at,
     parse_poly,
+    partial_wronskians,
     wronskian,
     wronskian_pair,
     xgcd,

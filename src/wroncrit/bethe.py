@@ -51,7 +51,7 @@ from .errors import (
 )
 from .field import CC, common_ring, embed_scalar, format_scalar, ring_of
 from .multiplicity import _MULT_TOL, MPoly, MultivariateSystem, local_multiplicity
-from .polyring import Poly, div_rem, format_poly, wronskian, wronskian_pair
+from .polyring import Poly, div_rem, format_poly, partial_wronskians, wronskian_pair
 from .ramification import (BasicSituation, as_int, exponents_of_ram, infinity_labels,
                            ram_from_exponents, validate_basic)
 from .schubert import intersection_number
@@ -865,11 +865,12 @@ def build_sector(data: MasterData, basic: BasicSituation, point_orbits: Sequence
     The flag in the cell of the sector w takes at step i the element of the
     label w hands out there, plus random complex multiples (drawn from
     ``seed``) of the elements of lower degree.  The roots of the monic
-    y_i = Wr(f_1..f_i)/K_i are the coordinates of level i.  The points take one Gauss-Newton step where it lowers the
-    residual (_polish), and a point is kept only if the solver's own filter
-    (_accepted) accepts it.  Its orbit has the dimension of the cell,
-    #{i < j : w_i < w_j}, and the multiplicity and hits of its point-sector
-    orbit.
+    y_i = Wr(f_1..f_i)/K_i are the coordinates of level i; the Wr(f_1..f_i)
+    of one flag come from one partial_wronskians call.  The points take one
+    Gauss-Newton step where it lowers the residual (_polish), and a point is
+    kept only if the solver's own filter (_accepted) accepts it.  Its orbit
+    has the dimension of the cell, #{i < j : w_i < w_j}, and the
+    multiplicity and hits of its point-sector orbit.
     """
     if not point_orbits:
         return []
@@ -887,8 +888,8 @@ def build_sector(data: MasterData, basic: BasicSituation, point_orbits: Sequence
             c = rng.normal(size=low) + 1j * rng.normal(size=low)
             flag.append(Poly(CC, E[:, wi - 1] + E[:, wi:] @ c))
         row = []
-        for i in range(1, basic.N + 1):
-            y, _ = div_rem(wronskian(flag[:i]), K[i])
+        for i, wr in enumerate(partial_wronskians(flag[:basic.N]), start=1):
+            y, _ = div_rem(wr, K[i])
             row.extend(np.roots(y.monic().coeffs[::-1]))
         rows.append(row)
 

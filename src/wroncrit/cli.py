@@ -254,8 +254,10 @@ def _orbit_rows(orbits, data) -> list[dict]:
     return rows
 
 
-def _solve_sectors(problem, basic: BasicSituation, picks, starts: int, seed: int) -> list[tuple]:
-    """(label, data, orbit rows) per picked sector, solved or built, and certified.
+def _solve_sectors(problem, basic: BasicSituation, picks, starts: int,
+                   seed: int) -> tuple[MasterData | None, list[tuple]]:
+    """The point sector's data, and (label, data, orbit rows) per picked
+    sector, solved or built, and certified.
 
     Only the point sector is solved, once; every other sector is built from
     its orbits.  Both read the basic situation of the sectors' data: a
@@ -265,7 +267,8 @@ def _solve_sectors(problem, basic: BasicSituation, picks, starts: int, seed: int
     instead.  Each orbit is certified by divisibility at the fixed tolerance
     of certify_divisibility (1e-9, relative to the dividend's norm).  The
     counts are not judged here: run_verify compares them with the
-    intersection number.
+    intersection number.  The point sector's data is None when no space
+    realizes it.
     """
     point = point_sector(basic.N)
     point_data = next((data for _, w, data in picks if w == point), None)
@@ -274,13 +277,13 @@ def _solve_sectors(problem, basic: BasicSituation, picks, starts: int, seed: int
         if not isinstance(problem, MasterData):
             basic = translate_master(point_data)[0]
     except (EmptySector, NoCriticalPoints):  # no sector has critical points
-        return [(label, data, []) for label, _, data in picks]
+        return point_data, [(label, data, []) for label, _, data in picks]
     orbits = solve_critical(point_data, starts=starts, seed=seed, basic=basic)
     out = []
     for label, w, data in picks:
         built = orbits if w == point else build_sector(data, basic, orbits, seed)
         out.append((label, data, _orbit_rows(built, data)))
-    return out
+    return point_data, out
 
 
 def _orbit_line(r: dict) -> str:
@@ -294,7 +297,8 @@ def _cmd_bethe_solve(args) -> int:
     basic, picks = _select_sectors(problem, args.sector)
     payload = {}
     lines = []
-    for label, data, rows in _solve_sectors(problem, basic, picks, args.starts, args.seed):
+    _, solved = _solve_sectors(problem, basic, picks, args.starts, args.seed)
+    for label, data, rows in solved:
         payload[label] = {"l": list(data.l), "orbits": rows}
         lines.append(f"sector {label}: sizes {data.l}, {len(rows)} orbit(s)")
         lines += [_orbit_line(r) for r in rows]
@@ -411,7 +415,8 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     basic, picks = _select_sectors(problem, sector)
     target = intersection_number(basic)
     sectors = {}
-    for label, data, rows in _solve_sectors(problem, basic, picks, starts, seed):
+    point_data, solved = _solve_sectors(problem, basic, picks, starts, seed)
+    for label, data, rows in solved:
         total = sum(r["multiplicity"] for r in rows)
         verdict = "MATCH" if total == target else \
             ("UNDERCOUNT" if total < target else "OVERCOUNT")
@@ -434,24 +439,22 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     }
     if exact_tuple is not None:
         report["exact"] = _exact_leg(problem, basic, exact_tuple)
-    return {"report": report, "diagnostics": _diagnostics(basic),
+    return {"report": report, "diagnostics": _diagnostics(point_data),
             "timing_s": round(time.perf_counter() - t0, 3)}
 
 
-def _diagnostics(basic: BasicSituation) -> dict:
+def _diagnostics(point_data: MasterData | None) -> dict:
     """How the point sector was solved: its route, and D on the Bethe route.
 
     The route is "bethe" when every nonzero weight is omega_1 (the joint
     eigenvalues of the Gaudin Hamiltonians on a singular space of dimension
     singular_dim), "multistart" otherwise, and null when no space realizes
-    the data.
+    the data (point_data is None, as _solve_sectors returns it).
     """
-    try:
-        data = master_from_sector(basic, point_sector(basic.N))
-    except EmptySector:
+    if point_data is None:
         return {"route": None, "singular_dim": None}
-    if gaudin.covers(data):
-        return {"route": "bethe", "singular_dim": gaudin.singular_dim(data)}
+    if gaudin.covers(point_data):
+        return {"route": "bethe", "singular_dim": gaudin.singular_dim(point_data)}
     return {"route": "multistart", "singular_dim": None}
 
 

@@ -27,7 +27,10 @@ The Wronskian of f_1..f_k is the k x k determinant whose rows are the
 derivatives in descending order (order k-1 at the top, the functions at the
 bottom), so the two-argument form is Wr(f, g) = f'g - fg'. The determinant is
 expanded by cofactors (division free), which keeps it valid over the dual
-ring. It is multilinear and antisymmetric in the functions.
+ring. It is multilinear and antisymmetric in the functions. Its minor on the
+bottom i rows and the first i columns is Wr(f_1..f_i), so partial_wronskians
+reads every prefix of a flag off the one expansion, and wronskian is its last
+entry.
 """
 
 from __future__ import annotations
@@ -526,16 +529,19 @@ def _gcd_args(f: Poly, g: Poly) -> Poly:
 
 def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """Monic gcd with Bezout cofactors: gcd = c*f + d*g. Field coefficients
-    only; the dual ring is refused."""
+    only; the dual ring is refused.
+
+    The remainder sequence carries the cofactor of f alone: every remainder
+    is r = s*f + t*g, so the cofactor of g is the exact quotient
+    (r - s*f) / g of the last one, and 0 when g is 0."""
     g = _gcd_args(f, g)
     r0, r1 = f, g
     s0, s1 = Poly.one(f.ring), Poly.zero(f.ring)
-    t0, t1 = Poly.zero(f.ring), Poly.one(f.ring)
     while not r1.is_zero():
         q, r = div_rem(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
+    t0 = Poly.zero(f.ring) if g.is_zero() else exact_div(r0 - s0 * f, g)
     lead = r0.lead()
     inv = f.ring.inv(lead)
     return r0 * inv, s0 * inv, t0 * inv
@@ -711,9 +717,13 @@ def is_squarefree(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # Wronskians
 
-def wronskian(polys: Sequence[Poly]) -> Poly:
-    """Determinant of the derivative matrix, rows in descending derivative
-    order (row 0 holds the (k-1)-th derivatives, the last row the functions).
+def partial_wronskians(polys: Sequence[Poly]) -> tuple[Poly, ...]:
+    """(Wr(f_1), Wr(f_1, f_2), ..., Wr(f_1..f_k)) from one cofactor expansion.
+
+    The derivative matrix has its rows in descending derivative order (row 0
+    holds the (k-1)-th derivatives, the last row the functions).  Its minor
+    on the bottom i rows and the first i columns is Wr(f_1..f_i), so every
+    prefix is a minor of the one memoized expansion along the top rows.
     Cofactor expansion only, so the dual ring is fine."""
     polys = list(polys)
     if not polys:
@@ -723,8 +733,6 @@ def wronskian(polys: Sequence[Poly]) -> Poly:
         if p.ring != ring:
             raise MixedFields("Wronskian arguments over different rings")
     k = len(polys)
-    if k == 1:
-        return polys[0]
     rows = []
     for r in range(k):
         order = k - 1 - r
@@ -732,6 +740,7 @@ def wronskian(polys: Sequence[Poly]) -> Poly:
     memo: dict[tuple[int, ...], Poly] = {}
 
     def minor(cols: tuple[int, ...]) -> Poly:
+        # the bottom len(cols) rows, expanded along the first of them
         r = k - len(cols)
         if not cols:
             return Poly.one(ring)
@@ -748,7 +757,12 @@ def wronskian(polys: Sequence[Poly]) -> Poly:
         memo[cols] = acc
         return acc
 
-    return minor(tuple(range(k)))
+    return (polys[0],) + tuple(minor(tuple(range(i))) for i in range(2, k + 1))
+
+
+def wronskian(polys: Sequence[Poly]) -> Poly:
+    """Determinant of the derivative matrix: the last of partial_wronskians."""
+    return partial_wronskians(polys)[-1]
 
 
 def wronskian_pair(f: Poly, g: Poly) -> Poly:

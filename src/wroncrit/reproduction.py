@@ -45,6 +45,7 @@ from .polyring import (
     gcd_monic,
     is_squarefree,
     ord_at,
+    partial_wronskians,
     wronskian,
     wronskian_pair,
 )
@@ -308,7 +309,8 @@ def build_space(t: FertileTuple) -> PolySpace:
     the final first entry by K_1.  The source tuple's fertility is checked
     once per call, on a copy that carries the report down each cascade, so
     nothing is kept on t.  All three conclusions are then verified: the
-    Wronskian family, the finite exponent tables, and the degrees at
+    Wronskian family (every Wr(u_1..u_i), read off one expansion by
+    partial_wronskians), the finite exponent tables, and the degrees at
     infinity.
     """
     report = is_fertile(t)
@@ -323,7 +325,7 @@ def build_space(t: FertileTuple) -> PolySpace:
             cur, _, _ = mutate(cur, direction)
         basis.append(K[1] * cur.y_at(1))
 
-    wrs = [wronskian(basis[:i]) for i in range(1, t.N + 2)]
+    wrs = partial_wronskians(basis)
     kappa = []
     for i in range(1, t.N + 2):
         target = K[i] * t.y_at(i)
@@ -358,7 +360,7 @@ def build_space(t: FertileTuple) -> PolySpace:
             raise VerificationFailed(
                 f"exponents of E_{i} at infinity: {got_inf}, table says {want_inf}")
 
-    return PolySpace(t, tuple(basis), tuple(wrs), tuple(kappa), tuple(finite), c_table, w)
+    return PolySpace(t, tuple(basis), wrs, tuple(kappa), tuple(finite), c_table, w)
 
 
 def theta(space: PolySpace) -> tuple[Poly, ...]:

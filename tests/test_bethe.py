@@ -549,6 +549,19 @@ def test_sl3_every_sector_built_from_the_point_sector():
         0, 1, 1, 2, 2, 3]
 
 
+def test_build_sector_expands_one_flag_per_orbit(monkeypatch):
+    # the y_i of a built orbit are read off one expansion of its flag f_1..f_N
+    basic, _ = translate_master(SL3_N5)
+    orbits = solve_critical(master_from_sector(basic, point_sector(2)), starts=200, seed=0)
+    sizes = []
+    real = bethe.partial_wronskians
+    monkeypatch.setattr(bethe, "partial_wronskians",
+                        lambda polys: sizes.append(len(polys)) or real(polys))
+    built = build_sector(master_from_sector(basic, (1, 2, 3)), basic, orbits, seed=0)
+    assert len(built) == len(orbits) == 6
+    assert sizes == [2] * len(orbits)
+
+
 def test_built_components_agree_with_slicing():
     # random slicing through each built point (component_multiplicity) finds
     # the cell's dimension and the point-sector multiplicity; only sectors

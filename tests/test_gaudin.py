@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wroncrit import bethe, gaudin
+from wroncrit import bethe, cli, gaudin
 from wroncrit.bethe import MasterData, master_from_sector, point_sector, solve_critical, \
     translate_master
 from wroncrit.cli import _basic_of, load_problem, run_verify
+from wroncrit.errors import NoCriticalPoints
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
 from wroncrit.polyring import Poly
 from wroncrit.schubert import intersection_number
@@ -305,3 +306,25 @@ def test_verify_reports_the_route_beside_the_report():
     assert "diagnostics" not in out["report"] and out["report"]["verdict"] == "MATCH"
     other = run_verify(MasterData(QQ, (1,), ((0, (1,)), (1, (2,)), (-1, (1,)))))
     assert other["diagnostics"] == {"route": "multistart", "singular_dim": None}
+
+
+def test_verify_reports_no_route_where_no_space_realizes_the_point_sector():
+    # sl3 with l = (0, 2) at one point: the point sector has a negative level
+    out = run_verify(MasterData(QQ, (0, 2), ((0, (1, 0)),)))
+    assert out["diagnostics"] == {"route": None, "singular_dim": None}
+    assert out["report"]["lr_target"] == 0 and out["report"]["verdict"] == "MATCH"
+
+
+def test_verify_reports_the_route_when_the_point_sector_has_no_critical_points(monkeypatch):
+    # the point sector's data exists, so its route is reported although no
+    # sector is solved
+    basic = load_problem(str(PROBLEMS / "example_cuberoots.json"))
+    point = master_from_sector(basic, point_sector(basic.N))
+
+    def no_points(data):
+        raise NoCriticalPoints("labels collide")
+
+    monkeypatch.setattr(cli, "translate_master", no_points)
+    out = run_verify(basic)
+    assert out["diagnostics"] == {"route": "bethe", "singular_dim": gaudin.singular_dim(point)}
+    assert all(s["orbits"] == [] for s in out["report"]["sectors"].values())

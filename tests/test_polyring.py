@@ -5,6 +5,7 @@ Wr(f, g) = f'g - fg'.  Degree bookkeeping, division and the classical
 determinant identities are checked on random exact inputs.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from wroncrit.polyring import (
     is_squarefree,
     ord_at,
     parse_poly,
+    partial_wronskians,
     wronskian,
     wronskian_pair,
     xgcd,
@@ -305,6 +307,8 @@ def test_exact_div_rejects_remainder():
 
 
 @given(nonzero_polys, nonzero_polys)
+@example(Poly.zero(QQ), P("3*x^2-1"))      # the cofactor of f is 0
+@example(P("3*x^2-1"), Poly.zero(QQ))      # the cofactor of g is 0
 def test_xgcd_bezout(f, g):
     d, u, v = xgcd(f, g)
     assert u * f + v * g == d
@@ -541,6 +545,54 @@ def test_jacobi_composition_order_2(u1, u2, u3):
 def test_jacobi_composition_order_3(u1, u2, u3, u4):
     lhs = wronskian_pair(wronskian([u1, u2, u3]), wronskian([u1, u2, u4]))
     assert lhs == wronskian_pair(u1, u2) * wronskian([u1, u2, u3, u4])
+
+
+# partial_wronskians reads Wr(f_1..f_i) off one expansion of the whole flag;
+# the references are each prefix's own matrix (wronskian) and the Leibniz sum
+# over permutations, with ring arithmetic only, so the dual ring is covered
+
+FLAG_RINGS = [QQ] + [make_extension(p) for p in ("x^2+x+1", "x^2-3", "x^3-2")] + [DualRing(QQ)]
+FLAG_IDS = ["QQ", "a2+a+1", "a2-3", "a3-2", "QQ[eps]"]
+
+
+def _flag_coeffs(ring):
+    if isinstance(ring, DualRing):
+        return st.tuples(fracs, fracs).map(
+            lambda ab: ring.coerce(ab[0]) + ring.coerce(ab[1]) * ring.eps)
+    return _coeffs_in(ring)
+
+
+def leibniz_wronskian(fs):
+    # sum over permutations of the signed products of the derivative matrix,
+    # row r holding the (k-1-r)-th derivatives
+    k, ring = len(fs), fs[0].ring
+    total = Poly.zero(ring)
+    for perm in itertools.permutations(range(k)):
+        term = Poly.one(ring)
+        for r, c in enumerate(perm):
+            term = term * fs[c].deriv(k - 1 - r)
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+@pytest.mark.parametrize("ring", FLAG_RINGS, ids=FLAG_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_partial_wronskians_are_the_prefix_wronskians(ring, data):
+    poly = st.lists(_flag_coeffs(ring), max_size=5).map(lambda cs: Poly(ring, cs))
+    fs = data.draw(st.lists(poly, min_size=1, max_size=4))
+    wrs = partial_wronskians(fs)
+    assert len(wrs) == len(fs)
+    for i, w in enumerate(wrs, start=1):
+        assert w == wronskian(fs[:i]) == leibniz_wronskian(fs[:i])
+
+
+def test_partial_wronskians_guards():
+    with pytest.raises(ZeroInputs):
+        partial_wronskians([])
+    assert partial_wronskians([P("x^2+1")]) == (P("x^2+1"),)
+    assert partial_wronskians([P("1"), P("x"), P("x^2")]) == (P("1"), P("-1"), P("-2"))
 
 
 def test_wronskian_three_functions():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wroncrit import ramification
 from wroncrit.bethe import MasterData, translate_master
 from wroncrit.cli import _basic_of, load_problem
 from wroncrit.errors import (
@@ -251,6 +252,21 @@ def test_wronskian_ram_check_cuberoots_space():
     bad = [Poly.x(b.ring), parse_poly("x^3+x", b.ring)]
     with pytest.raises(CheckFailed):
         wronskian_ram_check(bad, b)
+
+
+def test_wronskian_ram_check_reads_each_flag_off_one_expansion(monkeypatch):
+    # N = 2: weights (1,0) at 0, (0,1) at 1, (1,1) at -1 and l = (0, 0); the
+    # adapted flag at each marked point is expanded once
+    b = translate_master(MasterData(QQ, (0, 0), ((0, (1, 0)), (1, (0, 1)), (-1, (1, 1)))))[0]
+    basis = [P("1"), P("x^3 + 3/2*x^2 - 3"), P("x^6 + 6/5*x^5 - 9/2*x^4 - 12*x^3 - 9*x^2 - 6")]
+    sizes = []
+    real = ramification.partial_wronskians
+    monkeypatch.setattr(ramification, "partial_wronskians",
+                        lambda polys: sizes.append(len(polys)) or real(polys))
+    lines = wronskian_ram_check(basis, b)
+    assert sizes == [3] * len(b.points)
+    assert "exponents at -1 = {0, 2, 4}, flag orders match" in lines
+    assert "exponents at 0 = {0, 2, 3}, flag orders match" in lines
 
 
 def test_fmt_exps():

@@ -28,6 +28,7 @@ from wroncrit.polyring import (
     is_squarefree,
     ord_at,
     parse_poly,
+    wronskian,
     wronskian_pair,
 )
 from wroncrit.ramification import exponents_at, exponents_at_infinity
@@ -359,11 +360,30 @@ def test_mutate_of_an_infertile_parent_names_every_failure():
         assert str(err.value) == want
 
 
+def test_build_space_expands_its_flag_once(monkeypatch):
+    # Wr(u_1..u_i) for every i comes from one expansion of the basis
+    one = Poly.one(QQ)
+    t = FertileTuple(QQ, (one, one), (P("x"), P("x-1"), P("x+1")),
+                     (Fraction(0), Fraction(1), Fraction(-1)))
+    t = mutate(mutate(t, 1)[0], 2)[0]
+    calls = []
+    for name in ("wronskian", "partial_wronskians"):
+        real = getattr(reproduction, name)
+        monkeypatch.setattr(reproduction, name,
+                            lambda polys, real=real, name=name: calls.append(name) or real(polys))
+    space = build_space(t)
+    assert calls == ["partial_wronskians"]
+    assert space.wronskians == tuple(wronskian(space.basis[:i])
+                                     for i in range(1, len(space.basis) + 1))
+
+
 def test_theta_makes_no_wronskian(monkeypatch):
     space = build_space(cuberoots_tuple())
     calls = []
-    real = reproduction.wronskian
-    monkeypatch.setattr(reproduction, "wronskian", lambda polys: calls.append(1) or real(polys))
+    for name in ("wronskian", "partial_wronskians"):
+        real = getattr(reproduction, name)
+        monkeypatch.setattr(reproduction, name,
+                            lambda polys, real=real: calls.append(1) or real(polys))
     assert theta(space) == space.source.y
     assert calls == []
 
