@@ -42,6 +42,7 @@ from .ramification import (
     exponents_of_ram,
     ram_from_exponents,
     validate_basic,
+    without_base_points,
     wronskian_ram_check,
 )
 from .reproduction import (
@@ -67,6 +68,7 @@ from .bethe import (
     bethe_residual,
     certify_critical,
     certify_divisibility,
+    certify_tuples,
     check_admissible,
     clear_denominators,
     gamma,

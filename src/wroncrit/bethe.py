@@ -48,6 +48,7 @@ from .errors import (
     NotCertified,
     NotIsolated,
     WroncritError,
+    ZeroPolynomial,
 )
 from .field import CC, common_ring, embed_scalar, format_scalar, ring_of
 from .multiplicity import _MULT_TOL, MPoly, MultivariateSystem, local_multiplicity
@@ -322,44 +323,164 @@ class Certificate:
         return f"{self.kind} [{self.mode}] residuals: {body or 'none'} (tol {self.tol:g})"
 
 
-def _poly_norm(f: Poly) -> float:
-    return max((abs(complex(c)) for c in f.coeffs), default=0.0)
-
-
 def certify_divisibility(ys: Sequence[Poly], data: MasterData, tol: float = 1e-9) -> Certificate:
-    """Check y_i | Wr(y_i', T_i y_{i-1} y_{i+1}) for every level.
+    """Check y_i | Wr(y_i', T_i y_{i-1} y_{i+1}) for every level of one tuple.
 
-    Exact rings use exact remainders; over machine complex numbers the
-    remainder norm must stay below tol times the dividend norm.  Raises
-    NotCertified naming the first level that fails.
+    The certificate of certify_tuples([ys], data, tol); raises the error that
+    refuses it: NotCertified naming the first level that fails, or
+    DimensionMismatch for a tuple of the wrong length.
     """
-    ys = list(ys)
-    if len(ys) != data.N:
-        raise DimensionMismatch(f"tuple has {len(ys)} levels, data has {data.N}")
-    numeric = any(y.ring == CC for y in ys)
-    T = data.T
-    if numeric:
-        ys = [y.to_ring(CC) for y in ys]
-        T = [f.to_ring(CC) for f in T]
+    out = certify_tuples([ys], data, tol)[0]
+    if isinstance(out, WroncritError):
+        raise out
+    return out
+
+
+def certify_tuples(tuples: Sequence[Sequence[Poly]], data: MasterData,
+                   tol: float = 1e-9) -> list[Certificate | WroncritError]:
+    """The divisibility certificate of each tuple, or the error that refuses it.
+
+    Each tuple must satisfy y_i | Wr(y_i', T_i y_{i-1} y_{i+1}) at every
+    level.  A tuple over exact rings takes exact remainders, and any nonzero
+    one refuses it.  A tuple with a coefficient over CC is checked in
+    floating point against tol: at level i the remainder norm must stay
+    below tol (1 + ||w||), w the dividend and ||.|| the largest coefficient
+    modulus.  The floating tuples are checked together, one stack per
+    degree pattern (_certify_stacked), with each T_i embedded once.  A
+    refused tuple gets NotCertified naming its first failing level (or the
+    error its arithmetic raised); one of the wrong length gets
+    DimensionMismatch.
+    """
+    tuples = [list(ys) for ys in tuples]
+    out: list = [None] * len(tuples)
+    stacks: dict[tuple[int, ...], list[int]] = {}
+    for k, ys in enumerate(tuples):
+        if len(ys) != data.N:
+            out[k] = DimensionMismatch(f"tuple has {len(ys)} levels, data has {data.N}")
+        elif any(y.ring == CC for y in ys):
+            stacks.setdefault(tuple(y.degree() for y in ys), []).append(k)
+        else:
+            try:
+                out[k] = _certify_exact(ys, data.T, tol)
+            except WroncritError as e:
+                out[k] = e
+    if stacks:
+        T = [_coeff_rows([f]) for f in data.T]
+        for idx in stacks.values():
+            for k, cert in zip(idx, _certify_stacked([tuples[k] for k in idx], T, tol)):
+                out[k] = cert
+    return out
+
+
+def _certify_exact(ys: list[Poly], T: Sequence[Poly], tol: float) -> Certificate:
     one = Poly.one(ys[0].ring)
-    resid = []
     for i in range(len(ys)):
         lo = ys[i - 1] if i > 0 else one
         hi = ys[i + 1] if i + 1 < len(ys) else one
-        w = wronskian_pair(ys[i].deriv(), T[i] * lo * hi)
-        _, rem = div_rem(w, ys[i])
-        if numeric:
-            bound = tol * (1.0 + _poly_norm(w))
-            r = _poly_norm(rem)
-            if r > bound:
-                raise NotCertified(
+        _, rem = div_rem(wronskian_pair(ys[i].deriv(), T[i] * lo * hi), ys[i])
+        if not rem.is_zero():
+            raise NotCertified(f"level {i + 1}: nonzero remainder {format_poly(rem)}")
+    return Certificate("divisibility", "exact", (0.0,) * len(ys), tol)
+
+
+# -- stacked coefficient rows: row s of an (S, n) array holds the coefficients
+# of a polynomial of degree n - 1 (n = 0 for the zero polynomial), lowest
+# first.  Products and moduli are rounded as Python's complex rounds them
+# (numpy's complex product may fuse its terms), so each row is bitwise the
+# coefficients the Poly loop computes.
+
+def _coeff_rows(polys: Sequence[Poly]) -> np.ndarray:
+    # polynomials of one degree, embedded in CC once
+    return np.array([[CC.coerce(c) for c in f.coeffs] for f in polys],
+                    dtype=complex).reshape(len(polys), -1)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _modulus(A: np.ndarray) -> np.ndarray:
+    # the largest coefficient modulus of each row, 0 for the zero polynomial
+    return np.hypot(A.real, A.imag).max(axis=1, initial=0.0)
+
+
+def _mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # row-wise products; out[k] sums a_i b_(k-i) over ascending i, as Poly does
+    if not A.shape[1] or not B.shape[1]:
+        return np.zeros((max(len(A), len(B)), 0), dtype=complex)
+    out = np.zeros((max(len(A), len(B)), A.shape[1] + B.shape[1] - 1), dtype=complex)
+    for i in range(A.shape[1]):
+        out[:, i:i + B.shape[1]] += _cmul(A[:, i, None], B)
+    return out
+
+
+def _deriv_rows(A: np.ndarray) -> np.ndarray:
+    return A[:, 1:] * np.arange(1, A.shape[1])
+
+
+def _sub_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    n = max(A.shape[1], B.shape[1])
+    out = np.zeros((len(A), n), dtype=complex)
+    out[:, :A.shape[1]] = A
+    out[:, :B.shape[1]] -= B
+    return out
+
+
+def _rem_rows(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Remainders of the rows of F by the rows of Y (nonzero), as div_rem takes them.
+
+    Synthetic division from the top: each quotient term is the top of the
+    running remainder, times the inverse of the divisor's lead unless that
+    lead is 1, and the term times the whole divisor leaves the remainder.
+    """
+    rem = F.copy()
+    dy = Y.shape[1] - 1
+    monic = Y[:, -1] == 1
+    inv = np.array([1 / v for v in Y[:, -1].tolist()], dtype=complex)
+    for k in range(rem.shape[1] - dy - 1, -1, -1):
+        c = np.where(monic, rem[:, k + dy], _cmul(rem[:, k + dy], inv))
+        rem[:, k:k + dy + 1] -= _cmul(c[:, None], Y)
+    return rem[:, :dy]
+
+
+def _certify_stacked(tuples: Sequence[Sequence[Poly]], T: Sequence[np.ndarray],
+                     tol: float) -> list[Certificate | WroncritError]:
+    """certify_tuples on floating tuples of one degree pattern, level by level.
+
+    Level i of every tuple is one row of a coefficient stack, so
+    Wr(y_i', T_i y_{i-1} y_{i+1}) = y_i'' g - y_i' g' with g = T_i y_{i-1}
+    y_{i+1} and its remainder by y_i are formed for all tuples at once,
+    in the order of operations of the Poly loop of _certify_exact.  T holds
+    the embedded rows of T_1..T_N.
+    """
+    ys = [_coeff_rows([t[i] for t in tuples]) for i in range(len(tuples[0]))]
+    errors: list[WroncritError | None] = [None] * len(tuples)
+    resid: list[list[float]] = [[] for _ in tuples]
+    for i, y in enumerate(ys):
+        if not y.shape[1]:  # div_rem refuses the zero divisor
+            errors = [e or ZeroPolynomial("division by the zero polynomial") for e in errors]
+            break
+        g = T[i]
+        if i > 0:
+            g = _mul_rows(g, ys[i - 1])
+        if i + 1 < len(ys):
+            g = _mul_rows(g, ys[i + 1])
+        d1 = _deriv_rows(y)
+        w = _sub_rows(_mul_rows(_deriv_rows(d1), g), _mul_rows(d1, _deriv_rows(g)))
+        rem_norm, w_norm = _modulus(_rem_rows(w, y)).tolist(), _modulus(w).tolist()
+        for s, (r, wn) in enumerate(zip(rem_norm, w_norm)):
+            if errors[s] is not None:
+                continue
+            bound = tol * (1.0 + wn)
+            if not r <= bound:
+                errors[s] = NotCertified(
                     f"level {i + 1}: remainder norm {r:.3e} exceeds {bound:.3e}")
-            resid.append(r)
-        else:
-            if not rem.is_zero():
-                raise NotCertified(f"level {i + 1}: nonzero remainder {format_poly(rem)}")
-            resid.append(0.0)
-    return Certificate("divisibility", "numeric" if numeric else "exact", tuple(resid), tol)
+            resid[s].append(r)
+    return [e or Certificate("divisibility", "numeric", tuple(r), tol)
+            for e, r in zip(errors, resid)]
 
 
 def certify_critical(data: MasterData, point, tol: float = 1e-9) -> Certificate:
@@ -620,19 +741,28 @@ def _near_collision(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray)
     return _collision_gap(t, C, zs, W) < _DEDUP_RADIUS * (1.0 + np.abs(t).max(axis=1))
 
 
+def _log_residual(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # the largest log-gradient component of each point of the batch
+    return np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
+
+
 def _accepted(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
-              far_cut: float) -> tuple[np.ndarray, np.ndarray]:
+              far_cut: float, res: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(mask, residual) of the Newton end points that are critical samples.
 
     A sample is kept when its largest log-gradient component is finite and
     below _RESIDUAL_TOL, it lies inside the disc of radius far_cut, and it is
-    not near a collision.  F also vanishes on collisions (coordinates of one
-    level or of adjacent levels meeting, a coordinate on a marked point
-    weighted at its level), where w = 0.  The residual r usually blows up
-    there, but its pole terms can cancel, so such samples are dropped by
-    distance (_near_collision), the same test by which _newton retires them.
+    not near a collision.  ``res`` is that component per row when the
+    caller has it (_polish returns it for the rows it returns); otherwise,
+    on the multistart, the equations are evaluated here.  F also vanishes
+    on collisions (coordinates of one level or of adjacent levels meeting, a
+    coordinate on a marked point weighted at its level), where w = 0.  The
+    residual r usually blows up there, but its pole terms can cancel, so
+    such samples are dropped by distance (_near_collision), the same test
+    by which _newton retires them.
     """
-    res = np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
+    if res is None:
+        res = _log_residual(pts, C, zs, W)
     size = np.abs(pts).max(axis=1)
     good = (np.isfinite(res) & (res < _RESIDUAL_TOL) & (size < far_cut)
             & ~_near_collision(pts, C, zs, W))
@@ -755,18 +885,22 @@ def _newton(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np
     return pts
 
 
-def _polish(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _polish(pts: np.ndarray, C: np.ndarray, zs: np.ndarray,
+            W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss-Newton step from points built by linear algebra, where it helps.
 
     Steps every row of pts, shape (S, L), once (_gn_step) and keeps the step
     on the rows whose largest log-gradient component it lowers; the other
-    rows come back bitwise unchanged, and pts is not modified.
+    rows come back bitwise unchanged, and pts is not modified.  Returns the
+    points and that component at each of them, the lower of the two it
+    computed, which the filter (_accepted) reads instead of evaluating the
+    equations a third time.
     """
     F, J, r = _critical_equations(pts, C, zs, W)
     stepped = pts + _gn_step(F, J)
-    lower = (np.abs(_critical_equations(stepped, C, zs, W)[2]).max(axis=1)
-             < np.abs(r).max(axis=1))
-    return np.where(lower[:, None], stepped, pts)
+    res, res_stepped = np.abs(r).max(axis=1), _log_residual(stepped, C, zs, W)
+    lower = res_stepped < res
+    return np.where(lower[:, None], stepped, pts), np.where(lower, res_stepped, res)
 
 
 # -- the space of a tuple ------------------------------------------------------
@@ -897,8 +1031,8 @@ def build_sector(data: MasterData, basic: BasicSituation, point_orbits: Sequence
     zs, W = _embedded_weights(data)
     pts = np.array(rows, dtype=complex).reshape(len(rows), data.size())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pts = _polish(pts, C, zs, W)
-        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * _start_radius(zs))
+        pts, res = _polish(pts, C, zs, W)
+        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * _start_radius(zs), res)
     dim = sum(1 for a, b in itertools.combinations(w, 2) if a < b)
     idx = np.nonzero(good)[0]
     keyed = []
@@ -920,21 +1054,25 @@ def _sorted_orbits(keyed: list[tuple[list, CriticalOrbit]]) -> list[CriticalOrbi
 
 def _clusters(pts: np.ndarray, good: np.ndarray, l: Sequence[int]) -> list[tuple[list[int], list]]:
     # accepted rows whose tuples y = gamma(t) agree to _DEDUP_RADIUS relative,
-    # each cluster listed from its first row in key order, with that row's sort key
+    # each cluster listed from its first row in key order, with that row's
+    # sort key; a row joins the first cluster whose head (first key) is near,
+    # all heads compared in one array pass
     idx = np.nonzero(good)[0]
     keys = _orbit_keys(pts[idx], l)
     sort_keys = [_sort_key(key) for key in keys.tolist()]
-    clusters: list[tuple[np.ndarray, list[int], list]] = []
+    heads = np.empty_like(keys)
+    clusters: list[tuple[list[int], list]] = []
     for j in sorted(range(len(idx)), key=sort_keys.__getitem__):
         key = keys[j]
         kscale = 1.0 + np.abs(key).max()
-        for first, rows, _ in clusters:
-            if np.abs(key - first).max() < _DEDUP_RADIUS * kscale:
-                rows.append(int(idx[j]))
-                break
+        near = np.flatnonzero(np.abs(key - heads[:len(clusters)]).max(axis=1)
+                              < _DEDUP_RADIUS * kscale)
+        if len(near):
+            clusters[near[0]][0].append(int(idx[j]))
         else:
-            clusters.append((key, [int(idx[j])], sort_keys[j]))
-    return [(rows, sort_key) for _, rows, sort_key in clusters]
+            heads[len(clusters)] = key
+            clusters.append(([int(idx[j])], sort_keys[j]))
+    return clusters
 
 
 def _key_roots(key: np.ndarray, l: Sequence[int]) -> np.ndarray:
@@ -954,12 +1092,16 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
 
     When every nonzero weight is omega_1 (gaudin.covers), the samples are the
     D joint eigenvalues of the Gaudin Hamiltonians (gaudin.eigen_points),
-    each after one Gauss-Newton step where it lowers the residual (_polish);
-    ``starts`` and ``seed`` are not read.  A cluster of m > 1 eigenvalues is
-    one orbit of m hits, represented by the roots of the mean key of its raw
-    eigen-points: a split m-fold eigenvalue is accurate to eps^(1/m) in each
-    member but to O(eps) in its centroid.  Otherwise ``starts`` random
-    points run Newton to its fixed points.
+    each after one Gauss-Newton step where it lowers the residual (_polish),
+    and the filter (_accepted) reads the residual _polish returns, so the
+    critical equations run twice per eigen-point; ``starts`` and ``seed``
+    are not read.  A cluster of m > 1 eigenvalues is one orbit of m hits,
+    represented by the roots of the mean key of its raw eigen-points: a
+    split m-fold eigenvalue is accurate to eps^(1/m) in each member but to
+    O(eps) in its centroid.  Otherwise ``starts`` random points run Newton
+    to its fixed points, and the filter evaluates the equations there.
+    Accepted samples are clustered by their tuples (_clusters: each key is
+    compared with every cluster head at once).
 
     An orbit whose scaled Hessian of log Phi has its smallest singular value
     above _MULT_TOL (_hessian_sigma) has multiplicity 1.  Only the others
@@ -990,12 +1132,13 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
         if on_bethe:
             raw = gaudin.eigen_points(data)
             bound = len(raw)
-            pts = _polish(raw, C, zs, W)
+            pts, res = _polish(raw, C, zs, W)
         else:
             bound = intersection_number(basic)
             pts = _newton(_rand_points(np.random.default_rng(seed), starts, L, radius),
                           C, zs, W)
-        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius)
+            res = None
+        good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius, res)
 
     # orbits are identified by the tuple y = gamma(t), not by coordinates
     clusters = _clusters(pts, good, data.l)

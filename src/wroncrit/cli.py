@@ -29,6 +29,7 @@ from .bethe import (
     MasterData,
     build_sector,
     certify_divisibility,
+    certify_tuples,
     check_admissible,
     clear_denominators,
     master_from_sector,
@@ -43,7 +44,6 @@ from .errors import (
     EmptySector,
     MixedFields,
     NegativeLength,
-    NoCriticalPoints,
     NotIrreducible,
     NotMonic,
     NotRealizable,
@@ -54,7 +54,8 @@ from .errors import (
 from .field import QQ, format_scalar, make_extension, parse_scalar
 from .multiplicity import local_multiplicity
 from .polyring import format_poly, parse_poly
-from .ramification import BasicSituation, fmt_exps, validate_basic, wronskian_ram_check
+from .ramification import (BasicSituation, fmt_exps, validate_basic, without_base_points,
+                           wronskian_ram_check)
 from .reproduction import FertileTuple, build_space, is_fertile, mutate, theta
 from .schubert import intersection_number
 from .wronskian_eq import generic_candidate, solve
@@ -234,13 +235,13 @@ def _fmt_point(point) -> list:
 
 
 def _orbit_rows(orbits, data) -> list[dict]:
+    """One report row per orbit, each certified by divisibility.
+
+    The orbits of a sector are certified together, by one certify_tuples
+    call at its fixed tolerance (1e-9, relative to the dividend's norm).
+    """
     rows = []
-    for o in orbits:
-        try:
-            certify_divisibility(o.tuple_y, data)
-            cert = "certified"
-        except WroncritError as e:
-            cert = f"UNCERTIFIED: {e}"
+    for o, cert in zip(orbits, certify_tuples([o.tuple_y for o in orbits], data)):
         rows.append({
             "point": _fmt_point(o.point),
             "residual": f"{o.residual:.3e}",
@@ -249,35 +250,34 @@ def _orbit_rows(orbits, data) -> list[dict]:
             "dimension": o.dimension,
             "hits": o.hits,
             "tuple": [format_poly(y) for y in o.tuple_y],
-            "certified": cert,
+            "certified": f"UNCERTIFIED: {cert}" if isinstance(cert, WroncritError)
+            else "certified",
         })
     return rows
 
 
-def _solve_sectors(problem, basic: BasicSituation, picks, starts: int,
+def _solve_sectors(basic: BasicSituation, picks, starts: int,
                    seed: int) -> tuple[MasterData | None, list[tuple]]:
     """The point sector's data, and (label, data, orbit rows) per picked
     sector, solved or built, and certified.
 
     Only the point sector is solved, once; every other sector is built from
-    its orbits.  Both read the basic situation of the sectors' data: a
-    master-data problem's is ``basic``, translated once (_select_sectors); a
-    basic situation read from a file may have base points, which the spaces
-    of its orbits do not, so the point sector's data is translated once
-    instead.  Each orbit is certified by divisibility at the fixed tolerance
-    of certify_divisibility (1e-9, relative to the dividend's norm).  The
-    counts are not judged here: run_verify compares them with the
-    intersection number.  The point sector's data is None when no space
-    realizes it.
+    its orbits.  Both read ``basic`` without its base points
+    (without_base_points), which the spaces of the orbits do not have; the
+    sectors' data do not change.  The orbits of each sector are certified
+    together (_orbit_rows).  The counts are not judged here: run_verify
+    compares them with the intersection number.  The point sector's data is
+    None when no space realizes it: when a reduced sequence is not
+    realizable, or the point sector is empty.
     """
     point = point_sector(basic.N)
-    point_data = next((data for _, w, data in picks if w == point), None)
+    empty = [(label, data, []) for label, _, data in picks]
     try:
-        point_data = point_data or master_from_sector(basic, point)
-        if not isinstance(problem, MasterData):
-            basic = translate_master(point_data)[0]
-    except (EmptySector, NoCriticalPoints):  # no sector has critical points
-        return point_data, [(label, data, []) for label, _, data in picks]
+        basic = without_base_points(basic)
+        point_data = next((data for _, w, data in picks if w == point), None) \
+            or master_from_sector(basic, point)
+    except (NotRealizable, EmptySector):  # no sector has critical points
+        return None, empty
     orbits = solve_critical(point_data, starts=starts, seed=seed, basic=basic)
     out = []
     for label, w, data in picks:
@@ -297,7 +297,7 @@ def _cmd_bethe_solve(args) -> int:
     basic, picks = _select_sectors(problem, args.sector)
     payload = {}
     lines = []
-    _, solved = _solve_sectors(problem, basic, picks, args.starts, args.seed)
+    _, solved = _solve_sectors(basic, picks, args.starts, args.seed)
     for label, data, rows in solved:
         payload[label] = {"l": list(data.l), "orbits": rows}
         lines.append(f"sector {label}: sizes {data.l}, {len(rows)} orbit(s)")
@@ -415,7 +415,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     basic, picks = _select_sectors(problem, sector)
     target = intersection_number(basic)
     sectors = {}
-    point_data, solved = _solve_sectors(problem, basic, picks, starts, seed)
+    point_data, solved = _solve_sectors(basic, picks, starts, seed)
     for label, data, rows in solved:
         total = sum(r["multiplicity"] for r in rows)
         verdict = "MATCH" if total == target else \

@@ -89,10 +89,6 @@ class Poly:
         return cls(ring, [c])
 
     @classmethod
-    def monomial(cls, ring, c, k: int) -> "Poly":
-        return cls(ring, [ring.zero()] * k + [c])
-
-    @classmethod
     def from_roots(cls, ring, roots: Iterable) -> "Poly":
         """Monic product of (x - r) over the given roots (repeats allowed).
 
@@ -115,9 +111,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.ring.one()
 
     def lead(self) -> Scalar:
         if not self.coeffs:

@@ -235,6 +235,26 @@ def validate_basic(ring, d: int, N: int, points, infinity) -> BasicSituation:
     return BasicSituation(ring, d, N, tuple(pts), a_inf, K, T, tuple(lengths))
 
 
+def without_base_points(basic: BasicSituation) -> BasicSituation:
+    """The basic situation with its base points taken out.
+
+    A sequence whose last entry c is positive makes (x - z)^c a common
+    factor of every member of V (at infinity: lowers every degree by c).
+    Every sequence has its last entry subtracted from each entry, and d
+    drops by their sum, which the total weight keeps at most d - N; the sector sizes,
+    the weights and the intersection number do not change.  Returns
+    ``basic`` itself when it has no base point.  Raises NotRealizable when a
+    reduced sequence's leading entry exceeds the new d - N: then no space
+    has these base points, and the situation has no solution.
+    """
+    cut = [a[-1] for _, a in basic.points] + [basic.infinity[-1]]
+    if not any(cut):
+        return basic
+    pts = [(z, tuple(v - a[-1] for v in a)) for z, a in basic.points]
+    return validate_basic(basic.ring, basic.d - sum(cut), basic.N, pts,
+                          tuple(v - basic.infinity[-1] for v in basic.infinity))
+
+
 # -- consistency of an explicit space against a basic situation ----------------
 
 def wronskian_ram_check(basis: Sequence[Poly], data: BasicSituation) -> tuple[str, ...]:

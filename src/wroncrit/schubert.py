@@ -87,13 +87,14 @@ def lr_coefficient(lam, mu, nu, box: tuple[int, int] | None = None) -> int:
 
 
 def _partitions_over(lam: tuple[int, ...], size: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:
-    # partitions of |.| = size containing lam inside the box
+    # partitions of |.| = size containing lam inside the box, normalized:
+    # the rows are weakly decreasing, so the zeros come last
     lam_p = list(lam) + [0] * (rows - len(lam))
 
     def rec(r: int, prev: int, left: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if r == rows:
             if left == 0:
-                yield normalize_partition(acc)
+                yield tuple(v for v in acc if v)
             return
         hi = min(prev, cols, lam_p[r] + left)
         for v in range(hi, lam_p[r] - 1, -1):
@@ -106,13 +107,18 @@ def _partitions_over(lam: tuple[int, ...], size: int, rows: int, cols: int) -> I
 
 
 def mult_partitions(lam, mu, box: tuple[int, int]) -> dict[tuple[int, ...], int]:
-    """Expand a product of two classes in the box-truncated basis."""
+    """Expand a product of two classes in the box-truncated basis.
+
+    The fillings are counted directly on the partitions _partitions_over
+    yields: they are normalized, contain lam, have size |lam| + |mu| and fit
+    the box by construction, so lr_coefficient's checks are not repeated.
+    """
     lam = normalize_partition(lam, box)
     mu = normalize_partition(mu, box)
     rows, cols = box
     out: dict[tuple[int, ...], int] = {}
     for nu in _partitions_over(lam, sum(lam) + sum(mu), rows, cols):
-        c = lr_coefficient(lam, mu, nu, box)
+        c = _count_lr_fillings(lam, mu, nu)
         if c:
             out[nu] = c
     return out

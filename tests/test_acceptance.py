@@ -181,7 +181,7 @@ def _solve_linear(rows, rhs):
 
 def _oracle_has_solution(y, t):
     max_deg = t.degree() + 1
-    cols = [wronskian_pair(y, Poly.monomial(QQ, Fraction(1), k))
+    cols = [wronskian_pair(y, Poly(QQ, [0] * k + [1]))
             for k in range(max_deg + 1)]
     nrows = max([t.degree()] + [c.degree() for c in cols]) + 1
     rows = [[cols[k].coeff(r) for k in range(max_deg + 1)] for r in range(nrows)]

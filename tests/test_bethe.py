@@ -28,6 +28,7 @@ from wroncrit.bethe import (
     build_sector,
     certify_critical,
     certify_divisibility,
+    certify_tuples,
     check_admissible,
     clear_denominators,
     component_multiplicity,
@@ -50,10 +51,11 @@ from wroncrit.errors import (
     NoCriticalPoints,
     NotCertified,
     NotIsolated,
+    ZeroPolynomial,
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
 from wroncrit.multiplicity import _MULT_TOL, MPoly, MultivariateSystem, local_multiplicity
-from wroncrit.polyring import Poly, parse_poly
+from wroncrit.polyring import Poly, div_rem, parse_poly, wronskian_pair
 from wroncrit.ramification import validate_basic
 from wroncrit.reproduction import FertileTuple, build_space, mutate
 from wroncrit.schubert import intersection_number
@@ -229,6 +231,131 @@ def test_certify_divisibility_numeric():
     assert cert.mode == "numeric" and cert.residuals[0] < 1e-9
     with pytest.raises(NotCertified):
         certify_divisibility([parse_poly("x", QQ).to_ring(CC)], rational_data())
+
+
+def poly_loop_certificate(ys, data, tol=1e-9):
+    """The numeric divisibility check one tuple at a time, by Poly arithmetic
+    over CC: the residual per level, or the message of the first failing one."""
+    ys = [y.to_ring(CC) for y in ys]
+    T = [f.to_ring(CC) for f in data.T]
+    one = Poly.one(CC)
+    resid = []
+    for i in range(len(ys)):
+        lo = ys[i - 1] if i > 0 else one
+        hi = ys[i + 1] if i + 1 < len(ys) else one
+        w = wronskian_pair(ys[i].deriv(), T[i] * lo * hi)
+        _, rem = div_rem(w, ys[i])
+        bound = tol * (1.0 + max((abs(c) for c in w.coeffs), default=0.0))
+        r = max((abs(c) for c in rem.coeffs), default=0.0)
+        if r > bound:
+            return f"level {i + 1}: remainder norm {r:.3e} exceeds {bound:.3e}"
+        resid.append(r)
+    return tuple(resid)
+
+
+def stacked_outcome(cert):
+    return str(cert) if isinstance(cert, NotCertified) else cert.residuals
+
+
+def _sector_orbits():
+    # every orbit of sl2 n10k5 and sl3 (2,1) n6 (point sectors) and of the
+    # sectors of the cube roots built from their point sector
+    cases = [sl2_ladder_data(10, 5),
+             MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in ladder_points(6)))]
+    basic = load_problem(str(PROBLEMS / "example_cuberoots.json"))
+    cases += [master_from_sector(basic, spec.w) for spec in sectors_of(basic)
+              if spec.w != point_sector(basic.N)]
+    return [(data, solve_critical(data)) for data in cases]
+
+
+def test_certify_tuples_is_the_poly_loop_on_every_orbit_of_a_sector():
+    for data, orbits in _sector_orbits():
+        tuples = [o.tuple_y for o in orbits]
+        assert tuples and all(y.ring == CC for t in tuples for y in t)
+        got = certify_tuples(tuples, data)
+        assert [stacked_outcome(c) for c in got] == \
+            [poly_loop_certificate(t, data) for t in tuples]
+        assert all(c.mode == "numeric" for c in got)
+
+
+def test_certify_tuples_fails_a_perturbed_tuple_at_the_same_level():
+    for data, orbits in _sector_orbits():
+        for level in range(data.N):
+            if not data.l[level]:
+                continue
+            tuples = []
+            for o in orbits:
+                ys = list(o.tuple_y)
+                cs = list(ys[level].coeffs)
+                cs[0] += 1e-6
+                ys[level] = Poly(CC, cs)
+                tuples.append(ys)
+            got = certify_tuples(tuples, data)
+            want = [poly_loop_certificate(t, data) for t in tuples]
+            assert all(isinstance(c, NotCertified) for c in got)
+            assert [str(c) for c in got] == want
+            # the first failing level: the perturbed one or its neighbour below
+            assert all(str(c).split(":")[0] in (f"level {level}", f"level {level + 1}")
+                       for c in got)
+
+
+def test_certify_tuples_mixes_exact_and_floating_tuples():
+    data = rational_data()
+    exact = [parse_poly("x-1/2", QQ)]
+    root = gamma([[R3 + 0j]])[0]
+    got = certify_tuples([exact, [root], [root, root], [Poly.zero(CC)], [Poly(CC, [2.0, 6.0])]],
+                         data)
+    assert isinstance(got[0], NotCertified) and str(got[0]).startswith("level 1: nonzero")
+    assert got[1].mode == "numeric" and got[1].residuals == poly_loop_certificate([root], data)
+    assert isinstance(got[2], DimensionMismatch)
+    assert isinstance(got[3], ZeroPolynomial)
+    # y = 6x + 2, a divisor with lead 6, each quotient term scaled by its
+    # inverse as div_rem does: w = -6 T' = -18x^2 + 6 leaves w(-1/3) = 4
+    assert str(got[4]) == poly_loop_certificate([Poly(CC, [2.0, 6.0])], data)
+    assert str(got[4]).startswith("level 1: remainder norm 4.000e+00 exceeds 1.900e-08")
+
+
+def clusters_by_pairs(pts, good, l):
+    """_clusters as a loop over (key, head) pairs: each key is compared with
+    every cluster head in turn and joins the first one within the radius."""
+    idx = np.nonzero(good)[0]
+    keys = bethe._orbit_keys(pts[idx], l)
+    sort_keys = [bethe._sort_key(key) for key in keys.tolist()]
+    clusters = []
+    for j in sorted(range(len(idx)), key=sort_keys.__getitem__):
+        key = keys[j]
+        kscale = 1.0 + np.abs(key).max()
+        for first, rows, _ in clusters:
+            if np.abs(key - first).max() < bethe._DEDUP_RADIUS * kscale:
+                rows.append(int(idx[j]))
+                break
+        else:
+            clusters.append((key, [int(idx[j])], sort_keys[j]))
+    return [(rows, sort_key) for _, rows, sort_key in clusters]
+
+
+@pytest.mark.parametrize("l", [(1,), (3,), (2, 1)], ids=str)
+def test_clusters_equal_the_pairwise_loop_on_planted_near_duplicates(l):
+    rng = np.random.default_rng(7)
+    L = sum(l)
+    base = rng.normal(size=(30, L)) + 1j * rng.normal(size=(30, L))
+    # near-duplicates of every third row, at 1e-9 to 1e-5 of it
+    near = base[::3] + 10.0 ** rng.uniform(-9, -5, size=(10, 1)) * (
+        rng.normal(size=(10, L)) + 1j * rng.normal(size=(10, L)))
+    pts = np.vstack([base, near, base[:5]])
+    good = rng.uniform(size=len(pts)) < 0.9
+    got = bethe._clusters(pts, good, l)
+    assert got == clusters_by_pairs(pts, good, l)
+    assert any(len(rows) > 1 for rows, _ in got)
+
+
+def test_clusters_join_the_first_of_two_near_heads():
+    # heads a = 0 and b = 1.5e-6 i are apart; c lies within 1e-6 of both and
+    # sorts after both, so it joins a, the head made first
+    pts = np.array([[0j], [1.5e-6j], [1e-7 + 0.75e-6j]])
+    got = bethe._clusters(pts, np.ones(3, dtype=bool), (1,))
+    assert [rows for rows, _ in got] == [[0, 2], [1]]
+    assert got == clusters_by_pairs(pts, np.ones(3, dtype=bool), (1,))
 
 
 # -- sector bookkeeping ------------------------------------------------------------

@@ -4,19 +4,22 @@ The golden test re-runs the verify pipeline by composing the library calls
 directly and demands the same numbers; the CLI must stay a thin shell.
 """
 
+import itertools
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from wroncrit import bethe, cli
-from wroncrit.bethe import MasterData, solve_critical, translate_master
+from wroncrit.bethe import (MasterData, master_from_sector, point_sector, solve_critical,
+                            translate_master)
 from wroncrit.cli import load_problem, main, run_verify
-from wroncrit.errors import NotCertified, ParseError
+from wroncrit.errors import NotCertified, ParseError, WroncritError
 from wroncrit.field import QQ, format_scalar, make_extension
 from wroncrit.polyring import format_poly, parse_poly
-from wroncrit.ramification import BasicSituation
+from wroncrit.ramification import BasicSituation, validate_basic, without_base_points
 from wroncrit.schubert import intersection_number
 
 PROB = Path(__file__).resolve().parent.parent / "problems"
@@ -141,10 +144,10 @@ def test_verify_matches_library_composition():
 
 def test_uncertified_orbit_reads_undercount(monkeypatch):
     # the multiplicities add up to the target, but no orbit is certified
-    def refuse(*args, **kwargs):
-        raise NotCertified("refused")
+    def refuse(tuples, *args, **kwargs):
+        return [NotCertified("refused") for _ in tuples]
 
-    monkeypatch.setattr(cli, "certify_divisibility", refuse)
+    monkeypatch.setattr(cli, "certify_tuples", refuse)
     report = run_verify(load_problem(RATIONAL), starts=60, seed=2)["report"]
     sec = report["sectors"]["own"]
     assert sec["multiplicity_sum"] == report["lr_target"]
@@ -307,7 +310,8 @@ def test_undercount_is_named_by_the_verdict_alone(tmp_path, capsys):
 ], ids=["sl3-own", "sl3-all", "identity-own", "cuberoots-basic-all"])
 def test_verify_translates_its_problem_once(problem, sector, monkeypatch):
     # the basic situation is built once and handed to the point-sector solve
-    # and to every built sector; a basic problem translates its point sector once
+    # and to every built sector; a basic problem loses its base points
+    # (without_base_points) and is not translated at all
     calls = []
     translate = bethe.translate_master
 
@@ -319,3 +323,78 @@ def test_verify_translates_its_problem_once(problem, sector, monkeypatch):
     monkeypatch.setattr(cli, "translate_master", counting)
     report = run_verify(problem, sector=sector)["report"]
     assert report["verdict"] == "MATCH" and len(calls) <= 1
+
+
+def test_verify_certifies_each_sector_in_one_stacked_call(monkeypatch):
+    # one certify_tuples call per sector, and no Poly arithmetic over CC:
+    # the certificate no longer reaches bethe's wronskian_pair
+    calls, pairs = [], []
+    stacked, pair = cli.certify_tuples, bethe.wronskian_pair
+    monkeypatch.setattr(cli, "certify_tuples",
+                        lambda tuples, data: calls.append(len(tuples)) or stacked(tuples, data))
+    monkeypatch.setattr(bethe, "wronskian_pair", lambda *a: pairs.append(a) or pair(*a))
+    problem = MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2, -2)))
+    report = run_verify(problem, sector="all")["report"]
+    assert report["verdict"] == "MATCH"
+    assert calls == [len(s["orbits"]) for s in report["sectors"].values()]
+    assert len(calls) == 6 and pairs == []
+
+
+BASE_POINT = {"kind": "basic", "d": 3, "N": 1, "points": [{"z": "0", "ram": [2, 0]}],
+              "infinity": {"ram": [1, 1]}}
+
+
+def test_verify_reads_match_where_the_base_point_leaves_no_space(tmp_path, capsys):
+    # (1, 1) at infinity is a base point: without it d = 2, where (2, 0) at 0
+    # is not realizable; the intersection number is 0 and so is the count
+    path = tmp_path / "base_point.json"
+    path.write_text(json.dumps(BASE_POINT))
+    assert main(["verify", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    report = out["report"]
+    assert report["verdict"] == "MATCH" and report["lr_target"] == 0
+    assert all(s["orbits"] == [] and s["verdict"] == "MATCH" for s in report["sectors"].values())
+    assert out["diagnostics"] == {"route": None, "singular_dim": None}
+    assert main(["verify", str(path), "--sector", "all"]) == 0
+    assert main(["lr", str(path)]) == 0
+    assert "intersection number: 0" in capsys.readouterr().out
+
+
+def _ram_sequences(d, N):
+    return [a for a in itertools.product(range(d - N + 1), repeat=N + 1)
+            if all(a[i] >= a[i + 1] for i in range(N))]
+
+
+def _small_basic_situations():
+    # every basic situation with (d, N) in (2, 1), (3, 1), (3, 2) and its
+    # points at 0, or at 0 and 1, that validate_basic accepts
+    for d, N in ((2, 1), (3, 1), (3, 2)):
+        for zs in ((0,), (0, 1)):
+            for seqs in itertools.product(_ram_sequences(d, N), repeat=len(zs) + 1):
+                try:
+                    yield validate_basic(QQ, d, N, [(Fraction(z), a) for z, a in zip(zs, seqs)],
+                                         seqs[-1])
+                except WroncritError:
+                    continue
+
+
+def test_verify_raises_on_no_small_basic_situation():
+    situations = list(_small_basic_situations())
+    assert len(situations) == 58
+    unrealizable = 0
+    for basic in situations:
+        target = intersection_number(basic)
+        for sector in ("own", "all"):
+            report = run_verify(basic, sector=sector, starts=20)["report"]
+            assert report["lr_target"] == target
+            assert report["verdict"] == "MATCH", (basic, sector)
+        # the reduction is the basic situation the point sector's data
+        # translates to; where it has none, no space realizes the problem
+        try:
+            reduced = without_base_points(basic)
+        except WroncritError:
+            unrealizable += 1
+            assert target == 0
+            continue
+        assert reduced == translate_master(master_from_sector(basic, point_sector(basic.N)))[0]
+    assert unrealizable == 8

@@ -213,7 +213,7 @@ def test_polish_keeps_a_step_only_where_it_lowers_the_residual(monkeypatch):
     def residual(p):
         return np.abs(bethe._critical_equations(p, C, zs, W)[2]).max(axis=1)
 
-    out = bethe._polish(pts, C, zs, W)
+    out = bethe._polish(pts, C, zs, W)[0]
     assert (residual(out) < 1e-3 * residual(pts)).all()
     assert np.array_equal(pts.view(np.uint64), before.view(np.uint64))
     # the step of row 1 points away from the orbit: that row is left alone
@@ -225,23 +225,48 @@ def test_polish_keeps_a_step_only_where_it_lowers_the_residual(monkeypatch):
         return step
 
     monkeypatch.setattr(bethe, "_gn_step", away)
-    turned = bethe._polish(pts, C, zs, W)
+    turned = bethe._polish(pts, C, zs, W)[0]
     assert np.array_equal(turned[1].view(np.uint64), pts[1].view(np.uint64))
     others = np.arange(len(pts)) != 1
     assert np.array_equal(turned[others].view(np.uint64), out[others].view(np.uint64))
 
 
+def test_polish_returns_the_residual_of_the_rows_it_returns(monkeypatch):
+    # bitwise the largest log-gradient component the filter would compute,
+    # on stepped rows and on rows left alone
+    data = sl2(6, 3)
+    C = bethe._coupling_matrix(data.l)
+    zs, W = bethe._embedded_weights(data)
+    raw = gaudin.eigen_points(data)
+    gn_step = bethe._gn_step
+
+    def away(F, J):
+        step = gn_step(F, J)
+        step[::2] = -1e-3 * step[::2]
+        return step
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(bethe, "_gn_step", away)
+        out, res = bethe._polish(raw, C, zs, W)
+        want = np.abs(bethe._critical_equations(out, C, zs, W)[2]).max(axis=1)
+        assert np.array_equal(res.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(bethe._accepted(out, C, zs, W, np.inf, res)[0],
+                              bethe._accepted(out, C, zs, W, np.inf)[0])
+
+
 @pytest.mark.parametrize("data,D", [(sl2(10, 5), 42), (sl3((2, 1), 6), 10)],
                          ids=["sl2-n10-k5", "sl3-n6"])
-def test_bethe_route_evaluates_each_eigen_point_three_times(data, D, monkeypatch):
-    # the raw points and the stepped points in _polish, then the filter
+def test_bethe_route_evaluates_each_eigen_point_twice(data, D, monkeypatch):
+    # the raw points and the stepped points in _polish; the filter reads the
+    # residual _polish returns
     rows = []
     equations = bethe._critical_equations
     monkeypatch.setattr(bethe, "_critical_equations",
                         lambda t, *a: rows.append(len(t)) or equations(t, *a))
     orbits = solve_critical(data)
     assert gaudin.singular_dim(data) == len(orbits) == D
-    assert rows == [D, D, D]
+    assert rows == [D, D]
 
 
 def _rho(data):
@@ -316,15 +341,15 @@ def test_verify_reports_no_route_where_no_space_realizes_the_point_sector():
 
 
 def test_verify_reports_the_route_when_the_point_sector_has_no_critical_points(monkeypatch):
-    # the point sector's data exists, so its route is reported although no
-    # sector is solved
+    # the point sector's data exists, so its route is reported although the
+    # solver finds its labels colliding and solves no sector
     basic = load_problem(str(PROBLEMS / "example_cuberoots.json"))
     point = master_from_sector(basic, point_sector(basic.N))
 
     def no_points(data):
         raise NoCriticalPoints("labels collide")
 
-    monkeypatch.setattr(cli, "translate_master", no_points)
+    monkeypatch.setattr(bethe, "_sector_of", no_points)
     out = run_verify(basic)
     assert out["diagnostics"] == {"route": "bethe", "singular_dim": gaudin.singular_dim(point)}
     assert all(s["orbits"] == [] for s in out["report"]["sectors"].values())

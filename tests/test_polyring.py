@@ -44,7 +44,6 @@ def P(s):
 
 def test_constructors():
     assert Poly.x(QQ) == P("x")
-    assert Poly.monomial(QQ, Fraction(3), 2) == P("3*x^2")
     assert Poly.from_roots(QQ, [1, 2]) == P("x^2-3*x+2")
 
 

@@ -26,6 +26,7 @@ from wroncrit.ramification import (
     infinity_labels,
     ram_from_exponents,
     validate_basic,
+    without_base_points,
     wronskian_ram_check,
 )
 
@@ -119,9 +120,9 @@ def cuberoots_situation():
 def test_cuberoots_derived_data():
     b = cuberoots_situation()
     x = Poly.x(b.ring)
-    assert b.K[0].is_one() and b.K[1].is_one()
+    assert b.K[0] == Poly.one(b.ring) and b.K[1] == Poly.one(b.ring)
     assert b.K[2] == x ** 3 - 1
-    assert b.T[0].is_one()
+    assert b.T[0] == Poly.one(b.ring)
     assert b.T[1] == x ** 3 - 1
     assert b.lengths == (3,)
 
@@ -216,6 +217,19 @@ def test_K_and_T_with_base_points_equal_the_quotients():
     for _ in range(40):
         b = validate_basic(QQ, *random_basic(rng))
         assert (b.K, b.T) == reference_K_T(b)
+
+
+def test_without_base_points():
+    plain = cuberoots_situation()
+    assert without_base_points(plain) is plain
+    # (1, 1) at 0 and (2, 1) at infinity: d drops by 2, the lengths stay
+    b = validate_basic(QQ, 5, 1, [(0, (1, 1)), (1, (2, 0)), (-1, (1, 0))], (2, 1))
+    r = without_base_points(b)
+    assert (r.d, r.points, r.infinity) == (3, ((0, (0, 0)), (1, (2, 0)), (-1, (1, 0))), (1, 0))
+    assert r.lengths == b.lengths
+    # x divides every member, which leaves d = 3, where (3, 0) at 1 does not fit
+    with pytest.raises(NotRealizable, match="leading entry 3 exceeds d - N = 2"):
+        without_base_points(validate_basic(QQ, 4, 1, [(0, (1, 1)), (1, (3, 0))], (1, 0)))
 
 
 # -- exponents of explicit spaces ----------------------------------------------

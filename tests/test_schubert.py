@@ -5,6 +5,7 @@ class adds a horizontal strip.  Iterating it expands any product of
 one-row classes without touching the tableau-counting code under test.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -171,3 +172,18 @@ def test_normalize_partition():
         normalize_partition((2, 1, 1), (2, 4))
     with pytest.raises(ValueError):
         normalize_partition((1, 2))
+
+def _box_partitions(rows, cols):
+    # every partition inside the rows x cols box, normalized
+    for lam in itertools.product(range(cols + 1), repeat=rows):
+        if all(lam[i] >= lam[i + 1] for i in range(rows - 1)):
+            yield normalize_partition(lam)
+
+
+@pytest.mark.parametrize("box", [(r, c) for r in range(1, 4) for c in range(1, 5)], ids=str)
+def test_mult_partitions_is_lr_coefficient_over_every_nu(box):
+    parts = list(_box_partitions(*box))
+    for lam, mu in itertools.product(parts, repeat=2):
+        want = {nu: c for nu in parts
+                if (c := lr_coefficient(lam, mu, nu, box))}
+        assert mult_partitions(lam, mu, box) == want

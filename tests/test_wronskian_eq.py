@@ -53,7 +53,7 @@ def oracle_solution(y: Poly, t: Poly, max_deg: int):
     """Any g with deg g <= max_deg and y'g - yg' = t, or None."""
     cols = []
     for k in range(max_deg + 1):
-        g = Poly.monomial(QQ, Fraction(1), k)
+        g = Poly(QQ, [0] * k + [1])
         cols.append(wronskian_pair(y, g))
     height = max([c.degree() for c in cols if not c.is_zero()] + [t.degree()]) + 1
     rows = [[c.coeff(i) for c in cols] for i in range(height)]
