@@ -47,6 +47,7 @@ from .errors import (
     NotASolution,
     NotCertified,
     NotIsolated,
+    NotRealizable,
     WroncritError,
     ZeroPolynomial,
 )
@@ -582,6 +583,9 @@ def translate_master(data: MasterData) -> tuple[BasicSituation, SectorSpec]:
 
     The sector comes from the labels at infinity (_sector_of, which raises
     NoCriticalPoints), and the basic situation has d the largest label.
+    validate_basic raises NotRealizable when a marked point's sequence does
+    not fit that d: then no space realizes the data, and the master
+    function has no critical point.
     """
     N = data.N
     sector = _sector_of(data)
@@ -1176,9 +1180,12 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
                    basic: BasicSituation | None = None) -> list[CriticalOrbit]:
     """All critical orbits of a master function: solved in the point sector, built elsewhere.
 
-    Deterministic for fixed (data, starts, seed).  ``basic`` is the basic
-    situation of ``data`` (translate_master); a caller that holds it passes
-    it, and ``data`` is not translated again.  When the sector of
+    Deterministic for fixed (data, starts, seed).  Data with no critical
+    point give []: negative or colliding labels (NoCriticalPoints), or a
+    marked point whose sequence no space realizes (translate_master's
+    NotRealizable).  ``basic`` is the basic situation of ``data``
+    (translate_master); a caller that holds it passes it, and ``data`` is
+    not translated again.  When the sector of
     ``data`` is not the point sector of its basic situation, that point
     sector is solved and the orbits of ``data`` are built from its spaces
     (build_sector, random flags drawn from ``seed``).  The point sector is
@@ -1206,10 +1213,10 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     """
     try:
         sector = _sector_of(data)
-    except NoCriticalPoints:
+        if basic is None:
+            basic = translate_master(data)[0]
+    except (NoCriticalPoints, NotRealizable):  # no space realizes the data
         return []
-    if basic is None:
-        basic = translate_master(data)[0]
 
     point = point_sector(basic.N)
     if sector.w == point:

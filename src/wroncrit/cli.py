@@ -206,27 +206,41 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lr(args) -> int:
-    basic = _basic_of(load_problem(args.problem, args.field))
-    n = intersection_number(basic)
+    problem = load_problem(args.problem, args.field)
+    try:
+        n = intersection_number(_basic_of(problem))
+    except NotRealizable:  # master data that no space realizes
+        n = 0
     _emit(args, {"intersection_number": n}, f"intersection number: {n}")
     return 0
 
 
 def _select_sectors(problem, flag: str):
-    """Resolve --sector into the basic situation and (label, w, MasterData) picks."""
-    if flag == "own" and isinstance(problem, MasterData):
-        basic, sector = translate_master(problem)
-        return basic, [("own", sector.w, problem)]
-    basic = _basic_of(problem)
+    """Resolve --sector into the basic situation and (label, w, MasterData) picks.
+
+    Master data that no basic situation realizes (translate_master raises
+    NotRealizable) have no critical point: the basic situation is None, and
+    the only pick is the problem's own sector, whatever sector the flag names.
+    """
+    if flag not in ("own", "identity", "all"):
+        try:
+            picked = tuple(int(v) for v in flag.split(","))
+        except ValueError:
+            raise ParseError(f"bad sector {flag!r}; want identity, all, own or a permutation")
+    basic = problem
+    if isinstance(problem, MasterData):
+        try:
+            basic, sector = translate_master(problem)
+        except NotRealizable:
+            return None, [("own", None, problem)]
+        if flag == "own":
+            return basic, [("own", sector.w, problem)]
     if flag == "all":
         ws = [spec.w for spec in sectors_of(basic)]
     elif flag in ("own", "identity"):
         ws = [tuple(range(1, basic.N + 2))]
     else:
-        try:
-            ws = [tuple(int(v) for v in flag.split(","))]
-        except ValueError:
-            raise ParseError(f"bad sector {flag!r}; want identity, all, own or a permutation")
+        ws = [picked]
     return basic, [(",".join(map(str, w)), w, master_from_sector(basic, w)) for w in ws]
 
 
@@ -256,7 +270,7 @@ def _orbit_rows(orbits, data) -> list[dict]:
     return rows
 
 
-def _solve_sectors(basic: BasicSituation, picks, starts: int,
+def _solve_sectors(basic: BasicSituation | None, picks, starts: int,
                    seed: int) -> tuple[MasterData | None, list[tuple]]:
     """The point sector's data, and (label, data, orbit rows) per picked
     sector, solved or built, and certified.
@@ -267,11 +281,13 @@ def _solve_sectors(basic: BasicSituation, picks, starts: int,
     sectors' data do not change.  The orbits of each sector are certified
     together (_orbit_rows).  The counts are not judged here: run_verify
     compares them with the intersection number.  The point sector's data is
-    None when no space realizes it: when a reduced sequence is not
-    realizable, or the point sector is empty.
+    None when no space realizes it: when there is no basic situation, when a
+    reduced sequence is not realizable, or when the point sector is empty.
     """
-    point = point_sector(basic.N)
     empty = [(label, data, []) for label, _, data in picks]
+    if basic is None:
+        return None, empty
+    point = point_sector(basic.N)
     try:
         basic = without_base_points(basic)
         point_data = next((data for _, w, data in picks if w == point), None) \
@@ -413,7 +429,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     """
     t0 = time.perf_counter()
     basic, picks = _select_sectors(problem, sector)
-    target = intersection_number(basic)
+    target = 0 if basic is None else intersection_number(basic)
     sectors = {}
     point_data, solved = _solve_sectors(basic, picks, starts, seed)
     for label, data, rows in solved:
@@ -428,7 +444,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
 
     # top-level verdict: the identity sector's when present, else the single
     # requested sector's; a non-identity sector may legitimately undercount
-    idkey = ",".join(map(str, range(1, basic.N + 2)))
+    idkey = ",".join(map(str, range(1, problem.N + 2)))
     verdict = sectors.get(idkey, next(iter(sectors.values())))["verdict"]
 
     report = {
@@ -438,7 +454,8 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
         "verdict": verdict,
     }
     if exact_tuple is not None:
-        report["exact"] = _exact_leg(problem, basic, exact_tuple)
+        # without a basic situation the exact leg raises translate_master's NotRealizable
+        report["exact"] = _exact_leg(problem, basic or _basic_of(problem), exact_tuple)
     return {"report": report, "diagnostics": _diagnostics(point_data),
             "timing_s": round(time.perf_counter() - t0, 3)}
 

@@ -4,7 +4,7 @@ For master data whose every nonzero weight column is omega_1 = (1, 0, .., 0),
 the marked points with weight carry the vector representation C^{N+1} of
 sl_{N+1}, and the critical points of level sizes l_1..l_N label the joint
 eigenvectors of the Gaudin Hamiltonians
-    H_s = sum_{r != s} (P_sr - 1/(N+1)) / (z_s - z_r)
+    H_s = sum_{r != s} P_sr / (z_s - z_r)
 on the singular vectors of weight n omega_1 - sum_i l_i alpha_i in
 (C^{N+1})^{(x) n} (Reshetikhin and Varchenko; Mukhin, Tarasov and
 Varchenko show the Bethe algebra there is the algebra of functions on the
@@ -14,11 +14,14 @@ which the swap P_sr acts as the transposition (s r).  Its dimension is the
 number of standard Young tableaux of shape lam, which is the intersection
 number of the problem.
 
-At a critical point the eigenvalue of H_s is
-    E_s = sum_{r != s} (N/(N+1)) / (z_s - z_r) - y_1'(z_s) / y_1(z_s),
+This is the gl_{N+1} form; the sl_{N+1} form subtracts 1/(N+1) from each
+P_sr, which moves E_s by a constant and no eigenvector.  At a critical
+point the eigenvalue of H_s is
+    E_s = sum_{r != s} 1 / (z_s - z_r) - y_1'(z_s) / y_1(z_s),
 so every joint eigenvalue gives y_1'/y_1 at the marked points, and y_1 is
 a small least-squares solve; the D solves are stacked into one call
-(_level_one).  y_2..y_N come from the linear Wronskian equations
+(_level_one).  At real marked points H_s, E_s and y_1 are real.  y_2..y_N
+come from the linear Wronskian equations
 Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}, one least-squares solve per
 eigenvalue and level (wronskian_lstsq).  The roots of the y_i are the raw
 coordinates, the eigenvalues of the companion matrices of every level,
@@ -52,8 +55,9 @@ def covers(data: MasterData) -> bool:
 
 
 def _sites(data: MasterData) -> np.ndarray:
-    # the marked points with weight omega_1, embedded in CC
-    return np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
+    # the marked points with weight omega_1, embedded in CC; float64 when all are real
+    zs = np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
+    return zs if zs.imag.any() else zs.real
 
 
 def shape(data: MasterData) -> tuple[int, ...]:
@@ -150,41 +154,39 @@ def adjacent_transpositions(lam: Sequence[int]) -> np.ndarray:
 def hamiltonians(data: MasterData) -> np.ndarray:
     """The Gaudin Hamiltonians H_s on S^lam, stacked in shape (n, D, D).
 
-    P_sr comes from the adjacent transpositions S_j = P_{j,j+1} by
-    conjugation, P_{s,r+1} = S_r P_sr S_r; only one P is held at a time.
+    In the dtype of the marked points (_sites): real symmetric when they
+    are real.  P_sr comes from the adjacent transpositions S_j = P_{j,j+1}
+    by conjugation, P_{s,r+1} = S_r P_sr S_r; only one P is held at a time.
     """
     zs = _sites(data)
     n = len(zs)
     S = adjacent_transpositions(shape(data))
-    D = S.shape[1]
-    shift = 1.0 / (data.N + 1)
-    H = np.zeros((n, D, D), dtype=complex)
-    eye = np.eye(D)
+    H = np.zeros((n, *S.shape[1:]), dtype=zs.dtype)
     for s in range(n - 1):
         P = S[s]
         for r in range(s + 1, n):
             if r > s + 1:
                 P = S[r - 1] @ P @ S[r - 1]
-            Omega = P - shift * eye
-            H[s] += Omega / (zs[s] - zs[r])
-            H[r] += Omega / (zs[r] - zs[s])
+            Q = P / (zs[s] - zs[r])
+            H[s] += Q
+            H[r] -= Q
     return H
 
 
-def joint_eigenvalues(H: np.ndarray, real: bool) -> np.ndarray:
+def joint_eigenvalues(H: np.ndarray) -> np.ndarray:
     """E[k, s], the eigenvalue of H_s on the k-th joint eigenvector.
 
     One eigendecomposition of the fixed combination sum_s c_s H_s: eigh when
-    the H_s are real symmetric (real marked points), eig otherwise.  E_s is
-    the diagonal of X^-1 H_s X.
+    the H_s are real (real marked points), eig otherwise.  E_s is the
+    diagonal of X^-1 H_s X, in the dtype of H.
     """
     n, D, _ = H.shape
     if not D:
-        return np.zeros((0, n), dtype=complex)
+        return np.zeros((0, n), dtype=H.dtype)
     c = np.random.default_rng(_COMBINATION_SEED).normal(size=n)
     M = np.tensordot(c, H, axes=1)
-    if real:
-        _, X = np.linalg.eigh(M.real)
+    if np.isrealobj(M):
+        _, X = np.linalg.eigh(M)
         Xinv = X.T
     else:
         _, X = np.linalg.eig(M)
@@ -217,7 +219,7 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
     The eigenvalues of the companion matrices, stacked: np.roots row by row.
     """
     D, k = coeffs.shape[0], coeffs.shape[1] - 1
-    A = np.zeros((D, k, k), dtype=complex)
+    A = np.zeros((D, k, k), dtype=coeffs.dtype)
     if k:
         A[:, 0, :] = -coeffs[:, k - 1::-1]
     A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
@@ -258,34 +260,32 @@ def wronskian_lstsq(y: Poly, rhs: Poly, degree: int) -> tuple[Poly, Poly]:
 
 
 def eigen_points(data: MasterData) -> np.ndarray:
-    """Raw coordinates of every joint eigenvalue, shape (D, L).
+    """Raw coordinates of every joint eigenvalue, complex, shape (D, L).
 
     Row k holds the roots of y_1..y_N, level by level, read off the k-th
-    joint eigenvalue: rho_s = sum_{r != s} (N/(N+1))/(z_s - z_r) - E_s is
+    joint eigenvalue: rho_s = sum_{r != s} 1/(z_s - z_r) - E_s is
     y_1'(z_s)/y_1(z_s), and y_1 of every row comes from one stacked
-    least-squares solve (_level_one).  Each next level is the v of one
-    Wronskian least-squares solve per row (wronskian_lstsq).  The roots of
-    every level are the eigenvalues of its companion matrices, stacked over
-    the D rows (_roots).  D = 0, a shape that is not a partition, gives an
-    empty (0, L) array.
+    least-squares solve (_level_one), real at real marked points.  Each
+    next level is the v of one Wronskian least-squares solve per row
+    (wronskian_lstsq).  The roots of every level are the eigenvalues of its
+    companion matrices, stacked over the D rows (_roots).  D = 0, a shape
+    that is not a partition, gives an empty (0, L) array.
     """
     zs = _sites(data)
     H = hamiltonians(data)
     if not H.shape[1]:
         return np.zeros((0, data.size()), dtype=complex)
-    E = joint_eigenvalues(H, bool(np.all(zs.imag == 0)))
-    N = data.N
     diff = zs[:, None] - zs[None, :]
     np.fill_diagonal(diff, np.inf)
-    rho = (N / (N + 1)) * (1.0 / diff).sum(axis=1) - E
+    rho = (1.0 / diff).sum(axis=1) - joint_eigenvalues(H)
     # levels[i] holds the coefficients of y_{i+1}, one row per eigenvalue
     levels = [_level_one(zs, rho, data.l[0])]
-    if N > 1:
+    if data.N > 1:
         T = [f.to_ring(CC) for f in data.T]
         one = Poly.one(CC)
         ys = [[one, Poly(CC, list(row))] for row in levels[0]]
-        for i in range(1, N):
+        for i in range(1, data.N):
             for y in ys:
                 y.append(wronskian_lstsq(y[i], T[i - 1] * y[i - 1], data.l[i])[1])
             levels.append(np.array([y[i + 1].coeffs for y in ys], dtype=complex))
-    return np.hstack([_roots(c) for c in levels])
+    return np.hstack([_roots(c) for c in levels]).astype(complex)

@@ -2,8 +2,8 @@
 
 Oracles that do not use the code under test: the Coxeter relations of the
 symmetric group, the hook length formula for the number of standard
-tableaux, and the eigenvalue formula of Reshetikhin and Varchenko,
-E_s = sum_{r != s} (N/(N+1))/(z_s - z_r) - sum_a 1/(z_s - t_a) over the
+tableaux, and the eigenvalue formula of Reshetikhin and Varchenko, in the
+gl form E_s = sum_{r != s} 1/(z_s - z_r) - sum_a 1/(z_s - t_a) over the
 level-1 coordinates t_a of a critical point.
 """
 
@@ -87,6 +87,57 @@ def test_hamiltonians_sum_to_zero_and_commute(data):
             assert np.abs(H[s] @ H[r] - H[r] @ H[s]).max() < 1e-12
 
 
+def sl_form(data):
+    # H_s = sum_{r != s} (P_sr - 1/(N+1)) / (z_s - z_r) on S^lam, complex, with
+    # P_sr = S_{r-1} .. S_{s+1} S_s S_{s+1} .. S_{r-1} from the adjacent transpositions
+    zs = np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
+    S = gaudin.adjacent_transpositions(gaudin.shape(data))
+    n, D = len(zs), S.shape[1]
+    H = np.zeros((n, D, D), dtype=complex)
+    for s in range(n - 1):
+        P = S[s]
+        for r in range(s + 1, n):
+            if r > s + 1:
+                P = S[r - 1] @ P @ S[r - 1]
+            Omega = P - np.eye(D) / (data.N + 1)
+            H[s] += Omega / (zs[s] - zs[r])
+            H[r] += Omega / (zs[r] - zs[s])
+    return zs, H
+
+
+def shipped_point_sector(name):
+    basic = _basic_of(load_problem(str(PROBLEMS / name)))
+    return master_from_sector(basic, point_sector(basic.N))
+
+
+@pytest.mark.parametrize("data,dtype", [
+    (sl2(8, 4), np.float64), (sl3((2, 1), 6), np.float64),
+    (shipped_point_sector("variant_rational.json"), np.float64),
+    (rou4(), np.complex128), (shipped_point_sector("example_cuberoots.json"), np.complex128),
+], ids=["sl2-n8-k4", "sl3-n6-l21", "variant_rational", "rou4", "cuberoots"])
+def test_hamiltonians_are_the_gl_form_in_the_dtype_of_the_marked_points(data, dtype):
+    # the gl form: every H_s is the sl form plus (1/(N+1)) sum_{r != s} 1/(z_s - z_r)
+    # times the identity, and it is real at real marked points
+    H = gaudin.hamiltonians(data)
+    assert H.dtype == dtype and gaudin._sites(data).dtype == dtype
+    zs, ref = sl_form(data)
+    diff = zs[:, None] - zs[None, :]
+    np.fill_diagonal(diff, np.inf)
+    shift = (1.0 / diff).sum(axis=1) / (data.N + 1)
+    want = ref + shift[:, None, None] * np.eye(H.shape[1])
+    assert H.shape == ref.shape and H.shape[1] > 1
+    assert np.abs(H - want).max() < 1e-14 * (1 + np.abs(want).max())
+    E = gaudin.joint_eigenvalues(H)
+    assert E.dtype == dtype and E.shape == (H.shape[1], len(zs))
+
+
+def test_joint_eigenvalues_take_the_hamiltonians_alone():
+    H = gaudin.hamiltonians(sl2(6, 3))
+    with pytest.raises(TypeError):
+        gaudin.joint_eigenvalues(H, True)
+    assert np.array_equal(gaudin.joint_eigenvalues(H[:, :0, :0]), np.zeros((0, 6)))
+
+
 SECTOR_PROBLEMS = {
     **{f"sl2-n{n}-k{k}": sl2(n, k)
        for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4), (10, 5), (12, 6))},
@@ -141,11 +192,10 @@ def test_singular_dim_is_zero_where_there_is_no_tableau(data):
 
 def rv_eigenvalues(data, point):
     zs = np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
-    N = data.N
     ts = np.array(point[0], dtype=complex)
     out = []
     for s, z in enumerate(zs):
-        out.append(sum((N / (N + 1)) / (z - w) for r, w in enumerate(zs) if r != s)
+        out.append(sum(1.0 / (z - w) for r, w in enumerate(zs) if r != s)
                    - (1.0 / (z - ts)).sum())
     return np.array(out)
 
@@ -158,9 +208,7 @@ def rv_eigenvalues(data, point):
 def test_orbits_are_joint_eigenvalues(data):
     # the Reshetikhin-Varchenko eigenvalue at every orbit is a joint
     # eigenvalue; an orbit of h hits is the mean of the h nearest ones
-    H = gaudin.hamiltonians(data)
-    zs = np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
-    E = gaudin.joint_eigenvalues(H, bool(np.all(zs.imag == 0)))
+    E = gaudin.joint_eigenvalues(gaudin.hamiltonians(data))
     orbits = solve_critical(data)
     assert sum(o.hits for o in orbits) == len(E)
     for o in orbits:
@@ -272,10 +320,10 @@ def test_bethe_route_evaluates_each_eigen_point_twice(data, D, monkeypatch):
 def _rho(data):
     # rho_s = y_1'(z_s)/y_1(z_s) of every joint eigenvalue, as eigen_points reads it
     zs = gaudin._sites(data)
-    E = gaudin.joint_eigenvalues(gaudin.hamiltonians(data), bool(np.all(zs.imag == 0)))
+    E = gaudin.joint_eigenvalues(gaudin.hamiltonians(data))
     diff = zs[:, None] - zs[None, :]
     np.fill_diagonal(diff, np.inf)
-    return zs, (data.N / (data.N + 1)) * (1.0 / diff).sum(axis=1) - E
+    return zs, (1.0 / diff).sum(axis=1) - E
 
 
 @pytest.mark.parametrize("data,D", [(sl2(10, 5), 42), (sl3((2, 1), 6), 10)],
