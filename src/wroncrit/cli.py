@@ -215,23 +215,28 @@ def _cmd_lr(args) -> int:
     return 0
 
 
-def _select_sectors(problem, flag: str):
+def _select_sectors(problem, flag: str, *, need_basic: bool = False):
     """Resolve --sector into the basic situation and (label, w, MasterData) picks.
 
     Master data that no basic situation realizes (translate_master raises
     NotRealizable) have no critical point: the basic situation is None, and
     the only pick is the problem's own sector, whatever sector the flag names.
+    With ``need_basic`` the NotRealizable is raised instead.
     """
     if flag not in ("own", "identity", "all"):
         try:
             picked = tuple(int(v) for v in flag.split(","))
         except ValueError:
             raise ParseError(f"bad sector {flag!r}; want identity, all, own or a permutation")
+        if sorted(picked) != list(range(1, problem.N + 2)):
+            raise DimensionMismatch(f"{picked} is not a bijection of 1..{problem.N + 1}")
     basic = problem
     if isinstance(problem, MasterData):
         try:
             basic, sector = translate_master(problem)
         except NotRealizable:
+            if need_basic:
+                raise
             return None, [("own", None, problem)]
         if flag == "own":
             return basic, [("own", sector.w, problem)]
@@ -428,7 +433,8 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
     point sector's solve and the timing sit next to it.
     """
     t0 = time.perf_counter()
-    basic, picks = _select_sectors(problem, sector)
+    # the exact leg builds a space in the basic situation, so it needs one
+    basic, picks = _select_sectors(problem, sector, need_basic=exact_tuple is not None)
     target = 0 if basic is None else intersection_number(basic)
     sectors = {}
     point_data, solved = _solve_sectors(basic, picks, starts, seed)
@@ -454,8 +460,7 @@ def run_verify(problem, *, sector: str = "own", starts: int = 200, seed: int = 0
         "verdict": verdict,
     }
     if exact_tuple is not None:
-        # without a basic situation the exact leg raises translate_master's NotRealizable
-        report["exact"] = _exact_leg(problem, basic or _basic_of(problem), exact_tuple)
+        report["exact"] = _exact_leg(problem, basic, exact_tuple)
     return {"report": report, "diagnostics": _diagnostics(point_data),
             "timing_s": round(time.perf_counter() - t0, 3)}
 
