@@ -532,24 +532,25 @@ class SectorSpec:
         object.__setattr__(self, "w", w)
 
 
-def sector_lengths(c: Sequence[int], w: Sequence[int], K: Sequence[Poly]) -> tuple[int, ...]:
+def sector_lengths(c: Sequence[int], w: Sequence[int], K_degrees: Sequence[int]) -> tuple[int, ...]:
     """Level sizes induced by handing out labels c in the order w.
 
-    ``c`` must be strictly decreasing, ``w`` a bijection of 1..N+1 and ``K``
-    the divisor ladder K_0..K_{N+1} of the situation.  Returns (l_1..l_N);
+    ``c`` must be strictly decreasing, ``w`` a bijection of 1..N+1 and
+    ``K_degrees`` the degrees of the divisor ladder K_0..K_{N+1} of the
+    situation (BasicSituation.K_degrees).  Returns (l_1..l_N);
     raises EmptySector when some level size comes out negative, and
     DimensionMismatch when the data are inconsistent (the (N+1)-st size must
     close at zero).
     """
     spec = SectorSpec(tuple(c), tuple(w))
     N = len(spec.labels) - 1
-    if len(K) != N + 2:
-        raise DimensionMismatch(f"need K_0..K_{N + 1}, got {len(K)} entries")
+    if len(K_degrees) != N + 2:
+        raise DimensionMismatch(f"need deg K_0..deg K_{N + 1}, got {len(K_degrees)} entries")
     out = []
     acc = 0
     for i in range(1, N + 2):
         acc += spec.labels[spec.w[i - 1] - 1]
-        li = acc - i * (i - 1) // 2 - K[i].degree()
+        li = acc - i * (i - 1) // 2 - K_degrees[i]
         if i <= N:
             if li < 0:
                 raise EmptySector(f"level size l_{i} = {li} < 0 for w = {spec.w}")
@@ -596,7 +597,7 @@ def translate_master(data: MasterData) -> tuple[BasicSituation, SectorSpec]:
         pts.append((z, a))
     a_inf = ram_from_exponents(sector.labels[::-1], d, at_infinity=True)
     basic = validate_basic(data.ring, d, N, pts, a_inf)
-    if sector_lengths(sector.labels, sector.w, basic.K) != data.l:
+    if sector_lengths(sector.labels, sector.w, basic.K_degrees) != data.l:
         raise WroncritError("internal: sector sizes fail to reproduce the input")
     return basic, sector
 
@@ -609,7 +610,7 @@ def master_from_sector(basic: BasicSituation, w: Sequence[int]) -> MasterData:
     """
     e_inf = exponents_of_ram(basic.infinity, basic.d, at_infinity=True)
     labels = tuple(reversed(e_inf))
-    l = sector_lengths(labels, tuple(w), basic.K)
+    l = sector_lengths(labels, tuple(w), basic.K_degrees)
     pts = []
     for z, a in basic.points:
         m = tuple(a[basic.N - i] - a[basic.N + 1 - i] for i in range(1, basic.N + 1))
@@ -621,10 +622,11 @@ def sectors_of(basic: BasicSituation) -> list[SectorSpec]:
     """All sectors with nonnegative level sizes, identity first."""
     e_inf = exponents_of_ram(basic.infinity, basic.d, at_infinity=True)
     labels = tuple(reversed(e_inf))
+    degrees = basic.K_degrees
     out = []
     for w in itertools.permutations(range(1, basic.N + 2)):
         try:
-            sector_lengths(labels, w, basic.K)
+            sector_lengths(labels, w, degrees)
         except EmptySector:
             continue
         out.append(SectorSpec(labels, w))
@@ -851,7 +853,8 @@ def _gn_step(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     kappa = np.abs(J).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
     lu &= kappa < _LU_COND
     svd = ok & ~lu
-    inv[svd] = np.linalg.pinv(J[svd])
+    if svd.any():
+        inv[svd] = np.linalg.pinv(J[svd])
     step = np.zeros_like(F)
     step[ok] = -(inv[ok] @ F[ok][:, :, None])[:, :, 0]
     step[~np.isfinite(step).all(axis=1)] = 0.0

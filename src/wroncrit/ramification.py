@@ -10,14 +10,16 @@ vanishing orders.
 
 A *basic situation* fixes d and N, finitely many distinct marked points
 each carrying a ramification sequence, and a sequence at infinity, with
-total weight (N+1)(d-N).  From this data we derive the polynomials K_i
-and T_i and the level dimensions l_i that drive everything downstream.
+total weight (N+1)(d-N).  From this data we derive the vanishing orders
+e_i(z) and the level dimensions l_i that drive everything downstream; the
+polynomials K_i and T_i are built from those orders when they are read.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 from .errors import (
@@ -160,11 +162,14 @@ def exponents_at_infinity(basis: Sequence[Poly]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BasicSituation:
-    """Validated marked-point data together with its derived polynomials.
+    """Validated marked-point data together with its derived integers.
 
-    ``points`` holds (z, a(z)) pairs over ``ring``; ``infinity`` is a(inf).
-    ``K`` has entries K_0..K_{N+1}, ``T`` entries T_0..T_N, and ``lengths``
-    the level dimensions l_1..l_N.  Build instances through validate_basic.
+    ``points`` holds (z, a(z)) pairs over ``ring``; ``infinity`` is a(inf);
+    ``lengths`` the level dimensions l_1..l_N.  ``orders[s]`` holds
+    e_0(z_s)..e_{N+1}(z_s), with e_i(z) the sum of the i smallest entries
+    of a(z) (e_0 = 0).  The polynomials ``K`` (K_0..K_{N+1}) and ``T``
+    (T_0..T_N) are built from these orders on first read.  Build instances
+    through validate_basic.
     """
 
     ring: Any
@@ -172,9 +177,35 @@ class BasicSituation:
     N: int
     points: tuple[tuple[Any, tuple[int, ...]], ...]
     infinity: tuple[int, ...]
-    K: tuple[Poly, ...]
-    T: tuple[Poly, ...]
     lengths: tuple[int, ...]
+    orders: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @property
+    def K_degrees(self) -> tuple[int, ...]:
+        """deg K_0..deg K_{N+1}: deg K_i = sum_z e_i(z)."""
+        return tuple(sum(e[i] for e in self.orders) for i in range(self.N + 2))
+
+    def _with_orders(self, orders: Sequence[int]) -> Poly:
+        # prod_s (x - z_s)^orders[s], by Poly.from_roots
+        return Poly.from_roots(self.ring, [z for (z, _), k in zip(self.points, orders)
+                                           for _ in range(k)])
+
+    @cached_property
+    def K(self) -> tuple[Poly, ...]:
+        """K_i = prod_z (x - z)^{e_i(z)}, i = 0..N+1."""
+        return tuple(self._with_orders([e[i] for e in self.orders]) for i in range(self.N + 2))
+
+    @cached_property
+    def T(self) -> tuple[Poly, ...]:
+        """T_0 = K_1 and T_i = K_{i+1} K_{i-1} / K_i^2, i = 1..N.
+
+        T_i vanishes to order e_{i+1}(z) + e_{i-1}(z) - 2 e_i(z) >= 0 at z,
+        as a(z) is decreasing, so it is built from these orders with no
+        product or division of polynomials.
+        """
+        return (self._with_orders([e[1] for e in self.orders]),
+                *(self._with_orders([e[i + 1] + e[i - 1] - 2 * e[i] for e in self.orders])
+                  for i in range(1, self.N + 1)))
 
 
 def _tail_sum(a: Sequence[int], i: int) -> int:
@@ -183,13 +214,11 @@ def _tail_sum(a: Sequence[int], i: int) -> int:
 
 
 def validate_basic(ring, d: int, N: int, points, infinity) -> BasicSituation:
-    """Check all invariants of the raw data and attach K_i, T_i, l_i.
+    """Check all invariants of the raw data and attach the orders e_i(z) and l_i.
 
-    With e_i(z) the sum of the i smallest entries of a(z) (e_0 = 0),
-    K_i = prod_z (x - z)^{e_i(z)}, T_0 = K_1 and T_i = K_{i+1} K_{i-1} / K_i^2,
-    whose order e_{i+1}(z) + e_{i-1}(z) - 2 e_i(z) at z is >= 0 because a(z)
-    is decreasing.  Each is built from its orders at the points
-    (Poly.from_roots), with no product or division of polynomials.
+    e_i(z) is the sum of the i smallest entries of a(z) (e_0 = 0); no
+    polynomial is built here (BasicSituation.K and T are built on first
+    read).
 
     points: iterable of (z, sequence); z is coerced into ring.  Raises
     DuplicatePoints, DimensionMismatch (total weight is off), NotRealizable
@@ -215,24 +244,16 @@ def validate_basic(ring, d: int, N: int, points, infinity) -> BasicSituation:
             f"total weight {total} != (N+1)(d-N) = {(N + 1) * (d - N)}")
 
     # e[s][i] = e_i(z_s), the sum of the i smallest entries of a(z_s)
-    e = [[_tail_sum(a, i) for i in range(N + 2)] for _, a in pts]
-
-    def with_orders(orders) -> Poly:
-        # prod_s (x - z_s)^orders[s]
-        return Poly.from_roots(ring, [z for (z, _), k in zip(pts, orders) for _ in range(k)])
-
-    K = tuple(with_orders([es[i] for es in e]) for i in range(N + 2))
-    T = (K[1], *(with_orders([es[i + 1] + es[i - 1] - 2 * es[i] for es in e])
-                 for i in range(1, N + 1)))
+    e = tuple(tuple(_tail_sum(a, i) for i in range(N + 2)) for _, a in pts)
 
     lengths = []
     for i in range(1, N + 1):
-        li = i * (d - i + 1) - _tail_sum(a_inf, i) - sum(_tail_sum(a, i) for _, a in pts)
+        li = i * (d - i + 1) - _tail_sum(a_inf, i) - sum(es[i] for es in e)
         if li < 0:
             raise NegativeLength(f"l_{i} = {li} < 0")
         lengths.append(li)
 
-    return BasicSituation(ring, d, N, tuple(pts), a_inf, K, T, tuple(lengths))
+    return BasicSituation(ring, d, N, tuple(pts), a_inf, tuple(lengths), e)
 
 
 def without_base_points(basic: BasicSituation) -> BasicSituation:

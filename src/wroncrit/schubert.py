@@ -3,11 +3,14 @@
 Partitions inside the (N+1) x (d-N) box index the Schubert basis of the
 cohomology of Gr(N+1, d+1); a ramification sequence is literally such a
 partition.  Products of basis classes expand through Littlewood-Richardson
-coefficients, computed here by direct enumeration of lattice-word skew
-tableaux; partitions that leave the box are dropped at every step, which
-is exactly multiplication in the quotient ring.  The expected number of
-spaces realizing a basic situation is the coefficient of the full box in
-the product of all its classes.
+coefficients.  The product with mu adds the rows of mu in turn as
+horizontal strips, strip i filled with the label i, and keeps a strip only
+while the labels read so far form a lattice word (Fulton, *Young
+Tableaux*, ch. 5); for a one-row mu this is the Pieri rule.  Shapes that
+leave the box are dropped at every step, which is exactly multiplication
+in the quotient ring.  The expected number of spaces realizing a basic
+situation is the coefficient of the full box in the product of all its
+classes.
 """
 
 from __future__ import annotations
@@ -36,92 +39,85 @@ def _contains(nu: tuple[int, ...], lam: tuple[int, ...]) -> bool:
     return all(nu[i] >= v for i, v in enumerate(lam)) if len(lam) <= len(nu) else False
 
 
-def _count_lr_fillings(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Lattice-word skew tableaux of shape nu/lam and content mu.
-
-    Cells are filled in reverse reading order (top row first, right to left),
-    so the lattice condition can be enforced on every prefix.  Rows must be
-    weakly, columns strictly, increasing.
-    """
-    rows = len(nu)
-    lam_p = list(lam) + [0] * (rows - len(lam))
-    cells = [(r, c) for r in range(rows) for c in range(nu[r] - 1, lam_p[r] - 1, -1)]
-    m = len(mu)
-    counts = [0] * (m + 1)
-    fill: dict[tuple[int, int], int] = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = fill.get((r, c + 1))
-        above = fill.get((r - 1, c))
-        total = 0
-        for v in range(1, m + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            counts[v] += 1
-            fill[(r, c)] = v
-            total += place(idx + 1)
-            del fill[(r, c)]
-            counts[v] -= 1
-        return total
-
-    return place(0)
-
-
 def lr_coefficient(lam, mu, nu, box: tuple[int, int] | None = None) -> int:
-    """Structure constant: multiplicity of the nu-class in lam times mu."""
+    """Structure constant: multiplicity of the nu-class in lam times mu.
+
+    Read off the product of lam and mu in the box that nu fills.
+    """
     lam = normalize_partition(lam, box)
     mu = normalize_partition(mu, box)
     nu = normalize_partition(nu, box)
-    if sum(lam) + sum(mu) != sum(nu) or not _contains(nu, lam):
+    # a nonzero coefficient needs nu to contain both factors, so both fit its box
+    if sum(lam) + sum(mu) != sum(nu) or not (_contains(nu, lam) and _contains(nu, mu)):
         return 0
-    return _count_lr_fillings(lam, mu, nu)
+    return mult_partitions(lam, mu, (len(nu), nu[0] if nu else 0)).get(nu, 0)
 
 
-def _partitions_over(lam: tuple[int, ...], size: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:
-    # partitions of |.| = size containing lam inside the box, normalized:
-    # the rows are weakly decreasing, so the zeros come last
-    lam_p = list(lam) + [0] * (rows - len(lam))
+def _strips(shape: tuple[int, ...], size: int, prev: tuple[int, ...] | None,
+            cols: int) -> Iterator[tuple[int, ...]]:
+    """Horizontal strips of ``size`` cells on ``shape``, as cells per row.
 
-    def rec(r: int, prev: int, left: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if r == rows:
-            if left == 0:
-                yield tuple(v for v in acc if v)
+    A strip stays in the box (row 0 up to ``cols``, row r up to the old
+    row r-1).  Against the previous label's strip ``prev`` (None for the
+    first label) it keeps the lattice condition: reading the rows top down,
+    and each row's new cells before its ``prev`` cells, the new label never
+    outnumbers the previous one.
+    """
+    rows = len(shape)
+    # room: the previous label's cells above row r less the new ones so far;
+    # the first label has no previous one, and its room never runs out
+    room0, prev = (size, (0,) * rows) if prev is None else (0, prev)
+
+    def rec(r: int, left: int, room: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if left == 0:
+            yield (*acc, *(0,) * (rows - r))
             return
-        hi = min(prev, cols, lam_p[r] + left)
-        for v in range(hi, lam_p[r] - 1, -1):
-            if left - (v - lam_p[r]) <= sum(min(v, cols) - lam_p[t] for t in range(r + 1, rows)):
-                acc.append(v)
-                yield from rec(r + 1, v, left - (v - lam_p[r]), acc)
-                acc.pop()
+        if r == rows:
+            return
+        hi = min(left, room, (cols if r == 0 else shape[r - 1]) - shape[r])
+        for x in range(hi, -1, -1):
+            acc.append(x)
+            yield from rec(r + 1, left - x, room - x + prev[r], acc)
+            acc.pop()
 
-    yield from rec(0, cols, size - sum(lam), [])
+    yield from rec(0, size, room0, [])
+
+
+def _times(cur: dict[tuple[int, ...], int], mu: tuple[int, ...],
+           cols: int) -> dict[tuple[int, ...], int]:
+    """The combination cur (full-length rows -> coefficient) times the class mu.
+
+    The rows of mu are added as horizontal strips (_strips), each one
+    lattice against the one before.  A state is a shape with its last
+    strip; states reached along several paths, from the same shape of cur
+    or from different ones, are merged with their counts, and a shape's
+    coefficient sums the counts of its final states.
+    """
+    states: dict[tuple, int] = {(shape, None): c for shape, c in cur.items()}
+    for size in mu:
+        nxt: dict[tuple, int] = {}
+        for (shape, prev), count in states.items():
+            for strip in _strips(shape, size, prev, cols):
+                key = (tuple(s + x for s, x in zip(shape, strip)), strip)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    out: dict[tuple[int, ...], int] = {}
+    for (shape, _), count in states.items():
+        out[shape] = out.get(shape, 0) + count
+    return out
+
+
+def _padded(lam: tuple[int, ...], rows: int) -> tuple[int, ...]:
+    return (*lam, *(0,) * (rows - len(lam)))
 
 
 def mult_partitions(lam, mu, box: tuple[int, int]) -> dict[tuple[int, ...], int]:
-    """Expand a product of two classes in the box-truncated basis.
-
-    The fillings are counted directly on the partitions _partitions_over
-    yields: they are normalized, contain lam, have size |lam| + |mu| and fit
-    the box by construction, so lr_coefficient's checks are not repeated.
-    """
+    """Expand a product of two classes in the box-truncated basis (_times)."""
     lam = normalize_partition(lam, box)
     mu = normalize_partition(mu, box)
     rows, cols = box
-    out: dict[tuple[int, ...], int] = {}
-    for nu in _partitions_over(lam, sum(lam) + sum(mu), rows, cols):
-        c = _count_lr_fillings(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
+    product = _times({_padded(lam, rows): 1}, mu, cols)
+    return {normalize_partition(nu): c for nu, c in product.items()}
 
 
 def intersection_number(basic: BasicSituation) -> int:
@@ -132,11 +128,7 @@ def intersection_number(basic: BasicSituation) -> int:
     classes.append(normalize_partition(basic.infinity, box))
     if sum(map(sum, classes)) != rows * cols:
         raise DimensionMismatch("codimensions do not sum to the box size")
-    cur: dict[tuple[int, ...], int] = {classes[0]: 1}
+    cur = {_padded(classes[0], rows): 1}
     for cls in classes[1:]:
-        nxt: dict[tuple[int, ...], int] = {}
-        for nu, coef in cur.items():
-            for rho, c in mult_partitions(nu, cls, box).items():
-                nxt[rho] = nxt.get(rho, 0) + coef * c
-        cur = nxt
-    return cur.get(normalize_partition([cols] * rows), 0)
+        cur = _times(cur, cls, cols)
+    return cur.get((cols,) * rows, 0)

@@ -398,14 +398,14 @@ def test_identity_sector_sizes():
 def test_sector_lengths_guards():
     basic, _ = translate_master(anchor_data())
     with pytest.raises(DimensionMismatch):
-        sector_lengths((3, 2, 1), (1, 2, 3), basic.K[:-1])
+        sector_lengths((3, 2, 1), (1, 2, 3), basic.K_degrees[:-1])
     with pytest.raises(DimensionMismatch):
         SectorSpec((1, 2, 3), (1, 2, 3))     # labels must decrease
     with pytest.raises(DimensionMismatch):
         SectorSpec((3, 2, 1), (1, 1, 2))
-    # a steep divisor ladder leaves no room for the small labels first
-    one = parse_poly("1", QQ)
-    ladder = (one, one, parse_poly("x^3", QQ), parse_poly("x^3", QQ))
+    # a steep divisor ladder (1, 1, x^3, x^3) leaves no room for the small
+    # labels first
+    ladder = (0, 0, 3, 3)
     assert sector_lengths((3, 2, 1), (1, 2, 3), ladder) == (3, 1)
     with pytest.raises(EmptySector):
         sector_lengths((3, 2, 1), (3, 2, 1), ladder)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wroncrit import bethe, cli
+from wroncrit import bethe, cli, ramification
 from wroncrit.bethe import (MasterData, master_from_sector, point_sector, solve_critical,
                             translate_master)
 from wroncrit.cli import load_problem, main, run_verify
@@ -344,6 +344,27 @@ def test_verify_certifies_each_sector_in_one_stacked_call(monkeypatch):
     assert report["verdict"] == "MATCH"
     assert calls == [len(s["orbits"]) for s in report["sectors"].values()]
     assert len(calls) == 6 and pairs == []
+
+
+@pytest.mark.parametrize("problem", [
+    MasterData(QQ, (5,), tuple((z, (1,)) for z in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5))),
+    load_problem(RATIONAL),
+], ids=["sl2-n10-k5", "variant_rational"])
+def test_own_sector_verify_builds_no_K_or_T(problem, monkeypatch):
+    # an own-sector verify reads only deg K_i, which are sums of the
+    # integer orders e_i(z): the cached K and T of every basic situation it
+    # makes stay unset
+    made = []
+    validate = ramification.validate_basic
+
+    def keeping(*args):
+        made.append(validate(*args))
+        return made[-1]
+
+    for module in (ramification, bethe, cli):
+        monkeypatch.setattr(module, "validate_basic", keeping)
+    assert run_verify(problem, sector="own")["report"]["verdict"] == "MATCH"
+    assert made and not any("K" in vars(b) or "T" in vars(b) for b in made)
 
 
 BASE_POINT = {"kind": "basic", "d": 3, "N": 1, "points": [{"z": "0", "ram": [2, 0]}],

@@ -219,6 +219,15 @@ def test_K_and_T_with_base_points_equal_the_quotients():
         assert (b.K, b.T) == reference_K_T(b)
 
 
+def test_K_and_T_are_built_once_on_first_read():
+    # validate_basic keeps the orders e_i(z); the polynomials wait for a reader
+    b = cuberoots_situation()
+    assert "K" not in vars(b) and "T" not in vars(b)
+    assert b.orders == ((0, 0, 1),) * 3
+    assert b.K_degrees == (0, 0, 3) == tuple(k.degree() for k in b.K)
+    assert b.K is b.K and b.T is b.T
+
+
 def test_without_base_points():
     plain = cuberoots_situation()
     assert without_base_points(plain) is plain

@@ -1,8 +1,9 @@
 """Box-truncated Littlewood-Richardson products and intersection numbers.
 
-The independent oracle here is the Pieri rule: multiplying by a one-row
-class adds a horizontal strip.  Iterating it expands any product of
-one-row classes without touching the tableau-counting code under test.
+Two oracles stand apart from the strip engine under test.  The Pieri rule:
+multiplying by a one-row class adds a horizontal strip, and iterating it
+expands any product of one-row classes.  And a lattice-word filling
+counter, which fills the skew shape nu/lam cell by cell, for any classes.
 """
 
 import itertools
@@ -56,6 +57,51 @@ def expand_power_of_row(r, power, rows, cols):
                 nxt[mu] = nxt.get(mu, 0) + c
         state = nxt
     return {k: v for k, v in state.items() if v}
+
+
+# -- lattice-filling oracle ------------------------------------------------------
+
+def count_lr_fillings(lam, mu, nu):
+    """Lattice-word skew tableaux of shape nu/lam and content mu.
+
+    Cells are filled in reverse reading order (top row first, right to left),
+    so the lattice condition can be enforced on every prefix.  Rows must be
+    weakly, columns strictly, increasing.
+    """
+    if sum(lam) + sum(mu) != sum(nu) or len(lam) > len(nu) \
+            or any(v > nu[i] for i, v in enumerate(lam)):
+        return 0
+    rows = len(nu)
+    lam_p = list(lam) + [0] * (rows - len(lam))
+    cells = [(r, c) for r in range(rows) for c in range(nu[r] - 1, lam_p[r] - 1, -1)]
+    m = len(mu)
+    counts = [0] * (m + 1)
+    fill = {}
+
+    def place(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        right = fill.get((r, c + 1))
+        above = fill.get((r - 1, c))
+        total = 0
+        for v in range(1, m + 1):
+            if counts[v] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            if right is not None and v > right:
+                continue
+            if above is not None and v <= above:
+                continue
+            counts[v] += 1
+            fill[(r, c)] = v
+            total += place(idx + 1)
+            del fill[(r, c)]
+            counts[v] -= 1
+        return total
+
+    return place(0)
 
 
 # -- pinned values ---------------------------------------------------------------
@@ -180,10 +226,30 @@ def _box_partitions(rows, cols):
             yield normalize_partition(lam)
 
 
+def _oracle_product(lam, mu, parts):
+    # lam times mu over the partitions parts of a box, by filling counts
+    return {nu: c for nu in parts if (c := count_lr_fillings(lam, mu, nu))}
+
+
 @pytest.mark.parametrize("box", [(r, c) for r in range(1, 4) for c in range(1, 5)], ids=str)
 def test_mult_partitions_is_lr_coefficient_over_every_nu(box):
+    # every pair of classes in the box, against the lattice-filling counter
     parts = list(_box_partitions(*box))
     for lam, mu in itertools.product(parts, repeat=2):
-        want = {nu: c for nu in parts
-                if (c := lr_coefficient(lam, mu, nu, box))}
+        want = _oracle_product(lam, mu, parts)
         assert mult_partitions(lam, mu, box) == want
+        assert all(lr_coefficient(lam, mu, nu, box) == want.get(nu, 0) for nu in parts)
+
+
+@pytest.mark.parametrize("box", [(4, 4), (4, 5)], ids=str)
+def test_mult_partitions_sampled_in_larger_boxes(box):
+    # seeded pairs where mu has at least two rows and is not a column, so
+    # that the strips meet the lattice condition between labels
+    parts = list(_box_partitions(*box))
+    wide = [p for p in parts if len(p) >= 2 and p[0] >= 2]
+    rng = random.Random(28 + box[1])
+    for _ in range(60):
+        lam, mu = rng.choice(parts), rng.choice(wide)
+        assert mult_partitions(lam, mu, box) == _oracle_product(lam, mu, parts)
+    # sigma_21 squared has sigma_321 with coefficient 2 in both boxes
+    assert mult_partitions((2, 1), (2, 1), box)[(3, 2, 1)] == 2
