@@ -15,14 +15,18 @@ Gaudin Hamiltonians (the gaudin module, the Bethe route), whose points take
 one Gauss-Newton step (_polish); other weights are solved by multistart,
 Gauss-Newton run to a fixed point (_newton).  Each step is over the complex
 field and inverts the Jacobian by LU, and a row whose condition number
-fails a guard takes the pseudoinverse instead, each row on its own.  An
-orbit whose Hessian of log Phi is nonsingular is simple (_hessian_sigma;
-that Hessian is the norm of the Bethe vector, Mukhin and Varchenko); only
-the others climb the dual spaces of the multiplicity module on the cleared
-system, which is built only for them.  Every other sector is built from
-the spaces (build_sector): a generic flag of V in the sector's cell has
-partial Wronskians whose quotients by K_i are the tuple of a point on a
-component of the cell's dimension, which carries the multiplicity of V's
+fails a guard takes the pseudoinverse instead, each row on its own.  At
+real marked points the Bethe algebra has a simple spectrum (Mukhin,
+Tarasov and Varchenko), so on the Bethe route each accepted eigen-point is
+one simple orbit, with no grouping and no multiplicity test.  Elsewhere
+samples are grouped by their tuples, an orbit whose Hessian of log Phi is
+nonsingular is simple (_hessian_sigma; that Hessian is the norm of the
+Bethe vector, Mukhin and Varchenko), and only the others climb the dual
+spaces of the multiplicity module on the cleared system, which is built
+only for them.  Every other sector is built from the spaces
+(build_sector): a generic flag of V in the sector's cell has partial
+Wronskians whose quotients by K_i are the tuple of a point on a component
+of the cell's dimension, which carries the multiplicity of V's
 point-sector orbit.
 """
 
@@ -607,6 +611,8 @@ def master_from_sector(basic: BasicSituation, w: Sequence[int]) -> MasterData:
 
     Inverse of translate_master on its image: level sizes come from
     sector_lengths, weights from the orders of T_i at the marked points.
+    Every sector of ``basic`` has its T_1..T_N, so the data's T is
+    basic.T[1:], built once on ``basic`` for all of them.
     """
     e_inf = exponents_of_ram(basic.infinity, basic.d, at_infinity=True)
     labels = tuple(reversed(e_inf))
@@ -615,7 +621,10 @@ def master_from_sector(basic: BasicSituation, w: Sequence[int]) -> MasterData:
     for z, a in basic.points:
         m = tuple(a[basic.N - i] - a[basic.N + 1 - i] for i in range(1, basic.N + 1))
         pts.append((z, m))
-    return MasterData(basic.ring, l, tuple(pts))
+    data = MasterData(basic.ring, l, tuple(pts))
+    # m_s(i) is the order of basic.T[i] at z_s, so this is the tuple MasterData.T builds
+    object.__setattr__(data, "T", basic.T[1:])
+    return data
 
 
 def sectors_of(basic: BasicSituation) -> list[SectorSpec]:
@@ -648,7 +657,8 @@ class CriticalOrbit:
     component, and ``dimension`` is the dimension of the family.  ``hits``
     counts the samples that landed here: converged starts on the
     multistart, the size of the cluster of joint eigenvalues on the Bethe
-    route.  A built sector keeps the hits of its point-sector orbit.
+    route (1 at real marked points).  A built sector keeps the hits of its
+    point-sector orbit.
     """
 
     point: tuple[tuple[Any, ...], ...]
@@ -918,7 +928,7 @@ def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
     Mirrors the reproduction cascade numerically: for each target size the
     tuple is remutated from scratch in directions i..1 and the final first
     entry joins the basis.  Only spans matter here, so least-squares
-    particular solutions are fine (gaudin.wronskian_lstsq with v = 1).
+    particular solutions are fine (gaudin.wronskian_lstsq).
     """
     T = [f.to_ring(CC) for f in data.T]
     ys = [y.to_ring(CC) for y in ys]
@@ -929,7 +939,7 @@ def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
         for j in range(i, 0, -1):
             lo = cur[j - 2] if j >= 2 else one
             hi = cur[j] if j < data.N else one
-            cur[j - 1] = gaudin.wronskian_lstsq(cur[j - 1], T[j - 1] * lo * hi, 0)[0]
+            cur[j - 1] = gaudin.wronskian_lstsq(cur[j - 1], T[j - 1] * lo * hi)
         us.append(cur[0])
     deg = max(u.degree() for u in us)
     A = np.array([[complex(u.coeff(k)) for k in range(deg + 1)] for u in us], dtype=complex).T
@@ -1041,14 +1051,9 @@ def build_sector(data: MasterData, basic: BasicSituation, point_orbits: Sequence
         pts, res = _polish(pts, C, zs, W)
         good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * _start_radius(zs), res)
     dim = sum(1 for a, b in itertools.combinations(w, 2) if a < b)
-    idx = np.nonzero(good)[0]
-    keyed = []
-    for s, key in zip(idx, _orbit_keys(pts[idx], data.l).tolist()):
-        point = _canonical(pts[s], data.l)
-        keyed.append((_sort_key(key), CriticalOrbit(
-            point, float(res[s]), point_orbits[s].multiplicity, gamma(point), dimension=dim,
-            hits=point_orbits[s].hits)))
-    return _sorted_orbits(keyed)
+    return _sorted_orbits([(sort_key, CriticalOrbit(
+        point, float(res[s]), point_orbits[s].multiplicity, gamma(point), dimension=dim,
+        hits=point_orbits[s].hits)) for s, sort_key, point in _accepted_rows(pts, good, data.l)])
 
 
 # -- the solver ----------------------------------------------------------------
@@ -1057,6 +1062,13 @@ def _sorted_orbits(keyed: list[tuple[list, CriticalOrbit]]) -> list[CriticalOrbi
     # the orbits in the order of the sort keys (_sort_key) they are paired
     # with, each computed once from its orbit's key (_orbit_keys)
     return [o for _, o in sorted(keyed, key=lambda ko: ko[0])]
+
+
+def _accepted_rows(pts: np.ndarray, good: np.ndarray, l: Sequence[int]):
+    # (row, sort key, canonical point) of every accepted row, one orbit each
+    idx = np.nonzero(good)[0]
+    for s, key in zip(idx, _orbit_keys(pts[idx], l).tolist()):
+        yield s, _sort_key(key), _canonical(pts[s], l)
 
 
 def _clusters(pts: np.ndarray, good: np.ndarray, l: Sequence[int]) -> list[tuple[list[int], list]]:
@@ -1102,21 +1114,27 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
     each after one Gauss-Newton step where it lowers the residual (_polish),
     and the filter (_accepted) reads the residual _polish returns, so the
     critical equations run twice per eigen-point; ``starts`` and ``seed``
-    are not read.  A cluster of m > 1 eigenvalues is one orbit of m hits,
+    are not read.  When every weighted marked point is real
+    (gaudin.real_sites, the test that makes joint_eigenvalues run eigh),
+    the Bethe algebra has a simple spectrum (Mukhin, Tarasov and
+    Varchenko): every accepted eigen-point is its own orbit, of
+    multiplicity 1 and 1 hit, ordered by the sort key of its tuple, and
+    nothing below runs.
+
+    Otherwise accepted samples are clustered by their tuples (_clusters:
+    each key is compared with every cluster head at once).  On the Bethe
+    route a cluster of m > 1 eigenvalues is one orbit of m hits,
     represented by the roots of the mean key of its raw eigen-points: a
     split m-fold eigenvalue is accurate to eps^(1/m) in each member but to
-    O(eps) in its centroid.  Otherwise ``starts`` random points run Newton
-    to its fixed points, and the filter evaluates the equations there.
-    Accepted samples are clustered by their tuples (_clusters: each key is
-    compared with every cluster head at once).
-
-    An orbit whose scaled Hessian of log Phi has its smallest singular value
-    above _MULT_TOL (_hessian_sigma) has multiplicity 1.  Only the others
-    climb the Macaulay dual spaces of the cleared system, which is built
-    once, for the first of them: the orbits whose Hessian is singular, and
-    every merged Bethe cluster, whose representative is not a sample the
-    filter saw.  The climb is bounded at max(4, D + 1), D the number of
-    eigen-points or, on the multistart, the intersection number.
+    O(eps) in its centroid.  On the multistart ``starts`` random points run
+    Newton to its fixed points, and the filter evaluates the equations
+    there.  An orbit whose scaled Hessian of log Phi has its smallest
+    singular value above _MULT_TOL (_hessian_sigma) has multiplicity 1.
+    Only the others climb the Macaulay dual spaces of the cleared system,
+    which is built once, for the first of them: the orbits whose Hessian is
+    singular, and every merged Bethe cluster, whose representative is not a
+    sample the filter saw.  The climb is bounded at max(4, D + 1), D the
+    number of eigen-points or, on the multistart, the intersection number.
     """
     L = data.size()
     if L == 0:
@@ -1147,6 +1165,10 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
             res = None
         good, res = _accepted(pts, C, zs, W, _FAR_FACTOR * radius, res)
 
+    if on_bethe and gaudin.real_sites(data):
+        # simple spectrum at real marked points (MTV): one simple orbit per eigen-point
+        return _sorted_orbits([(sort_key, CriticalOrbit(point, float(res[s]), 1, gamma(point)))
+                               for s, sort_key, point in _accepted_rows(pts, good, data.l)])
     # orbits are identified by the tuple y = gamma(t), not by coordinates
     clusters = _clusters(pts, good, data.l)
     # a nondegenerate Hessian of log Phi means multiplicity 1 (_hessian_sigma)
@@ -1206,7 +1228,10 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
     well, at a linear rate; the choice is made row by row (_gn_step).
     Samples near a collision are zeros of the cleared equations only and are
     dropped; Newton stops iterating a sample once it gets there (_newton).
-    Samples whose tuples y = gamma(t) agree to 1e-6 relative are one orbit,
+    On the Bethe route at real marked points every accepted eigen-point is
+    one orbit of multiplicity 1 (the simple spectrum of Mukhin, Tarasov and
+    Varchenko), with no grouping and no multiplicity test.  Elsewhere
+    samples whose tuples y = gamma(t) agree to 1e-6 relative are one orbit,
     and each orbit gets a local multiplicity: 1 where the Hessian of log Phi
     is nonsingular, and otherwise the dimension of its Macaulay dual space.
     Every orbit of the point sector is isolated, so a sample where the dual

@@ -20,13 +20,13 @@ point the eigenvalue of H_s is
     E_s = sum_{r != s} 1 / (z_s - z_r) - y_1'(z_s) / y_1(z_s),
 so every joint eigenvalue gives y_1'/y_1 at the marked points, and y_1 is
 a small least-squares solve; the D solves are stacked into one call
-(_level_one).  At real marked points H_s, E_s and y_1 are real.  y_2..y_N
-come from the linear Wronskian equations
-Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}, one least-squares solve per
-eigenvalue and level (wronskian_lstsq).  The roots of the y_i are the raw
-coordinates, the eigenvalues of the companion matrices of every level,
-stacked over the D eigenvalues (_roots); bethe._polish moves them by one
-Gauss-Newton step.
+(_level_one).  y_2..y_N come from the linear Wronskian equations
+Wr(y_i, ytilde_i) = T_i y_{i-1} y_{i+1}, whose D least-squares systems are
+again one stacked solve per level (_wronskian_system).  At real marked
+points H_s, E_s and every y_i are real (real_sites).  The roots of the y_i
+are the raw coordinates, the eigenvalues of the companion matrices of every
+level, stacked over the D eigenvalues (_roots); bethe._polish moves them by
+one Gauss-Newton step.
 """
 
 from __future__ import annotations
@@ -58,6 +58,16 @@ def _sites(data: MasterData) -> np.ndarray:
     # the marked points with weight omega_1, embedded in CC; float64 when all are real
     zs = np.array([embed_scalar(z) for z, m in data.points if any(m)], dtype=complex)
     return zs if zs.imag.any() else zs.real
+
+
+def real_sites(data: MasterData) -> bool:
+    """True when every marked point with weight is real (_sites is float64).
+
+    Then the H_s are real symmetric and joint_eigenvalues runs eigh, and the
+    Bethe algebra has a simple spectrum (Mukhin, Tarasov and Varchenko):
+    the D joint eigenvalues are D distinct critical orbits, each simple.
+    """
+    return np.isrealobj(_sites(data))
 
 
 def shape(data: MasterData) -> tuple[int, ...]:
@@ -177,8 +187,8 @@ def joint_eigenvalues(H: np.ndarray) -> np.ndarray:
     """E[k, s], the eigenvalue of H_s on the k-th joint eigenvector.
 
     One eigendecomposition of the fixed combination sum_s c_s H_s: eigh when
-    the H_s are real (real marked points), eig otherwise.  E_s is the
-    diagonal of X^-1 H_s X, in the dtype of H.
+    the H_s are real, which is when real_sites holds, eig otherwise.  E_s is
+    the diagonal of X^-1 H_s X, in the dtype of H.
     """
     n, D, _ = H.shape
     if not D:
@@ -226,37 +236,48 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(A)
 
 
-def _wronskian_columns(y: np.ndarray, ncols: int, nrows: int) -> np.ndarray:
-    # column k holds the coefficients 0..nrows-1 of Wr(y, x^k) = x^k y' - k x^(k-1) y,
-    # y given by its coefficient array
-    dy = y[1:] * np.arange(1, len(y))
-    A = np.zeros((max(nrows, ncols + len(y)), ncols), dtype=complex)
-    for k in range(ncols):
-        A[k:k + len(dy), k] = dy
-        if k:
-            A[k - 1:k - 1 + len(y), k] -= k * y
-    return A[:nrows]
+def _wronskian_system(y: np.ndarray, rhs: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of Wr(y, ytilde) = rhs v, v monic of the given degree, for every row.
 
-
-def wronskian_lstsq(y: Poly, rhs: Poly, degree: int) -> tuple[Poly, Poly]:
-    """(ytilde, v) with Wr(y, ytilde) = rhs v and v monic of the given degree.
-
-    One least-squares solve in the coefficients of ytilde and of v below its
-    leading 1.  ytilde is determined up to adding multiples of y, which
-    leave v alone.  Degree 0 (v = 1) solves Wr(y, ytilde) = rhs; the Bethe
-    route takes v = y_{i+1} from rhs = T_i y_{i-1}.
+    y and rhs hold one polynomial per row (coefficients ascending, shapes
+    (S, deg y + 1) and (S, deg rhs + 1)).  The unknowns are the coefficients
+    of ytilde, then those of v below its leading 1: column k < deg ytilde + 1
+    of A[s] holds Wr(y, x^k) = x^k y' - k x^(k-1) y, the next ones
+    -rhs x^k, k < degree, and b[s] is rhs x^degree.
     """
-    dg = rhs.degree() + degree - y.degree() + 1  # deg ytilde
-    nrows = rhs.degree() + degree + 1
-    r = np.array([complex(c) for c in rhs.coeffs])
-    # column k holds the coefficients of rhs * x^k
-    R = np.zeros((nrows, degree + 1), dtype=complex)
-    for k in range(degree + 1):
-        R[k:k + len(r), k] = r
-    Y = np.array([complex(c) for c in y.coeffs])
-    A = np.hstack([_wronskian_columns(Y, dg + 1, nrows), -R[:, :degree]])
-    sol, *_ = np.linalg.lstsq(A, R[:, degree], rcond=None)
-    return Poly(CC, list(sol[:dg + 1])), Poly(CC, [*sol[dg + 1:], 1.0])
+    (S, m), r = y.shape, rhs.shape[1]
+    nrows = r + degree
+    dg = nrows - m + 1  # deg ytilde
+    A = np.zeros((S, nrows, dg + 1 + degree), dtype=np.result_type(y, rhs))
+    dy = y[:, 1:] * np.arange(1, m)
+    for k in range(dg + 1):
+        A[:, k:k + m - 1, k] = dy
+        if k:
+            A[:, k - 1:k - 1 + m, k] -= k * y
+    for k in range(degree):
+        A[:, k:k + r, dg + 1 + k] = -rhs
+    b = np.zeros((S, nrows), dtype=rhs.dtype)
+    b[:, degree:] = rhs
+    return A, b
+
+
+def wronskian_lstsq(y: Poly, rhs: Poly) -> Poly:
+    """A ytilde with Wr(y, ytilde) = rhs: one least-squares solve of _wronskian_system.
+
+    ytilde is determined up to adding multiples of y; bethe.induced_space
+    needs only the span of the solutions.
+    """
+    A, b = _wronskian_system(np.array([[complex(c) for c in y.coeffs]]),
+                             np.array([[complex(c) for c in rhs.coeffs]]), 0)
+    return Poly(CC, list(np.linalg.lstsq(A[0], b[0], rcond=None)[0]))
+
+
+def _times(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # coefficients (ascending) of the polynomial c times every row
+    out = np.zeros((len(rows), len(c) + rows.shape[1] - 1), dtype=np.result_type(c, rows))
+    for j, cj in enumerate(c):
+        out[:, j:j + rows.shape[1]] += cj * rows
+    return out
 
 
 def eigen_points(data: MasterData) -> np.ndarray:
@@ -265,11 +286,13 @@ def eigen_points(data: MasterData) -> np.ndarray:
     Row k holds the roots of y_1..y_N, level by level, read off the k-th
     joint eigenvalue: rho_s = sum_{r != s} 1/(z_s - z_r) - E_s is
     y_1'(z_s)/y_1(z_s), and y_1 of every row comes from one stacked
-    least-squares solve (_level_one), real at real marked points.  Each
-    next level is the v of one Wronskian least-squares solve per row
-    (wronskian_lstsq).  The roots of every level are the eigenvalues of its
-    companion matrices, stacked over the D rows (_roots).  D = 0, a shape
-    that is not a partition, gives an empty (0, L) array.
+    least-squares solve (_level_one).  Each next level y_{i+1} is the v of
+    Wr(y_i, ytilde) = T_i y_{i-1} v, the D systems of a level solved by one
+    stacked pseudoinverse (_wronskian_system) with lstsq's cutoff.  Every
+    level is real at real marked points.  The roots of every level are the
+    eigenvalues of its companion matrices, stacked over the D rows
+    (_roots).  D = 0, a shape that is not a partition, gives an empty (0, L)
+    array.
     """
     zs = _sites(data)
     H = hamiltonians(data)
@@ -278,14 +301,13 @@ def eigen_points(data: MasterData) -> np.ndarray:
     diff = zs[:, None] - zs[None, :]
     np.fill_diagonal(diff, np.inf)
     rho = (1.0 / diff).sum(axis=1) - joint_eigenvalues(H)
-    # levels[i] holds the coefficients of y_{i+1}, one row per eigenvalue
-    levels = [_level_one(zs, rho, data.l[0])]
-    if data.N > 1:
-        T = [f.to_ring(CC) for f in data.T]
-        one = Poly.one(CC)
-        ys = [[one, Poly(CC, list(row))] for row in levels[0]]
-        for i in range(1, data.N):
-            for y in ys:
-                y.append(wronskian_lstsq(y[i], T[i - 1] * y[i - 1], data.l[i])[1])
-            levels.append(np.array([y[i + 1].coeffs for y in ys], dtype=complex))
-    return np.hstack([_roots(c) for c in levels]).astype(complex)
+    # levels[i] holds the coefficients of y_i, one row per eigenvalue (y_0 = 1)
+    levels = [np.ones((len(rho), 1), dtype=zs.dtype), _level_one(zs, rho, data.l[0])]
+    for i in range(1, data.N):
+        T = np.array([embed_scalar(c) for c in data.T[i - 1].coeffs])
+        rhs = _times(T if T.imag.any() else T.real, levels[i - 1])
+        A, b = _wronskian_system(levels[i], rhs, data.l[i])
+        cutoff = max(A.shape[1:]) * np.finfo(float).eps
+        sol = (np.linalg.pinv(A, cutoff) @ b[:, :, None])[:, A.shape[2] - data.l[i]:, 0]
+        levels.append(np.hstack([sol, np.ones((len(sol), 1))]))
+    return np.hstack([_roots(c) for c in levels[1:]]).astype(complex)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wroncrit import bethe
+from wroncrit import bethe, gaudin
 from wroncrit.bethe import (
     MasterData,
     _coupling_matrix,
@@ -592,6 +592,66 @@ def test_sl2_ladder_orbits_simple_and_real(n, k):
         assert max(abs(c.imag) for c in coeffs) <= 1e-7 * max(1.0, *(abs(c) for c in coeffs))
 
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _real_inputs():
+    # master data with weight omega_1 at real marked points: the ladder,
+    # sl3 (2,1) at 4 to 6 points, and the shipped variant_rational
+    return ([sl2_ladder_data(n, k) for n, k in SL2_LADDER]
+            + [MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in ladder_points(n)))
+               for n in (4, 5, 6)]
+            + [load_problem(str(PROBLEMS / "variant_rational.json"))])
+
+
+_REAL_IDS = ([f"sl2-n{n}-k{k}" for n, k in SL2_LADDER]
+             + [f"sl3-n{n}-l21" for n in (4, 5, 6)] + ["variant_rational"])
+
+
+@pytest.mark.parametrize("data", _real_inputs(), ids=_REAL_IDS)
+def test_real_marked_points_need_no_clusters_hessian_or_climb(data, monkeypatch):
+    # every eigen-point _accepted keeps is its own simple orbit (MTV), so
+    # none of the tools that group samples or read multiplicities runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("called at real marked points")
+
+    for name in ("_clusters", "_hessian_sigma", "clear_denominators", "local_multiplicity"):
+        monkeypatch.setattr(bethe, name, refuse)
+    assert gaudin.real_sites(data)
+    orbits = solve_critical(data, starts=200, seed=0)
+    assert orbits and all(o.multiplicity == 1 and o.hits == 1 for o in orbits)
+    assert len(orbits) == intersection_number(translate_master(data)[0])
+
+
+@pytest.mark.parametrize("data", _real_inputs()[:-1], ids=_REAL_IDS[:-1])
+def test_real_ladder_tuples_are_pairwise_distinct(data):
+    # nothing merges eigen-points at real marked points, so MTV's simple
+    # spectrum is checked here: no two reported tuples y agree to 1e-6
+    # relative (coefficients by np.poly, not the solver's _orbit_keys)
+    (sec,) = run_verify(data)["report"]["sectors"].values()
+    keys = np.array([np.concatenate([np.poly([complex(v) for v in lev])[1:] for lev in o["point"]])
+                     for o in sec["orbits"]])
+    gap = np.abs(keys[:, None] - keys[None]).max(axis=2)
+    np.fill_diagonal(gap, np.inf)
+    scale = 1.0 + np.abs(keys).max(axis=1)
+    assert (gap >= 1e-6 * np.maximum(scale[:, None], scale[None])).all()
+
+
+def test_sl2_n14k7_reads_match_with_every_orbit_simple():
+    # one of its 429 orbits has a scaled Hessian sigma (6.2e-7) below
+    # _MULT_TOL; read off the Hessian it climbed Macaulay to 3 (OVERCOUNT 431)
+    data = sl2_ladder_data(14, 7)
+    out = run_verify(data)
+    (sec,) = out["report"]["sectors"].values()
+    assert out["report"]["verdict"] == "MATCH" and out["report"]["lr_target"] == 429
+    assert sec["multiplicity_sum"] == len(sec["orbits"]) == 429
+    assert all(o["multiplicity"] == 1 and o["hits"] == 1 for o in sec["orbits"])
+    C = _coupling_matrix(data.l)
+    zs, W = _embedded_weights(data)
+    pts = np.array([[complex(v) for lev in o["point"] for v in lev] for o in sec["orbits"]])
+    assert bethe._hessian_sigma(pts, C, zs, W).min() < _MULT_TOL
+
+
 def rou4_data():
     # z_s = 1 + i^s over Q(i), l = (1,), weight 1
     field = make_extension("x^2+1")
@@ -621,7 +681,6 @@ def test_roots_of_unity_identity_sector_sums_to_target():
 
 # -- sectors built from the point sector ---------------------------------------------
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 # sl3 l = (2,1), weight (1,0) at 0, +-1, +-2: six spaces, six sectors
 SL3_N5 = MasterData(QQ, (2, 1), tuple((z, (1, 0)) for z in (0, 1, -1, 2, -2)))
 
@@ -1107,7 +1166,9 @@ def test_hessian_verdict_agrees_with_macaulay(data):
     # simple by the one exactly when the other reads multiplicity 1.  The
     # Bethe route merges the cube roots' double point from two eigen-points;
     # with weight 2 the multistart reaches it as one cluster of samples,
-    # and only the Hessian sends it to the climb
+    # and only the Hessian sends it to the climb.  At real marked points the
+    # solver reads neither (MTV: every orbit is simple), and Macaulay
+    # cross-checks that multiplicity 1 too
     system = clear_denominators(data).map_coeffs(CC.coerce)
     orbits = solve_critical(data, starts=200, seed=0)
     assert orbits
@@ -1118,14 +1179,20 @@ def test_hessian_verdict_agrees_with_macaulay(data):
 
 
 def test_simple_orbits_build_no_cleared_system(monkeypatch):
-    # every orbit of sl2 n10k5 is simple, so neither the cleared system nor
+    # at the non-real points 0, 1, -1, 2, i, 1 + i, -1 + 2i every orbit of
+    # l = (3,) has a nonsingular Hessian, so neither the cleared system nor
     # the climb is needed; the cube roots' double point still climbs
     def refuse(data):
         raise AssertionError("cleared system built for simple orbits")
 
     monkeypatch.setattr(bethe, "clear_denominators", refuse)
-    orbits = solve_critical(sl2_ladder_data(10, 5), starts=200, seed=0)
-    assert len(orbits) == 42 and all(o.multiplicity == 1 for o in orbits)
+    field = make_extension("x^2+1")
+    i = field.gen
+    points = [field.coerce(z) for z in (0, 1, -1, 2)] + [i, 1 + i, 2 * i - 1]
+    data = MasterData(field, (3,), tuple((z, (1,)) for z in points))
+    assert not gaudin.real_sites(data)
+    orbits = solve_critical(data, starts=200, seed=0)
+    assert len(orbits) == 14 and all(o.multiplicity == 1 for o in orbits)
 
     built, climbs = [], []
     monkeypatch.setattr(bethe, "clear_denominators",

@@ -18,8 +18,7 @@ from wroncrit.bethe import MasterData, master_from_sector, point_sector, solve_c
     translate_master
 from wroncrit.cli import _basic_of, load_problem, run_verify
 from wroncrit.errors import NoCriticalPoints
-from wroncrit.field import CC, QQ, embed_scalar, make_extension
-from wroncrit.polyring import Poly
+from wroncrit.field import QQ, embed_scalar, make_extension
 from wroncrit.schubert import intersection_number
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -120,6 +119,8 @@ def test_hamiltonians_are_the_gl_form_in_the_dtype_of_the_marked_points(data, dt
     # times the identity, and it is real at real marked points
     H = gaudin.hamiltonians(data)
     assert H.dtype == dtype and gaudin._sites(data).dtype == dtype
+    # the simple-spectrum rule of bethe._point_orbits and eigh share this test
+    assert gaudin.real_sites(data) == (dtype == np.float64)
     zs, ref = sl_form(data)
     diff = zs[:, None] - zs[None, :]
     np.fill_diagonal(diff, np.inf)
@@ -346,16 +347,38 @@ def test_stacked_level_one_matches_per_row_lstsq_and_roots(data, D):
         assert np.abs(row - want).max() < 1e-12 * np.abs(want).max()
     roots = gaudin._roots(coeffs)
     assert all(np.array_equal(r, np.roots(c[::-1])) for r, c in zip(roots, coeffs))
-    # every eigen-point's first level is that row's roots, the next level is
-    # the monic v of the row's Wronskian least-squares solve
+    # every eigen-point's first level is that row's roots, and the next level
+    # holds the roots of a v with Wr(y_1, ytilde) = T_1 v solvable: T_1 v lies
+    # in the span of the Wr(y_1, x^k) = x^k y_1' - k x^(k-1) y_1, by lstsq
     pts = gaudin.eigen_points(data)
     assert pts.shape == (D, data.size())
     assert np.array_equal(pts[:, :degree], roots)
     if data.N > 1:
-        T = data.T[0].to_ring(CC)
+        P = np.polynomial.polynomial
+        T = [float(c) for c in data.T[0].coeffs]
         for row, c in zip(pts, coeffs):
-            v = gaudin.wronskian_lstsq(Poly(CC, list(c)), T, data.l[1])[1]
-            assert np.array_equal(row[degree:], np.roots(v.coeffs[::-1]))
+            rhs = P.polymul(T, np.poly(row[degree:])[::-1].real)
+            cols = [P.polysub(P.polymul(P.polyder(c), [0] * k + [1]),
+                              k * P.polymul(c, [0] * (k - 1) + [1]) if k else [0])
+                    for k in range(len(rhs) - len(c) + 2)]
+            A = np.array([np.pad(col, (0, len(rhs) - len(col))) for col in cols]).T
+            sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            assert np.abs(A @ sol - rhs).max() < 1e-12 * np.abs(rhs).max()
+
+
+def test_stacked_wronskian_systems_are_the_per_row_ones():
+    # row s of the stacked system is bitwise the system of row s alone, and at
+    # real marked points every level, and so the one root of y_2, is real
+    data = sl3((2, 1), 6)
+    zs, rho = _rho(data)
+    y = gaudin._level_one(zs, rho, 2)
+    T = np.array([float(c) for c in data.T[0].coeffs])
+    A, b = gaudin._wronskian_system(y, np.tile(T, (len(y), 1)), 1)
+    assert A.dtype == b.dtype == np.float64
+    for s in range(len(y)):
+        A1, b1 = gaudin._wronskian_system(y[s:s + 1], T[None], 1)
+        assert np.array_equal(A[s], A1[0]) and np.array_equal(b[s], b1[0])
+    assert not gaudin.eigen_points(data)[:, 2].imag.any()
 
 
 @pytest.mark.parametrize("l", [(1, 1), (0, 2)], ids=["l11", "l02"])
