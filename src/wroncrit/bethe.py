@@ -395,9 +395,10 @@ def _certify_exact(ys: list[Poly], T: Sequence[Poly], tol: float) -> Certificate
 # coefficients the Poly loop computes.
 
 def _coeff_rows(polys: Sequence[Poly]) -> np.ndarray:
-    # polynomials of one degree, embedded in CC once
-    return np.array([[CC.coerce(c) for c in f.coeffs] for f in polys],
-                    dtype=complex).reshape(len(polys), -1)
+    # polynomials of one degree, embedded in CC once; CC coefficients are
+    # Python complex already
+    return np.array([f.coeffs if f.ring == CC else [CC.coerce(c) for c in f.coeffs]
+                     for f in polys], dtype=complex).reshape(len(polys), -1)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -444,9 +445,11 @@ def _rem_rows(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
     rem = F.copy()
     dy = Y.shape[1] - 1
     monic = Y[:, -1] == 1
-    inv = np.array([1 / v for v in Y[:, -1].tolist()], dtype=complex)
+    inv = None if monic.all() else np.array([1 / v for v in Y[:, -1].tolist()], dtype=complex)
     for k in range(rem.shape[1] - dy - 1, -1, -1):
-        c = np.where(monic, rem[:, k + dy], _cmul(rem[:, k + dy], inv))
+        c = rem[:, k + dy]
+        if inv is not None:
+            c = np.where(monic, c, _cmul(c, inv))
         rem[:, k:k + dy + 1] -= _cmul(c[:, None], Y)
     return rem[:, :dy]
 
@@ -758,8 +761,10 @@ def _near_collision(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray)
 
 
 def _log_residual(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
-    # the largest log-gradient component of each point of the batch
-    return np.abs(_critical_equations(pts, C, zs, W)[2]).max(axis=1)
+    # the largest log-gradient component of each point of the batch: the r of
+    # _critical_equations, in its order of operations, without F and J
+    _, _, E, Ez = _reciprocals(pts, C, zs, W)
+    return np.abs((C * E).sum(axis=2) - (W * Ez).sum(axis=2)).max(axis=1)
 
 
 def _accepted(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,
@@ -908,10 +913,11 @@ def _polish(pts: np.ndarray, C: np.ndarray, zs: np.ndarray,
 
     Steps every row of pts, shape (S, L), once (_gn_step) and keeps the step
     on the rows whose largest log-gradient component it lowers; the other
-    rows come back bitwise unchanged, and pts is not modified.  Returns the
-    points and that component at each of them, the lower of the two it
-    computed, which the filter (_accepted) reads instead of evaluating the
-    equations a third time.
+    rows come back bitwise unchanged, and pts is not modified.  The stepped
+    rows are evaluated for the log-gradient alone (_log_residual), with no
+    Jacobian.  Returns the points and that component at each of them, the
+    lower of the two it computed, which the filter (_accepted) reads instead
+    of evaluating it a third time.
     """
     F, J, r = _critical_equations(pts, C, zs, W)
     stepped = pts + _gn_step(F, J)
@@ -1112,14 +1118,14 @@ def _point_orbits(data: MasterData, basic: BasicSituation, starts: int,
     When every nonzero weight is omega_1 (gaudin.covers), the samples are the
     D joint eigenvalues of the Gaudin Hamiltonians (gaudin.eigen_points),
     each after one Gauss-Newton step where it lowers the residual (_polish),
-    and the filter (_accepted) reads the residual _polish returns, so the
-    critical equations run twice per eigen-point; ``starts`` and ``seed``
-    are not read.  When every weighted marked point is real
-    (gaudin.real_sites, the test that makes joint_eigenvalues run eigh),
-    the Bethe algebra has a simple spectrum (Mukhin, Tarasov and
-    Varchenko): every accepted eigen-point is its own orbit, of
-    multiplicity 1 and 1 hit, ordered by the sort key of its tuple, and
-    nothing below runs.
+    and the filter (_accepted) reads the residual _polish returns, so each
+    eigen-point is evaluated twice, once with the Jacobian and once for the
+    log-gradient alone; ``starts`` and ``seed`` are not read.  When every
+    weighted marked point is real (gaudin.real_sites, the test that makes
+    joint_eigenvalues run eigh), the Bethe algebra has a simple spectrum
+    (Mukhin, Tarasov and Varchenko): every accepted eigen-point is its own
+    orbit, of multiplicity 1 and 1 hit, ordered by the sort key of its
+    tuple, and nothing below runs.
 
     Otherwise accepted samples are clustered by their tuples (_clusters:
     each key is compared with every cluster head at once).  On the Bethe

@@ -908,14 +908,16 @@ def parse_scalar(s: str, ring) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, (Fraction, int)):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
+    # complex first: the float coordinates and coefficients of a report are
+    # most of the calls, and isinstance against Fraction (an ABC) is slow
     if isinstance(x, complex):
         if x.imag == 0:
             return repr(x.real)
         return f"({x.real!r}{'+' if x.imag >= 0 else '-'}{abs(x.imag)!r}j)"
+    if isinstance(x, (Fraction, int)):
+        return str(x)
+    if isinstance(x, float):
+        return repr(x)
     if isinstance(x, ExtElem):
         parts = []
         for i, c in enumerate(x.coeffs):

@@ -12,7 +12,12 @@ critical scheme).  By Schur-Weyl duality that singular space is the Specht
 module S^lam of the colour counts lam = (n - l_1, l_1 - l_2, .., l_N), on
 which the swap P_sr acts as the transposition (s r).  Its dimension is the
 number of standard Young tableaux of shape lam, which is the intersection
-number of the problem.
+number of the problem.  Young's orthogonal form of the adjacent
+transpositions comes from a read-only table built once per shape and
+process (_orthogonal_form); the dense S_j are assembled from it on each
+call (adjacent_transpositions), and the combination vector that separates
+the joint eigenvalues is drawn once per number of marked points
+(_combination).
 
 This is the gl_{N+1} form; the sl_{N+1} form subtracts 1/(N+1) from each
 P_sr, which moves E_s by a constant and no eigenvector.  At a critical
@@ -31,6 +36,7 @@ one Gauss-Newton step.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -137,6 +143,32 @@ def _contents(word: Sequence[int]) -> list[int]:
     return out
 
 
+@functools.cache
+def _orthogonal_form(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(partner, inv_rho, off) of every S_j on S^lam, each of shape (n - 1, D).
+
+    Row j, column k: the tableau T' = s_j T_k when j and j+1 lie in neither
+    one row nor one column of T_k (-1 otherwise), 1/rho and
+    s = sqrt(1 - 1/rho^2), rho = c(j+1) - c(j) the content difference of
+    the entries j and j+1 of T_k (s = 0 without a partner).  Built once per
+    shape and process from standard_tableaux; the arrays are read-only.
+    """
+    tabs = standard_tableaux(lam)
+    index = {t: k for k, t in enumerate(tabs)}
+    contents = np.array([_contents(t) for t in tabs], dtype=int)
+    contents = contents.reshape(len(tabs), max(sum(lam), 0))
+    rho = (contents[:, 1:] - contents[:, :-1]).T
+    partner = np.full(rho.shape, -1)
+    for j, k in zip(*np.nonzero(np.abs(rho) > 1)):
+        t = tabs[k]
+        partner[j, k] = index[t[:j] + (t[j + 1], t[j]) + t[j + 2:]]
+    off = np.where(partner >= 0, np.sqrt(1.0 - 1.0 / rho ** 2), 0.0)
+    table = partner, 1.0 / rho, off
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def adjacent_transpositions(lam: Sequence[int]) -> np.ndarray:
     """Matrices of (j, j+1), j = 1..n-1, on S^lam in Young's orthogonal form.
 
@@ -145,19 +177,16 @@ def adjacent_transpositions(lam: Sequence[int]) -> np.ndarray:
     the entries j and j+1: rho = 1 (one row) acts as +1, rho = -1 (one
     column) as -1, and otherwise the tableau T and the tableau T' with j and
     j+1 swapped span a block [[1/rho, s], [s, -1/rho]], s = sqrt(1 - 1/rho^2).
-    The matrices are real, symmetric and orthogonal.
+    The matrices are real, symmetric and orthogonal.  A new dense stack is
+    assembled on each call from the shape's table (_orthogonal_form).
     """
-    tabs = standard_tableaux(lam)
-    index = {t: k for k, t in enumerate(tabs)}
-    contents = [_contents(t) for t in tabs]
-    S = np.zeros((max(sum(lam) - 1, 0), len(tabs), len(tabs)))
-    for j in range(len(S)):
-        for k, (t, c) in enumerate(zip(tabs, contents)):
-            rho = c[j + 1] - c[j]
-            S[j, k, k] = 1.0 / rho
-            if abs(rho) > 1:
-                swapped = t[:j] + (t[j + 1], t[j]) + t[j + 2:]
-                S[j, k, index[swapped]] = np.sqrt(1.0 - 1.0 / rho ** 2)
+    partner, inv_rho, off = _orthogonal_form(tuple(lam))
+    m, D = inv_rho.shape
+    S = np.zeros((m, D, D))
+    j, k = np.indices((m, D))
+    S[j, k, k] = inv_rho
+    pair = partner >= 0
+    S[j[pair], k[pair], partner[pair]] = off[pair]
     return S
 
 
@@ -183,6 +212,14 @@ def hamiltonians(data: MasterData) -> np.ndarray:
     return H
 
 
+@functools.cache
+def _combination(n: int) -> np.ndarray:
+    # the c_s of joint_eigenvalues, drawn once per n; read-only
+    c = np.random.default_rng(_COMBINATION_SEED).normal(size=n)
+    c.setflags(write=False)
+    return c
+
+
 def joint_eigenvalues(H: np.ndarray) -> np.ndarray:
     """E[k, s], the eigenvalue of H_s on the k-th joint eigenvector.
 
@@ -193,8 +230,7 @@ def joint_eigenvalues(H: np.ndarray) -> np.ndarray:
     n, D, _ = H.shape
     if not D:
         return np.zeros((0, n), dtype=H.dtype)
-    c = np.random.default_rng(_COMBINATION_SEED).normal(size=n)
-    M = np.tensordot(c, H, axes=1)
+    M = np.tensordot(_combination(n), H, axes=1)
     if np.isrealobj(M):
         _, X = np.linalg.eigh(M)
         Xinv = X.T

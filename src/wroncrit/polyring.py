@@ -788,11 +788,12 @@ def parse_poly(s: str, ring) -> Poly:
 
 def _coeff_str(c) -> tuple[str, bool]:
     s = field_mod.format_scalar(c)
-    neg = s.startswith("-") and not any(op in s[1:] for op in "+-")
-    composite = any(op in (s[1:] if neg else s) for op in "+-") or "eps" in s
-    if composite:
+    tail = s[1:]
+    neg = s.startswith("-") and "+" not in tail and "-" not in tail
+    body = tail if neg else s
+    if "+" in body or "-" in body or "eps" in s:
         return f"({s})", False
-    return (s[1:] if neg else s), neg
+    return body, neg
 
 
 def format_poly(f: Poly, var: str = "x") -> str:
@@ -800,20 +801,23 @@ def format_poly(f: Poly, var: str = "x") -> str:
         return "0"
     parts = []
     one = f.ring.one()
+    minus_one = -one
+    # CC coefficients are Python complex, whose truth is their nonzeroness
+    nonzero = bool if f.ring == field_mod.CC else _nonzero
     for k in range(f.degree(), -1, -1):
-        c = f.coeff(k)
-        if not _nonzero(c):
+        c = f.coeffs[k]
+        if not nonzero(c):
             continue
-        body, neg = _coeff_str(c)
         if k == 0:
-            term = body
+            term, neg = _coeff_str(c)
         else:
             sym = var if k == 1 else f"{var}^{k}"
             if c == one:
                 term, neg = sym, False
-            elif c == -one:
+            elif c == minus_one:
                 term, neg = sym, True
             else:
+                body, neg = _coeff_str(c)
                 term = f"{body}*{sym}"
         if not parts:
             parts.append(f"-{term}" if neg else term)

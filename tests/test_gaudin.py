@@ -69,6 +69,53 @@ def test_adjacent_transpositions_satisfy_the_coxeter_relations(lam):
             assert np.abs(Si @ Sj - Sj @ Si).max() < 1e-14
 
 
+def element_loop_transpositions(lam):
+    # Young's orthogonal form entry by entry, as adjacent_transpositions built it
+    # before its table: the reference for the table-built stack
+    tabs = gaudin.standard_tableaux(lam)
+    index = {t: k for k, t in enumerate(tabs)}
+    contents = [gaudin._contents(t) for t in tabs]
+    S = np.zeros((max(sum(lam) - 1, 0), len(tabs), len(tabs)))
+    for j in range(len(S)):
+        for k, (t, c) in enumerate(zip(tabs, contents)):
+            rho = c[j + 1] - c[j]
+            S[j, k, k] = 1.0 / rho
+            if abs(rho) > 1:
+                swapped = t[:j] + (t[j + 1], t[j]) + t[j + 2:]
+                S[j, k, index[swapped]] = np.sqrt(1.0 - 1.0 / rho ** 2)
+    return S
+
+
+@pytest.mark.parametrize("lam", SHAPES + [(5, 5), (6, 4), (3, 2, 1), (1, 1, 1), (4,), (1, 2)],
+                         ids=str)
+def test_table_built_transpositions_are_bitwise_the_element_loop(lam):
+    want = element_loop_transpositions(lam)
+    for _ in range(2):  # the first call builds the shape's table, the second reads it
+        S = gaudin.adjacent_transpositions(lam)
+        assert S.shape == want.shape and S.dtype == want.dtype
+        assert np.array_equal(S.view(np.uint64), want.view(np.uint64))
+
+
+def test_hamiltonians_build_the_tableaux_once_per_shape(monkeypatch):
+    calls = []
+    tableaux = gaudin.standard_tableaux
+    monkeypatch.setattr(gaudin, "standard_tableaux",
+                        lambda lam: calls.append(lam) or tableaux(lam))
+    gaudin._orthogonal_form.cache_clear()
+    data = sl2(8, 3)
+    first, second = gaudin.hamiltonians(data), gaudin.hamiltonians(data)
+    assert calls == [(5, 3)]
+    assert np.array_equal(first, second)
+    gaudin.hamiltonians(sl3((2, 1), 5))
+    assert calls == [(5, 3), (3, 1, 1)]
+
+
+def test_cached_tables_are_read_only():
+    for a in (*gaudin._orthogonal_form((3, 2)), gaudin._combination(5)):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+
+
 def test_row_and_column_shapes_are_the_trivial_and_sign_representations():
     assert all(np.array_equal(S, [[1.0]]) for S in gaudin.adjacent_transpositions((4,)))
     assert all(np.array_equal(S, [[-1.0]]) for S in gaudin.adjacent_transpositions((1, 1, 1)))
@@ -307,15 +354,17 @@ def test_polish_returns_the_residual_of_the_rows_it_returns(monkeypatch):
 @pytest.mark.parametrize("data,D", [(sl2(10, 5), 42), (sl3((2, 1), 6), 10)],
                          ids=["sl2-n10-k5", "sl3-n6"])
 def test_bethe_route_evaluates_each_eigen_point_twice(data, D, monkeypatch):
-    # the raw points and the stepped points in _polish; the filter reads the
-    # residual _polish returns
-    rows = []
-    equations = bethe._critical_equations
+    # in _polish: the full equations at the raw points, the log-gradient
+    # alone at the stepped points; the filter reads the residual _polish returns
+    rows, residual_rows = [], []
+    equations, log_residual = bethe._critical_equations, bethe._log_residual
     monkeypatch.setattr(bethe, "_critical_equations",
                         lambda t, *a: rows.append(len(t)) or equations(t, *a))
+    monkeypatch.setattr(bethe, "_log_residual",
+                        lambda t, *a: residual_rows.append(len(t)) or log_residual(t, *a))
     orbits = solve_critical(data)
     assert gaudin.singular_dim(data) == len(orbits) == D
-    assert rows == [D, D]
+    assert rows == [D] and residual_rows == [D]
 
 
 def _rho(data):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wroncrit import polyring
 from wroncrit.errors import NotDivisible, NotMonic, ZeroInputs, ZeroPolynomial
-from wroncrit.field import QQ, DualRing, ExtElem, make_extension
+from wroncrit.field import CC, QQ, DualRing, ExtElem, format_scalar, make_extension
 from wroncrit.polyring import (
     Poly,
     div_rem,
@@ -80,6 +80,65 @@ def _coeffs_in(ring):
     lambda ring: st.lists(_coeffs_in(ring), max_size=6).map(lambda cs: Poly(ring, cs))))
 def test_parse_format_roundtrip(f):
     assert parse_poly(format_poly(f), f.ring) == f
+
+
+# the float coordinates and coefficients of a report: signed zeros, units,
+# exponents that print with a sign ("1e-05"), and real values as complex
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-05, -2.5e-07, 1e16, -3e+20, 0.5]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_CC_SCALARS = st.builds(complex, _FLOATS, st.one_of(st.just(0.0), st.just(-0.0), _FLOATS))
+
+
+def _reference_format_scalar(x: complex) -> str:
+    if x.imag == 0:
+        return repr(x.real)
+    return f"({x.real!r}{'+' if x.imag >= 0 else '-'}{abs(x.imag)!r}j)"
+
+
+def _reference_format_poly(f: Poly) -> str:
+    # format_poly and _coeff_str on CC before their complex fast paths
+    def coeff_str(c):
+        s = _reference_format_scalar(c)
+        neg = s.startswith("-") and not any(op in s[1:] for op in "+-")
+        composite = any(op in (s[1:] if neg else s) for op in "+-") or "eps" in s
+        if composite:
+            return f"({s})", False
+        return (s[1:] if neg else s), neg
+
+    if f.is_zero():
+        return "0"
+    parts = []
+    one = f.ring.one()
+    for k in range(f.degree(), -1, -1):
+        c = f.coeff(k)
+        if not c:
+            continue
+        body, neg = coeff_str(c)
+        if k == 0:
+            term = body
+        else:
+            sym = "x" if k == 1 else f"x^{k}"
+            if c == one:
+                term, neg = sym, False
+            elif c == -one:
+                term, neg = sym, True
+            else:
+                term = f"{body}*{sym}"
+        if not parts:
+            parts.append(f"-{term}" if neg else term)
+        else:
+            parts.append(f"- {term}" if neg else f"+ {term}")
+    return " ".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CC_SCALARS, max_size=6))
+@example([complex(1e-05, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0), 1j, complex(1.0, 0.0)])
+@example([complex(-2.5e-07, 0.0), complex(-1.0, 1e-05), -1j])
+def test_cc_formatting_is_the_generic_formatting(cs):
+    f = Poly(CC, cs)
+    assert format_poly(f) == _reference_format_poly(f)
+    assert [format_scalar(c) for c in cs] == [_reference_format_scalar(c) for c in cs]
 
 
 def test_eval_shift():
