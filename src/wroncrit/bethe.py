@@ -395,10 +395,9 @@ def _certify_exact(ys: list[Poly], T: Sequence[Poly], tol: float) -> Certificate
 # coefficients the Poly loop computes.
 
 def _coeff_rows(polys: Sequence[Poly]) -> np.ndarray:
-    # polynomials of one degree, embedded in CC once; CC coefficients are
-    # Python complex already
-    return np.array([f.coeffs if f.ring == CC else [CC.coerce(c) for c in f.coeffs]
-                     for f in polys], dtype=complex).reshape(len(polys), -1)
+    # polynomials of one degree, embedded in CC once
+    return np.array([[CC.coerce(c) for c in f.coeffs] for f in polys],
+                    dtype=complex).reshape(len(polys), -1)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -692,6 +691,11 @@ def _reciprocals(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
     return D, Dz, E, Ez
 
 
+def _log_gradient(C: np.ndarray, E: np.ndarray, WEz: np.ndarray) -> np.ndarray:
+    # r_p = sum_q C_pq/(t_p - t_q) - sum_s W_ps/(t_p - z_s), the log-gradient
+    return (C * E).sum(axis=2) - WEz.sum(axis=2)
+
+
 def _log_hessian(C: np.ndarray, E: np.ndarray, WEz: np.ndarray, Ez: np.ndarray) -> np.ndarray:
     # J_r = dr_p/dt_q, the Hessian of log Phi: C_pq/(t_p - t_q)^2 off the
     # diagonal, sum_s W_ps/(t_p - z_s)^2 - sum_q C_pq/(t_p - t_q)^2 on it
@@ -716,7 +720,7 @@ def _critical_equations(t: np.ndarray, C: np.ndarray, zs: np.ndarray,
     L = t.shape[1]
     D, Dz, E, Ez = _reciprocals(t, C, zs, W)
     WEz = W * Ez
-    r = (C * E).sum(axis=2) - WEz.sum(axis=2)
+    r = _log_gradient(C, E, WEz)
     w = np.where(C != 0, D, 1.0).prod(axis=2) * (Dz ** W).prod(axis=2)
     diag = np.arange(L)
     G = -E
@@ -761,10 +765,9 @@ def _near_collision(t: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray)
 
 
 def _log_residual(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray) -> np.ndarray:
-    # the largest log-gradient component of each point of the batch: the r of
-    # _critical_equations, in its order of operations, without F and J
+    # the largest log-gradient component of each point of the batch, without F and J
     _, _, E, Ez = _reciprocals(pts, C, zs, W)
-    return np.abs((C * E).sum(axis=2) - (W * Ez).sum(axis=2)).max(axis=1)
+    return np.abs(_log_gradient(C, E, W * Ez)).max(axis=1)
 
 
 def _accepted(pts: np.ndarray, C: np.ndarray, zs: np.ndarray, W: np.ndarray,

@@ -179,7 +179,7 @@ class Poly:
             return Poly._of(self.ring, _mul_nf(self.ring, self.coeffs, o.coeffs))
         out = [self.ring.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _nonzero(a):
+            if a:
                 for j, b in enumerate(o.coeffs):
                     out[i + j] = out[i + j] + a * b
         return Poly._of(self.ring, out)
@@ -245,7 +245,7 @@ class Poly:
             return
         c = list(self.coeffs)
         for i in range(len(c)):
-            if _nonzero(zc):
+            if zc:
                 for j in range(len(c) - 2, i - 1, -1):
                     c[j] = c[j] + zc * c[j + 1]
             yield c[i]
@@ -263,14 +263,8 @@ class Poly:
         return format_poly(self)
 
 
-def _nonzero(c) -> bool:
-    if isinstance(c, Fraction):
-        return c != 0
-    return bool(c)
-
-
 def _trimmed(self: Poly, ring, cs: list) -> None:
-    while cs and not _nonzero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     object.__setattr__(self, "ring", ring)
     object.__setattr__(self, "coeffs", tuple(cs))
@@ -415,7 +409,7 @@ def div_rem(f: Poly, y: Poly) -> tuple[Poly, Poly]:
     q = [f.ring.zero()] * qlen
     for k in range(qlen - 1, -1, -1):
         c = rem[k + dy] if inv is None else rem[k + dy] * inv
-        if _nonzero(c):
+        if c:
             q[k] = c
             for i, yc in enumerate(y.coeffs):
                 rem[k + i] = rem[k + i] - c * yc
@@ -768,7 +762,7 @@ def ord_at(f: Poly, z) -> int:
     coefficient there, so the Ruffini passes stop after ord + 1."""
     if f.is_zero():
         raise ZeroPolynomial("vanishing order of the zero polynomial")
-    return next(k for k, c in enumerate(f._taylor(z)) if _nonzero(c))
+    return next(k for k, c in enumerate(f._taylor(z)) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -802,11 +796,9 @@ def format_poly(f: Poly, var: str = "x") -> str:
     parts = []
     one = f.ring.one()
     minus_one = -one
-    # CC coefficients are Python complex, whose truth is their nonzeroness
-    nonzero = bool if f.ring == field_mod.CC else _nonzero
     for k in range(f.degree(), -1, -1):
         c = f.coeffs[k]
-        if not nonzero(c):
+        if not c:
             continue
         if k == 0:
             term, neg = _coeff_str(c)
