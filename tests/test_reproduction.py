@@ -10,14 +10,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wroncrit import reproduction, wronskian_eq
+from wroncrit import field, multiplicity, ramification, reproduction, wronskian_eq
 from wroncrit.errors import (
     DuplicatePoints,
     NotFertile,
     NotMonic,
+    VerificationFailed,
     WroncritError,
 )
 from wroncrit.field import QQ, make_extension
@@ -28,6 +29,7 @@ from wroncrit.polyring import (
     is_squarefree,
     ord_at,
     parse_poly,
+    partial_wronskians,
     wronskian,
     wronskian_pair,
 )
@@ -404,3 +406,135 @@ def test_fertility_and_mutation_take_no_gcd_with_a_weight(monkeypatch):
     mutate(t, 1)
     assert args       # the neighbour and square-free tests still take gcds
     assert not any(p in t.T for pair in args for p in pair)
+
+
+# -- exponents read off the partial Wronskians ------------------------------------
+
+OMEGA = make_extension("x^2+x+1")
+SQRT3 = make_extension("x^2-3")
+
+
+def _marked_points(ring):
+    if ring is QQ:
+        return (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+    w = ring.gen
+    return (ring.zero(), ring.one(), w, -ring.one() - w)
+
+
+@st.composite
+def prefix_bases(draw):
+    """A basis over QQ or Q(omega), each element a product of (x - z) over
+    drawn marked points (with multiplicity) and a drawn cofactor, so points
+    are roots of basis elements, degrees repeat and flags are not generic."""
+    ring = draw(st.sampled_from([QQ, OMEGA]))
+    pts = _marked_points(ring)
+    coeff = st.integers(-2, 2)
+    if ring is not QQ:
+        coeff = st.tuples(coeff, coeff).map(lambda ab: ring.coerce(ab[0]) + ab[1] * ring.gen)
+    basis = []
+    for _ in range(draw(st.integers(1, 4))):
+        roots = draw(st.lists(st.sampled_from(pts), max_size=3))
+        cofactor = Poly(ring, draw(st.lists(coeff, min_size=1, max_size=4)))
+        basis.append(Poly.from_roots(ring, roots) * cofactor)
+    return ring, pts, tuple(basis)
+
+
+def _prefix_sets(added):
+    return [tuple(sorted(added[:i])) for i in range(1, len(added) + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_bases())
+@example((QQ, _marked_points(QQ), (P("x^2"), P("x^2+x"), P("x^2+1"))))
+@example((QQ, _marked_points(QQ), (P("x^3-x^2"), P("x^2-x"), P("x^4-x^3"))))
+@example((OMEGA, _marked_points(OMEGA),
+          tuple(Poly.from_roots(OMEGA, [OMEGA.gen] * k) for k in (2, 0, 3))))
+def test_wronskian_exponents_equal_the_echelon_readers(case):
+    # ord_z Wr(E_i) = e_1 + ... + e_i - i(i-1)/2, and the same with degrees at
+    # infinity, for every prefix E_i = span(basis[:i]) of an independent basis
+    ring, pts, basis = case
+    wrs = partial_wronskians(basis)
+    assume(not any(W.is_zero() for W in wrs))
+    at_inf = reproduction._added_exponents([W.degree() for W in wrs])
+    assert _prefix_sets(at_inf) == [exponents_at_infinity(basis[:i])
+                                    for i in range(1, len(basis) + 1)]
+    for z in pts:
+        at_z = reproduction._added_exponents([ord_at(W, z) for W in wrs])
+        assert _prefix_sets(at_z) == [exponents_at(basis[:i], z)
+                                      for i in range(1, len(basis) + 1)]
+
+
+def _verification_message(t):
+    with pytest.raises(VerificationFailed) as err:
+        build_space(t)
+    return str(err.value)
+
+
+def test_build_space_names_a_wrong_finite_table(monkeypatch):
+    # every order of a weight reads one too high, so the tables say e_1(1) = 1
+    t = cuberoots_tuple()
+    real = reproduction.ord_at
+    monkeypatch.setattr(reproduction, "ord_at",
+                        lambda f, z: real(f, z) + any(f is Tj for Tj in t.T))
+    assert _verification_message(t) == "exponents of E_1 at 1: (0,), table says (1,)"
+
+
+def test_build_space_names_a_wrong_infinity_table(monkeypatch):
+    w = reproduction.infinity_labels([1], [0, 3])[1]
+    monkeypatch.setattr(reproduction, "infinity_labels", lambda l, degs: ((2, 3), w))
+    assert (_verification_message(cuberoots_tuple())
+            == "exponents of E_1 at infinity: (1,), table says (2,)")
+
+
+def test_build_space_names_a_colliding_degree_table(monkeypatch):
+    w = reproduction.infinity_labels([1], [0, 3])[1]
+    monkeypatch.setattr(reproduction, "infinity_labels", lambda l, degs: ((1, 1), w))
+    assert _verification_message(cuberoots_tuple()) == "degree table [1, 1] collides"
+
+
+@pytest.mark.parametrize("replacement, message", [
+    ("x^3 + 3", "Wr(u_1..u_2) is not a multiple of K_2 y_2"),
+    # Wr(x, x^5 - 4x^2) = 4x^2 (x^3 - 1)
+    ("x^5 - 4*x^2", "Wr(u_1..u_2) / (K_2 y_2) has positive degree 2"),
+])
+def test_build_space_names_a_wrong_wronskian(replacement, message, monkeypatch):
+    # the cascade's last entry is replaced, so u_2 is no longer x^3 + 2
+    real = reproduction.mutate
+
+    def wrong(t, i):
+        child, ytilde, c = real(t, i)
+        return child._with(y=(parse_poly(replacement, t.ring),)), ytilde, c
+
+    monkeypatch.setattr(reproduction, "mutate", wrong)
+    assert _verification_message(cuberoots_tuple()) == message
+
+
+def _flag_tuple(ring, N):
+    # weights at three marked points, grown by the mutations 1, .., N, then 2
+    one = ring.one()
+    pts = (ring.zero(), one, -one) if ring is QQ else (one, ring.gen, -one - ring.gen)
+    x = Poly.x(ring)
+    T = (x - pts[0], x - pts[1], x - pts[2], (x - pts[0]) * (x - pts[1]))[:N + 1]
+    t = FertileTuple(ring, (Poly.one(ring),) * N, T, pts)
+    for i in (*range(1, N + 1), min(2, N)):
+        t = mutate(t, i)[0]
+    return FertileTuple(ring, t.y, T, pts)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("build_space shifted or row reduced")
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("ring", [QQ, OMEGA, SQRT3], ids=["QQ", "Q(omega)", "Q(sqrt3)"])
+def test_build_space_neither_shifts_nor_row_reduces(ring, N, monkeypatch):
+    t = _flag_tuple(ring, N)
+    want = build_space(t)
+    monkeypatch.setattr(Poly, "shift", _refuse)
+    for mod in (field, ramification, multiplicity):
+        monkeypatch.setattr(mod, "row_reduce", _refuse)
+    for name in ("exponents_at", "exponents_at_infinity"):
+        monkeypatch.setattr(reproduction, name, _refuse)
+    space = build_space(t)
+    assert space == want
+    assert theta(space) == t.y
