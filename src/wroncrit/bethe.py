@@ -47,7 +47,6 @@ from .errors import (
     DuplicatePoints,
     EmptySector,
     Inadmissible,
-    NoCriticalPoints,
     NotASolution,
     NotCertified,
     NotIsolated,
@@ -70,6 +69,8 @@ _RESIDUAL_TOL = 1e-12  # largest log-gradient component of an accepted sample
 # takes the pseudoinverse above it (_gn_step)
 _LU_COND = 1e12
 _FAR_FACTOR = 1e3      # the filter drops samples beyond this multiple of the start radius
+_CERT_TOL = 1e-9       # certification tolerance, relative to the dividend's norm
+_SLICE_MAX_ORDER = 12  # dual-space order bound of a sliced component's isolated root
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +322,34 @@ class Certificate:
     kind: str
     mode: str
     residuals: tuple[float, ...]
-    tol: float
 
     def __str__(self):
         body = ", ".join(f"{r:.3e}" for r in self.residuals)
-        return f"{self.kind} [{self.mode}] residuals: {body or 'none'} (tol {self.tol:g})"
+        return f"{self.kind} [{self.mode}] residuals: {body or 'none'} (tol {_CERT_TOL:g})"
 
 
-def certify_divisibility(ys: Sequence[Poly], data: MasterData, tol: float = 1e-9) -> Certificate:
+def certify_divisibility(ys: Sequence[Poly], data: MasterData) -> Certificate:
     """Check y_i | Wr(y_i', T_i y_{i-1} y_{i+1}) for every level of one tuple.
 
-    The certificate of certify_tuples([ys], data, tol); raises the error that
+    The certificate of certify_tuples([ys], data); raises the error that
     refuses it: NotCertified naming the first level that fails, or
     DimensionMismatch for a tuple of the wrong length.
     """
-    out = certify_tuples([ys], data, tol)[0]
+    out = certify_tuples([ys], data)[0]
     if isinstance(out, WroncritError):
         raise out
     return out
 
 
-def certify_tuples(tuples: Sequence[Sequence[Poly]], data: MasterData,
-                   tol: float = 1e-9) -> list[Certificate | WroncritError]:
+def certify_tuples(tuples: Sequence[Sequence[Poly]],
+                   data: MasterData) -> list[Certificate | WroncritError]:
     """The divisibility certificate of each tuple, or the error that refuses it.
 
     Each tuple must satisfy y_i | Wr(y_i', T_i y_{i-1} y_{i+1}) at every
     level.  A tuple over exact rings takes exact remainders, and any nonzero
     one refuses it.  A tuple with a coefficient over CC is checked in
-    floating point against tol: at level i the remainder norm must stay
-    below tol (1 + ||w||), w the dividend and ||.|| the largest coefficient
+    floating point: at level i the remainder norm must stay below
+    _CERT_TOL (1 + ||w||), w the dividend and ||.|| the largest coefficient
     modulus.  The floating tuples are checked together, one stack per
     degree pattern (_certify_stacked), with each T_i embedded once.  A
     refused tuple gets NotCertified naming its first failing level (or the
@@ -366,18 +366,18 @@ def certify_tuples(tuples: Sequence[Sequence[Poly]], data: MasterData,
             stacks.setdefault(tuple(y.degree() for y in ys), []).append(k)
         else:
             try:
-                out[k] = _certify_exact(ys, data.T, tol)
+                out[k] = _certify_exact(ys, data.T)
             except WroncritError as e:
                 out[k] = e
     if stacks:
         T = [_coeff_rows([f]) for f in data.T]
         for idx in stacks.values():
-            for k, cert in zip(idx, _certify_stacked([tuples[k] for k in idx], T, tol)):
+            for k, cert in zip(idx, _certify_stacked([tuples[k] for k in idx], T)):
                 out[k] = cert
     return out
 
 
-def _certify_exact(ys: list[Poly], T: Sequence[Poly], tol: float) -> Certificate:
+def _certify_exact(ys: list[Poly], T: Sequence[Poly]) -> Certificate:
     one = Poly.one(ys[0].ring)
     for i in range(len(ys)):
         lo = ys[i - 1] if i > 0 else one
@@ -385,7 +385,7 @@ def _certify_exact(ys: list[Poly], T: Sequence[Poly], tol: float) -> Certificate
         _, rem = div_rem(wronskian_pair(ys[i].deriv(), T[i] * lo * hi), ys[i])
         if not rem.is_zero():
             raise NotCertified(f"level {i + 1}: nonzero remainder {format_poly(rem)}")
-    return Certificate("divisibility", "exact", (0.0,) * len(ys), tol)
+    return Certificate("divisibility", "exact", (0.0,) * len(ys))
 
 
 # -- stacked coefficient rows: row s of an (S, n) array holds the coefficients
@@ -453,8 +453,8 @@ def _rem_rows(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return rem[:, :dy]
 
 
-def _certify_stacked(tuples: Sequence[Sequence[Poly]], T: Sequence[np.ndarray],
-                     tol: float) -> list[Certificate | WroncritError]:
+def _certify_stacked(tuples: Sequence[Sequence[Poly]],
+                     T: Sequence[np.ndarray]) -> list[Certificate | WroncritError]:
     """certify_tuples on floating tuples of one degree pattern, level by level.
 
     Level i of every tuple is one row of a coefficient stack, so
@@ -481,34 +481,34 @@ def _certify_stacked(tuples: Sequence[Sequence[Poly]], T: Sequence[np.ndarray],
         for s, (r, wn) in enumerate(zip(rem_norm, w_norm)):
             if errors[s] is not None:
                 continue
-            bound = tol * (1.0 + wn)
+            bound = _CERT_TOL * (1.0 + wn)
             if not r <= bound:
                 errors[s] = NotCertified(
                     f"level {i + 1}: remainder norm {r:.3e} exceeds {bound:.3e}")
             resid[s].append(r)
-    return [e or Certificate("divisibility", "numeric", tuple(r), tol)
+    return [e or Certificate("divisibility", "numeric", tuple(r))
             for e, r in zip(errors, resid)]
 
 
-def certify_critical(data: MasterData, point, tol: float = 1e-9) -> Certificate:
+def certify_critical(data: MasterData, point) -> Certificate:
     """Check that a given admissible point solves the critical equations.
 
     Exact coordinates must give an exactly zero gradient; floating ones must
-    get within tol.  Raises Inadmissible or NotCertified.
+    get within _CERT_TOL.  Raises Inadmissible or NotCertified.
     """
     res = bethe_residual(point, data)
     vals = [t for lev in res for t in lev]
     if _is_numeric_point(point):
         worst = max((abs(complex(v)) for v in vals), default=0.0)
-        if worst > tol:
-            raise NotCertified(f"gradient norm {worst:.3e} exceeds tol {tol:g}")
-        return Certificate("critical point", "numeric", (worst,), tol)
+        if worst > _CERT_TOL:
+            raise NotCertified(f"gradient norm {worst:.3e} exceeds tol {_CERT_TOL:g}")
+        return Certificate("critical point", "numeric", (worst,))
     for lev_i, lev in enumerate(res, start=1):
         for j, v in enumerate(lev, start=1):
             if v != data.ring.zero():
                 raise NotCertified(
                     f"gradient component ({lev_i},{j}) is {format_scalar(v)}, not 0")
-    return Certificate("critical point", "exact", (0.0,) * bool(vals), tol)
+    return Certificate("critical point", "exact", (0.0,) * bool(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -572,27 +572,27 @@ def _sector_of(data: MasterData) -> SectorSpec:
 
     The labels are infinity_labels of the level sizes and the weight degrees
     deg T_j = sum_s m_s(j), with deg T_0 = 0.  Negative or colliding labels
-    mean the master function has no critical points at all; that raises
-    NoCriticalPoints.
+    mean that no space realizes the data, so the master function has no
+    critical points at all; that raises NotRealizable.
     """
     weights = (0, *(sum(m[j] for _, m in data.points) for j in range(data.N)))
     c, w = infinity_labels(data.l, weights)
     for i, ci in enumerate(c, start=1):
         if ci < 0:
-            raise NoCriticalPoints(f"label c_{i} = {ci} is negative")
+            raise NotRealizable(f"label c_{i} = {ci} is negative")
     if len(set(c)) != len(c):
-        raise NoCriticalPoints(f"labels {c} collide")
+        raise NotRealizable(f"labels {c} collide")
     return SectorSpec(tuple(sorted(c, reverse=True)), w)
 
 
 def translate_master(data: MasterData) -> tuple[BasicSituation, SectorSpec]:
     """Marked-point problem and sector solved by the critical points of ``data``.
 
-    The sector comes from the labels at infinity (_sector_of, which raises
-    NoCriticalPoints), and the basic situation has d the largest label.
-    validate_basic raises NotRealizable when a marked point's sequence does
-    not fit that d: then no space realizes the data, and the master
-    function has no critical point.
+    The sector comes from the labels at infinity (_sector_of), and the
+    basic situation has d the largest label.  Both raise NotRealizable when
+    no space realizes the data: _sector_of on negative or colliding labels,
+    validate_basic when a marked point's sequence does not fit that d.  Then
+    the master function has no critical point.
     """
     N = data.N
     sector = _sector_of(data)
@@ -957,7 +957,7 @@ def induced_space(ys: Sequence[Poly], data: MasterData) -> np.ndarray:
 
 
 def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex],
-                           rng: np.random.Generator, max_order: int = 12) -> tuple[int, int]:
+                           rng: np.random.Generator) -> tuple[int, int]:
     """(local dimension, transversal multiplicity) at a non-isolated sample.
 
     Cuts the solution set by random affine hyperplanes through the sample,
@@ -977,7 +977,7 @@ def component_multiplicity(system: MultivariateSystem, sample: Sequence[complex]
         polys.append(MPoly(n, terms))
         sliced = MultivariateSystem(system.names, tuple(polys))
         try:
-            res = local_multiplicity(sliced, tuple(sample), max_order=max_order)
+            res = local_multiplicity(sliced, tuple(sample), max_order=_SLICE_MAX_ORDER)
         except NotIsolated:
             continue
         return dim, res.multiplicity
@@ -1214,10 +1214,10 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
                    basic: BasicSituation | None = None) -> list[CriticalOrbit]:
     """All critical orbits of a master function: solved in the point sector, built elsewhere.
 
-    Deterministic for fixed (data, starts, seed).  Data with no critical
-    point give []: negative or colliding labels (NoCriticalPoints), or a
-    marked point whose sequence no space realizes (translate_master's
-    NotRealizable).  ``basic`` is the basic situation of ``data``
+    Deterministic for fixed (data, starts, seed).  Data that no space
+    realizes (translate_master's NotRealizable: negative or colliding
+    labels, or a marked point's sequence that does not fit d) have no
+    critical point and give [].  ``basic`` is the basic situation of ``data``
     (translate_master); a caller that holds it passes it, and ``data`` is
     not translated again.  When the sector of
     ``data`` is not the point sector of its basic situation, that point
@@ -1252,7 +1252,7 @@ def solve_critical(data: MasterData, starts: int = 200, seed: int = 0,
         sector = _sector_of(data)
         if basic is None:
             basic = translate_master(data)[0]
-    except (NoCriticalPoints, NotRealizable):  # no space realizes the data
+    except NotRealizable:  # no space realizes the data
         return []
 
     point = point_sector(basic.N)

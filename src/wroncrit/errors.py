@@ -101,10 +101,6 @@ class EmptySector(WroncritError):
     pass
 
 
-class NoCriticalPoints(WroncritError):
-    pass
-
-
 class NotCertified(WroncritError):
     pass
 

@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Any
 
 from .errors import (
+    DependentBasis,
     DimensionMismatch,
     DuplicatePoints,
     IdentityFailed,
@@ -240,9 +241,9 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     """Reproduce in direction i: swap y_i for a generic mutated partner.
 
     Returns the new tuple, the monic replacement, and the ladder constant
-    that made it generic.  The replacement is rechecked against the
-    Wronskian equation before scaling, and the new tuple's fertility is
-    verified; its report becomes the new tuple's ``verified``.
+    that made it generic.  The replacement particular + c y_i is not checked
+    again: solve verified the particular solution, and Wr(y_i, y_i) = 0.
+    The new tuple's fertility is verified and becomes its ``verified``.
 
     The new report starts from t's: t.verified, or is_fertile(t) for a
     tuple that carries none.  Only the divisibility conditions at levels
@@ -260,11 +261,7 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     # the marked points are the roots of T_0..T_N
     avoid = [t.marked, t.y_at(i - 1), t.y_at(i + 1)]
     cand, c = generic_candidate(sol.particular, yi, avoid_roots_of=avoid)
-    if wronskian_pair(yi, cand) != target:
-        raise VerificationFailed(f"mutated y_{i} fails its defining equation")
     ytilde = cand.monic()
-    if ytilde.is_zero() or not ytilde.is_monic():
-        raise NotMonic(f"y_{i} must be monic")
     new_t = t._with(y=t.y[:i - 1] + (ytilde,) + t.y[i:], verified=None)
     levels = list((t.verified or is_fertile(t)).levels)
     # generic_candidate took the candidate square free and coprime to
@@ -325,9 +322,10 @@ def build_space(t: FertileTuple) -> PolySpace:
     nothing is kept on t.  All three conclusions are then verified: the
     Wronskian family (every Wr(u_1..u_i), read off one expansion by
     partial_wronskians), the finite exponent tables, and the degrees at
-    infinity.  The exponents of each prefix E_i = span(u_1..u_i) are read
-    off the vanishing orders and degrees of those Wronskians
-    (_added_exponents); nothing is shifted or row reduced.
+    infinity; a zero Wr(u_1..u_i) raises DependentBasis.  The exponents of
+    each prefix E_i = span(u_1..u_i) are read off the vanishing orders and
+    degrees of those Wronskians (_added_exponents); nothing is shifted or
+    row reduced.
     """
     report = is_fertile(t)
     if not report.ok:
@@ -344,6 +342,8 @@ def build_space(t: FertileTuple) -> PolySpace:
     wrs = partial_wronskians(basis)
     kappa = []
     for i in range(1, t.N + 2):
+        if wrs[i - 1].is_zero():
+            raise DependentBasis(f"u_1..u_{i} are linearly dependent: Wr(u_1..u_{i}) = 0")
         target = K[i] * t.y_at(i)
         try:
             q = exact_div(wrs[i - 1], target)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ExhaustedLadder,
+    NotMonic,
     NotSolvable,
     NotSquareFree,
     VerificationFailed,
@@ -43,7 +44,7 @@ class WronskianSolution:
 
 def _require_monic(y: Poly) -> None:
     if y.is_zero() or not y.is_monic():
-        raise NotSquareFree("y must be monic")
+        raise NotMonic("y must be monic")
 
 
 def solvable(y: Poly, t: Poly) -> bool:

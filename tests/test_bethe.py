@@ -48,9 +48,9 @@ from wroncrit.errors import (
     DuplicatePoints,
     EmptySector,
     Inadmissible,
-    NoCriticalPoints,
     NotCertified,
     NotIsolated,
+    NotRealizable,
     ZeroPolynomial,
 )
 from wroncrit.field import CC, QQ, embed_scalar, make_extension
@@ -205,10 +205,10 @@ def test_certify_critical_sqrt3():
 
 def test_certify_critical_numeric():
     data = rational_data()
-    cert = certify_critical(data, [[R3 + 0j]], tol=1e-9)
+    cert = certify_critical(data, [[R3 + 0j]])
     assert cert.mode == "numeric" and cert.residuals[0] < 1e-9
     with pytest.raises(NotCertified):
-        certify_critical(data, [[0.25 + 0j]], tol=1e-9)
+        certify_critical(data, [[0.25 + 0j]])
 
 
 def test_certify_divisibility():
@@ -227,7 +227,7 @@ def test_certify_divisibility():
 
 def test_certify_divisibility_numeric():
     y = gamma([[R3 + 0j]])[0]
-    cert = certify_divisibility([y], rational_data(), tol=1e-9)
+    cert = certify_divisibility([y], rational_data())
     assert cert.mode == "numeric" and cert.residuals[0] < 1e-9
     with pytest.raises(NotCertified):
         certify_divisibility([parse_poly("x", QQ).to_ring(CC)], rational_data())
@@ -412,11 +412,19 @@ def test_sector_lengths_guards():
 
 
 def test_no_critical_points():
-    # l = (1,), one simple weight: labels come out (1, 1) and collide
-    data = MasterData(QQ, (1,), ((0, (1,)),))
-    with pytest.raises(NoCriticalPoints):
-        translate_master(data)
-    assert solve_critical(data, starts=4, seed=0) == []
+    # l = (1,) at one point: no space realizes the data
+    for weight, message in (
+        # one simple weight: labels come out (1, 1) and collide
+        (1, r"labels \(1, 1\) collide"),
+        # weight 2: the labels (2, 1) name the point sector, so the data are
+        # their own point sector, yet d = 2 leaves no room for (2, 0) at 0;
+        # solve_critical must still translate them to find that out
+        (2, r"leading entry 2 exceeds d - N = 1"),
+    ):
+        data = MasterData(QQ, (1,), ((0, (weight,)),))
+        with pytest.raises(NotRealizable, match=message):
+            translate_master(data)
+        assert solve_critical(data, starts=4, seed=0) == []
 
 
 def test_empty_point_solver():

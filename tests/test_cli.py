@@ -209,6 +209,8 @@ def test_wronskian_solve_cmd(capsys):
     assert "x^3+2" in out.replace(" ", "")
     assert main(["wronskian-solve", "x^2", "x"]) == 1   # square-free gate
     capsys.readouterr()
+    assert main(["wronskian-solve", "2*x", "1"]) == 3   # not monic: a data error
+    assert capsys.readouterr().err == "error: y must be monic\n"
 
 
 def test_wronskian_solve_cmd_number_field(capsys):
@@ -420,10 +422,37 @@ def test_master_data_that_no_space_realizes_have_no_critical_point(tmp_path, cap
     for command in (["validate"], ["from-master"], ["verify", "--exact-tuple", "x^2"]):
         assert main([*command, str(path)]) == 3
         assert capsys.readouterr().err == "error: leading entry 2 exceeds d - N = 1\n"
-    # colliding labels (1, 1) keep their named exit
-    path.write_text(json.dumps({"l": [1], "points": [{"z": "0", "m": [1]}]}))
-    assert main(["verify", str(path)]) == 1
-    assert capsys.readouterr().err == "error: labels (1, 1) collide\n"
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (3, 2, "labels (2, 2) collide"),
+    (5, 3, "labels (3, 3) collide"),
+    (7, 4, "labels (4, 4) collide"),
+    (3, 5, "label c_2 = -1 is negative"),
+    (4, 6, "label c_2 = -1 is negative"),
+])
+def test_labels_that_collide_or_go_negative_read_like_unrealizable_data(n, k, message,
+                                                                        tmp_path, capsys):
+    # sl2 at the first n ladder points 0, 1, -1, 2, .. with l = (k,): no space
+    # realizes the labels at infinity, and the closed form C(n, k) - C(n, k-1)
+    # is 0, so every command reads the data as it reads UNREALIZABLE
+    assert oracles.sl2_count(n, k) == 0
+    zs = [(-1) ** (j + 1) * ((j + 1) // 2) for j in range(n)]
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"l": [k], "points": [{"z": str(z), "m": [1]} for z in zs]}))
+    assert solve_critical(load_problem(str(path))) == []
+    assert main(["verify", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "MATCH" and report["lr_target"] == 0
+    assert report["sectors"] == {
+        "own": {"l": [k], "orbits": [], "multiplicity_sum": 0, "verdict": "MATCH"}}
+    assert main(["lr", str(path)]) == 0
+    assert capsys.readouterr().out == "intersection number: 0\n"
+    assert main(["bethe-solve", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"own": {"l": [k], "orbits": []}}
+    for command in ("validate", "from-master"):
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_no_sector_of_the_base_point_situation_has_a_critical_point():

@@ -17,7 +17,7 @@ from wroncrit import bethe, cli, gaudin
 from wroncrit.bethe import MasterData, master_from_sector, point_sector, solve_critical, \
     translate_master
 from wroncrit.cli import _basic_of, load_problem, run_verify
-from wroncrit.errors import NoCriticalPoints
+from wroncrit.errors import NotRealizable
 from wroncrit.field import QQ, embed_scalar, make_extension
 from wroncrit.schubert import intersection_number
 
@@ -467,7 +467,7 @@ def test_verify_reports_the_route_when_the_point_sector_has_no_critical_points(m
     point = master_from_sector(basic, point_sector(basic.N))
 
     def no_points(data):
-        raise NoCriticalPoints("labels collide")
+        raise NotRealizable("labels collide")
 
     monkeypatch.setattr(bethe, "_sector_of", no_points)
     out = run_verify(basic)

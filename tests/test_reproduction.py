@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from wroncrit import field, multiplicity, ramification, reproduction, wronskian_eq
 from wroncrit.errors import (
+    DependentBasis,
     DuplicatePoints,
     NotFertile,
     NotMonic,
@@ -283,6 +284,11 @@ def test_mutate_picks_the_reference_ladder_constant(plan):
             assert not is_fertile(ref).ok
             return
         assert c == want
+        # the replacement solves the Wronskian equation up to its monic
+        # scaling: mutate trusts solve's check of the particular solution
+        ytilde = t.y_at(i)
+        assert ytilde == cand.monic()
+        assert wronskian_pair(yi, ytilde) * cand.lead() == t.rhs(i)
         if max(p.degree() for p in t.y) > 6:
             break
 
@@ -492,12 +498,7 @@ def test_build_space_names_a_colliding_degree_table(monkeypatch):
     assert _verification_message(cuberoots_tuple()) == "degree table [1, 1] collides"
 
 
-@pytest.mark.parametrize("replacement, message", [
-    ("x^3 + 3", "Wr(u_1..u_2) is not a multiple of K_2 y_2"),
-    # Wr(x, x^5 - 4x^2) = 4x^2 (x^3 - 1)
-    ("x^5 - 4*x^2", "Wr(u_1..u_2) / (K_2 y_2) has positive degree 2"),
-])
-def test_build_space_names_a_wrong_wronskian(replacement, message, monkeypatch):
+def _replacing_last_entry(monkeypatch, replacement):
     # the cascade's last entry is replaced, so u_2 is no longer x^3 + 2
     real = reproduction.mutate
 
@@ -506,7 +507,24 @@ def test_build_space_names_a_wrong_wronskian(replacement, message, monkeypatch):
         return child._with(y=(parse_poly(replacement, t.ring),)), ytilde, c
 
     monkeypatch.setattr(reproduction, "mutate", wrong)
+
+
+@pytest.mark.parametrize("replacement, message", [
+    ("x^3 + 3", "Wr(u_1..u_2) is not a multiple of K_2 y_2"),
+    # Wr(x, x^5 - 4x^2) = 4x^2 (x^3 - 1)
+    ("x^5 - 4*x^2", "Wr(u_1..u_2) / (K_2 y_2) has positive degree 2"),
+])
+def test_build_space_names_a_wrong_wronskian(replacement, message, monkeypatch):
+    _replacing_last_entry(monkeypatch, replacement)
     assert _verification_message(cuberoots_tuple()) == message
+
+
+def test_build_space_names_a_dependent_basis(monkeypatch):
+    # u_2 = u_1 = x: the zero Wronskian is named, not the zero quotient's degree
+    _replacing_last_entry(monkeypatch, "x")
+    with pytest.raises(DependentBasis) as err:
+        build_space(cuberoots_tuple())
+    assert str(err.value) == "u_1..u_2 are linearly dependent: Wr(u_1..u_2) = 0"
 
 
 def _flag_tuple(ring, N):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from wroncrit.errors import ExhaustedLadder, NotSolvable, NotSquareFree
+from wroncrit.errors import ExhaustedLadder, NotMonic, NotSolvable, NotSquareFree
 from wroncrit.field import QQ
 from wroncrit.polyring import Poly, div_rem, parse_poly, wronskian_pair
 from wroncrit.wronskian_eq import generic_candidate, solvable, solve
@@ -144,10 +144,11 @@ def test_unsolvable_raises():
 def test_squarefree_gate():
     with pytest.raises(NotSquareFree):
         solvable(P("x^2"), P("x"))
-    with pytest.raises(NotSquareFree):
-        solvable(P("2*x"), P("x"))   # not monic
-    for y, t in (("x^2", "x"), ("x^2", "0"), ("2*x", "x")):
-        with pytest.raises(NotSquareFree):
+    with pytest.raises(NotMonic, match="y must be monic"):
+        solvable(P("2*x"), P("x"))
+    for y, t, error in (("x^2", "x", NotSquareFree), ("x^2", "0", NotSquareFree),
+                        ("2*x", "x", NotMonic)):
+        with pytest.raises(error):
             solve(P(y), P(t))
 
 
