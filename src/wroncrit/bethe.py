@@ -350,11 +350,12 @@ def certify_tuples(tuples: Sequence[Sequence[Poly]],
     one refuses it.  A tuple with a coefficient over CC is checked in
     floating point: at level i the remainder norm must stay below
     _CERT_TOL (1 + ||w||), w the dividend and ||.|| the largest coefficient
-    modulus.  The floating tuples are checked together, one stack per
-    degree pattern (_certify_stacked), with each T_i embedded once.  A
-    refused tuple gets NotCertified naming its first failing level (or the
-    error its arithmetic raised); one of the wrong length gets
-    DimensionMismatch.
+    modulus.  The floating tuples are checked together in numpy's complex
+    arithmetic, one stack per degree pattern (_certify_stacked), with each
+    T_i embedded once; a residual is that of the Poly loop over CC up to
+    rounding.  A refused tuple gets NotCertified naming its first failing
+    level (or the error its arithmetic raised); one of the wrong length
+    gets DimensionMismatch.
     """
     tuples = [list(ys) for ys in tuples]
     out: list = [None] * len(tuples)
@@ -390,26 +391,12 @@ def _certify_exact(ys: list[Poly], T: Sequence[Poly]) -> Certificate:
 
 # -- stacked coefficient rows: row s of an (S, n) array holds the coefficients
 # of a polynomial of degree n - 1 (n = 0 for the zero polynomial), lowest
-# first.  Products and moduli are rounded as Python's complex rounds them
-# (numpy's complex product may fuse its terms), so each row is bitwise the
-# coefficients the Poly loop computes.
+# first, in numpy's complex arithmetic.
 
 def _coeff_rows(polys: Sequence[Poly]) -> np.ndarray:
     # polynomials of one degree, embedded in CC once
     return np.array([[CC.coerce(c) for c in f.coeffs] for f in polys],
                     dtype=complex).reshape(len(polys), -1)
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _modulus(A: np.ndarray) -> np.ndarray:
-    # the largest coefficient modulus of each row, 0 for the zero polynomial
-    return np.hypot(A.real, A.imag).max(axis=1, initial=0.0)
 
 
 def _mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -418,7 +405,7 @@ def _mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return np.zeros((max(len(A), len(B)), 0), dtype=complex)
     out = np.zeros((max(len(A), len(B)), A.shape[1] + B.shape[1] - 1), dtype=complex)
     for i in range(A.shape[1]):
-        out[:, i:i + B.shape[1]] += _cmul(A[:, i, None], B)
+        out[:, i:i + B.shape[1]] += A[:, i, None] * B
     return out
 
 
@@ -435,21 +422,17 @@ def _sub_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _rem_rows(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Remainders of the rows of F by the rows of Y (nonzero), as div_rem takes them.
+    """Remainders of the rows of F by the rows of Y (nonzero).
 
     Synthetic division from the top: each quotient term is the top of the
-    running remainder, times the inverse of the divisor's lead unless that
-    lead is 1, and the term times the whole divisor leaves the remainder.
+    running remainder times 1 / lead of its divisor, and the term times the
+    whole divisor leaves the remainder.
     """
     rem = F.copy()
     dy = Y.shape[1] - 1
-    monic = Y[:, -1] == 1
-    inv = None if monic.all() else np.array([1 / v for v in Y[:, -1].tolist()], dtype=complex)
+    inv = 1 / Y[:, -1]
     for k in range(rem.shape[1] - dy - 1, -1, -1):
-        c = rem[:, k + dy]
-        if inv is not None:
-            c = np.where(monic, c, _cmul(c, inv))
-        rem[:, k:k + dy + 1] -= _cmul(c[:, None], Y)
+        rem[:, k:k + dy + 1] -= (rem[:, k + dy] * inv)[:, None] * Y
     return rem[:, :dy]
 
 
@@ -460,8 +443,9 @@ def _certify_stacked(tuples: Sequence[Sequence[Poly]],
     Level i of every tuple is one row of a coefficient stack, so
     Wr(y_i', T_i y_{i-1} y_{i+1}) = y_i'' g - y_i' g' with g = T_i y_{i-1}
     y_{i+1} and its remainder by y_i are formed for all tuples at once,
-    in the order of operations of the Poly loop of _certify_exact.  T holds
-    the embedded rows of T_1..T_N.
+    by the products and the division of the Poly loop of _certify_exact
+    in numpy's complex arithmetic, so a residual is the loop's up to
+    rounding.  T holds the embedded rows of T_1..T_N.
     """
     ys = [_coeff_rows([t[i] for t in tuples]) for i in range(len(tuples[0]))]
     errors: list[WroncritError | None] = [None] * len(tuples)
@@ -477,7 +461,8 @@ def _certify_stacked(tuples: Sequence[Sequence[Poly]],
             g = _mul_rows(g, ys[i + 1])
         d1 = _deriv_rows(y)
         w = _sub_rows(_mul_rows(_deriv_rows(d1), g), _mul_rows(d1, _deriv_rows(g)))
-        rem_norm, w_norm = _modulus(_rem_rows(w, y)).tolist(), _modulus(w).tolist()
+        rem_norm = np.abs(_rem_rows(w, y)).max(axis=1, initial=0.0).tolist()
+        w_norm = np.abs(w).max(axis=1, initial=0.0).tolist()
         for s, (r, wn) in enumerate(zip(rem_norm, w_norm)):
             if errors[s] is not None:
                 continue

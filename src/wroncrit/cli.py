@@ -43,7 +43,6 @@ from .errors import (
     DuplicatePoints,
     EmptySector,
     MixedFields,
-    NegativeLength,
     NotIrreducible,
     NotMonic,
     NotRealizable,
@@ -66,7 +65,7 @@ _DATA_EXIT = 3
 _UNDER_EXIT = 4
 _OVER_EXIT = 5
 
-_DATA_ERRORS = (DimensionMismatch, NotRealizable, NegativeLength, DuplicatePoints,
+_DATA_ERRORS = (DimensionMismatch, NotRealizable, DuplicatePoints,
                 NotMonic, NotIrreducible, MixedFields)
 
 

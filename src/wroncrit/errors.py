@@ -65,10 +65,6 @@ class DimensionMismatch(WroncritError):
     pass
 
 
-class NegativeLength(WroncritError):
-    pass
-
-
 class DuplicatePoints(WroncritError):
     pass
 

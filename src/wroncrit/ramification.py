@@ -27,7 +27,6 @@ from .errors import (
     DependentBasis,
     DimensionMismatch,
     DuplicatePoints,
-    NegativeLength,
     NotRealizable,
 )
 from .field import format_scalar, row_reduce
@@ -221,8 +220,8 @@ def validate_basic(ring, d: int, N: int, points, infinity) -> BasicSituation:
     read).
 
     points: iterable of (z, sequence); z is coerced into ring.  Raises
-    DuplicatePoints, DimensionMismatch (total weight is off), NotRealizable
-    (a sequence is malformed) or NegativeLength.
+    DuplicatePoints, DimensionMismatch (total weight is off) or
+    NotRealizable (a sequence is malformed or a length l_i is negative).
     """
     d, N = as_int(d, "d"), as_int(N, "N")
     if N < 1 or d < N:
@@ -250,7 +249,7 @@ def validate_basic(ring, d: int, N: int, points, infinity) -> BasicSituation:
     for i in range(1, N + 1):
         li = i * (d - i + 1) - _tail_sum(a_inf, i) - sum(es[i] for es in e)
         if li < 0:
-            raise NegativeLength(f"l_{i} = {li} < 0")
+            raise NotRealizable(f"l_{i} = {li} < 0")
         lengths.append(li)
 
     return BasicSituation(ring, d, N, tuple(pts), a_inf, tuple(lengths), e)

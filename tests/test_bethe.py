@@ -19,6 +19,7 @@ import pytest
 
 from wroncrit import bethe, gaudin
 from wroncrit.bethe import (
+    Certificate,
     MasterData,
     _coupling_matrix,
     _critical_equations,
@@ -233,28 +234,46 @@ def test_certify_divisibility_numeric():
         certify_divisibility([parse_poly("x", QQ).to_ring(CC)], rational_data())
 
 
-def poly_loop_certificate(ys, data, tol=1e-9):
+def poly_loop_levels(ys, data, tol=1e-9):
     """The numeric divisibility check one tuple at a time, by Poly arithmetic
-    over CC: the residual per level, or the message of the first failing one."""
+    over CC: the remainder norm and its bound tol (1 + ||w||), per level."""
     ys = [y.to_ring(CC) for y in ys]
     T = [f.to_ring(CC) for f in data.T]
     one = Poly.one(CC)
-    resid = []
+    out = []
     for i in range(len(ys)):
         lo = ys[i - 1] if i > 0 else one
         hi = ys[i + 1] if i + 1 < len(ys) else one
         w = wronskian_pair(ys[i].deriv(), T[i] * lo * hi)
         _, rem = div_rem(w, ys[i])
         bound = tol * (1.0 + max((abs(c) for c in w.coeffs), default=0.0))
-        r = max((abs(c) for c in rem.coeffs), default=0.0)
+        out.append((max((abs(c) for c in rem.coeffs), default=0.0), bound))
+    return out
+
+
+def poly_loop_certificate(ys, data):
+    """The Poly loop's residual per level, or the message of the first
+    failing one."""
+    resid = []
+    for i, (r, bound) in enumerate(poly_loop_levels(ys, data), start=1):
         if r > bound:
-            return f"level {i + 1}: remainder norm {r:.3e} exceeds {bound:.3e}"
+            return f"level {i}: remainder norm {r:.3e} exceeds {bound:.3e}"
         resid.append(r)
     return tuple(resid)
 
 
-def stacked_outcome(cert):
-    return str(cert) if isinstance(cert, NotCertified) else cert.residuals
+def assert_certifies_as_the_poly_loop(got, ys, data):
+    """The same verdict as the Poly loop: the same message where it refuses
+    the tuple, else every residual within 1e-3 of its level's bound of the
+    loop's (the stack rounds in numpy's complex arithmetic)."""
+    want = poly_loop_certificate(ys, data)
+    if isinstance(want, str):
+        assert isinstance(got, NotCertified) and str(got) == want
+        return
+    assert isinstance(got, Certificate) and got.mode == "numeric"
+    assert len(got.residuals) == len(want)
+    for r, w, (_, bound) in zip(got.residuals, want, poly_loop_levels(ys, data)):
+        assert abs(r - w) <= 1e-3 * bound
 
 
 def _sector_orbits():
@@ -272,10 +291,22 @@ def test_certify_tuples_is_the_poly_loop_on_every_orbit_of_a_sector():
     for data, orbits in _sector_orbits():
         tuples = [o.tuple_y for o in orbits]
         assert tuples and all(y.ring == CC for t in tuples for y in t)
-        got = certify_tuples(tuples, data)
-        assert [stacked_outcome(c) for c in got] == \
-            [poly_loop_certificate(t, data) for t in tuples]
-        assert all(c.mode == "numeric" for c in got)
+        for cert, ys in zip(certify_tuples(tuples, data), tuples):
+            assert_certifies_as_the_poly_loop(cert, ys, data)
+
+
+def test_certify_tuples_mixes_monic_and_scaled_divisors_in_one_stack():
+    # every orbit of sl2 n10k5 with level 1 of one tuple scaled by 2+1j: one
+    # degree pattern, one stack, whose divisors are monic but for one row;
+    # y | Wr(y', T) is unchanged by the scaling, so every tuple certifies
+    data = sl2_ladder_data(10, 5)
+    tuples = [list(o.tuple_y) for o in solve_critical(data)]
+    tuples[3][0] = tuples[3][0] * Poly(CC, [2 + 1j])
+    assert len({tuple(y.degree() for y in ys) for ys in tuples}) == 1
+    got = certify_tuples(tuples, data)
+    assert all(isinstance(c, Certificate) for c in got)
+    for cert, ys in zip(got, tuples):
+        assert_certifies_as_the_poly_loop(cert, ys, data)
 
 
 def test_certify_tuples_fails_a_perturbed_tuple_at_the_same_level():
@@ -306,7 +337,7 @@ def test_certify_tuples_mixes_exact_and_floating_tuples():
     got = certify_tuples([exact, [root], [root, root], [Poly.zero(CC)], [Poly(CC, [2.0, 6.0])]],
                          data)
     assert isinstance(got[0], NotCertified) and str(got[0]).startswith("level 1: nonzero")
-    assert got[1].mode == "numeric" and got[1].residuals == poly_loop_certificate([root], data)
+    assert_certifies_as_the_poly_loop(got[1], [root], data)
     assert isinstance(got[2], DimensionMismatch)
     assert isinstance(got[3], ZeroPolynomial)
     # y = 6x + 2, a divisor with lead 6, each quotient term scaled by its
@@ -685,6 +716,18 @@ def test_roots_of_unity_identity_sector_is_built_from_the_point_sector():
 def test_roots_of_unity_identity_sector_sums_to_target():
     report = run_verify(rou4_data(), sector="all", starts=200, seed=0)["report"]
     assert report["sectors"]["1,2"]["multiplicity_sum"] == report["lr_target"] == 3
+
+
+@pytest.mark.xfail(strict=True, reason="certificate false negative: at seeds 0, 5, 6 and 9 one "
+                   "built orbit of the identity sector fails level 1 by 1.2-5x (remainder "
+                   "norms 4.3e-5 to 1.3e-4 against bounds 2.2e-5 to 6.5e-5), though its "
+                   "log-gradient is below 3.1e-15, so verify reads UNDERCOUNT")
+def test_sl3_n6_identity_sector_certifies_at_every_seed():
+    # sl3 l = (3,1), weight (1,0) at 0, +-1, +-2, 3
+    data = MasterData(QQ, (3, 1), tuple((z, (1, 0)) for z in ladder_points(6)))
+    verdicts = [run_verify(data, sector="identity", seed=s)["report"]["verdict"]
+                for s in range(10)]
+    assert verdicts == ["MATCH"] * 10
 
 
 # -- sectors built from the point sector ---------------------------------------------
