@@ -30,7 +30,11 @@ expanded by cofactors (division free), which keeps it valid over the dual
 ring. It is multilinear and antisymmetric in the functions. Its minor on the
 bottom i rows and the first i columns is Wr(f_1..f_i), so partial_wronskians
 reads every prefix of a flag off the one expansion, and wronskian is its last
-entry.
+entry.  Over QQ and Q(a) that expansion runs on integer rows: each
+derivative entry is converted once to integers over its column's
+denominator, a minor is one integer cofactor sum (over Q(a) folded once per
+coefficient), and Fractions or ExtElems are built only for each returned
+Wr(f_1..f_i).
 """
 
 from __future__ import annotations
@@ -711,7 +715,12 @@ def partial_wronskians(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     holds the (k-1)-th derivatives, the last row the functions).  Its minor
     on the bottom i rows and the first i columns is Wr(f_1..f_i), so every
     prefix is a minor of the one memoized expansion along the top rows.
-    Cofactor expansion only, so the dual ring is fine."""
+    Cofactor expansion only, so the dual ring is fine.
+
+    Over QQ and Q(a) the entries are integer rows (see _int_entries) and a
+    minor is one integer cofactor sum (_cofactor_sum); each Wr(f_1..f_i) is
+    built as Fractions or ExtElems once, over the product of its columns'
+    denominators.  CC and the dual ring expand on Polys."""
     polys = list(polys)
     if not polys:
         raise ZeroInputs("Wronskian of an empty family")
@@ -720,31 +729,120 @@ def partial_wronskians(polys: Sequence[Poly]) -> tuple[Poly, ...]:
         if p.ring != ring:
             raise MixedFields("Wronskian arguments over different rings")
     k = len(polys)
-    rows = []
-    for r in range(k):
-        order = k - 1 - r
-        rows.append([p.deriv(order) for p in polys])
-    memo: dict[tuple[int, ...], Poly] = {}
+    integer = isinstance(ring, (RationalField, NumberField))
+    if integer:
+        rows, dens, w = _int_entries(ring, polys)
+        one = [(0, 1)]
 
-    def minor(cols: tuple[int, ...]) -> Poly:
-        # the bottom len(cols) rows, expanded along the first of them
-        r = k - len(cols)
+        def cofactors(terms):
+            return _cofactor_sum(ring, w, terms)
+    else:
+        rows = []
+        for r in range(k):
+            derivs = [p.deriv(k - 1 - r) for p in polys]
+            rows.append([None if d.is_zero() else d for d in derivs])
+        one = Poly.one(ring)
+
+        def cofactors(terms):
+            acc = Poly.zero(ring)
+            for odd, entry, sub in terms:
+                term = entry * sub
+                acc = acc - term if odd else acc + term
+            return acc
+    memo: dict[tuple[int, ...], object] = {}
+
+    def minor(cols: tuple[int, ...]):
+        # the bottom len(cols) rows, expanded along the first of them; a zero
+        # entry is None or an empty row, and its minor is not expanded
         if not cols:
-            return Poly.one(ring)
+            return one
         got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = Poly.zero(ring)
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            term = entry * minor(cols[:idx] + cols[idx + 1 :])
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
+        if got is None:
+            r = k - len(cols)
+            got = memo[cols] = cofactors(
+                [(idx % 2, rows[r][c], minor(cols[:idx] + cols[idx + 1:]))
+                 for idx, c in enumerate(cols) if rows[r][c]])
+        return got
 
-    return (polys[0],) + tuple(minor(tuple(range(i))) for i in range(2, k + 1))
+    wrs = [minor(tuple(range(i))) for i in range(2, k + 1)]
+    if integer:
+        # a minor of i columns is over its columns' denominators, and over Q(a)
+        # over K._den^i more: one fold per row of the expansion
+        fold = 1 if w == 1 else ring._den
+        wrs = [_from_int(ring, w, W, math.prod(dens[:i]) * fold ** i)
+               for i, W in enumerate(wrs, start=2)]
+    return (polys[0],) + tuple(wrs)
+
+
+# The integer kernel of partial_wronskians.  A polynomial is the sorted list
+# of its nonzero terms (index, integer) on a flat row of stride w: over QQ,
+# w = 1 and the term (i, v) is the numerator v of x^i; over Q(a) of degree
+# n, w = 2n - 1 and coordinate t of the coefficient of x^i sits at index
+# i w + t, as in _mul_nf, so a product of two terms never carries into the
+# next coefficient.
+
+def _int_entries(ring, polys) -> tuple[list[list[list]], list[int], int]:
+    """The derivative matrix of partial_wronskians as integer term lists,
+    with each column's denominator and the stride: column c holds the
+    derivatives of f_c scaled by the lcm denominator of f_c's
+    coefficients, rows in descending derivative order."""
+    k = len(polys)
+    w = 1 if isinstance(ring, RationalField) else 2 * ring.degree - 1
+    cols, dens = [], []
+    for p in polys:
+        if w == 1:
+            nums, den = _numerators(p.coeffs)
+            terms = [(i, v) for i, v in enumerate(nums) if v]
+        else:
+            R, den = _rows(p.coeffs)
+            terms = [term for i, row in enumerate(R) for term in _terms(row, i * w)]
+        col = [terms]
+        for _ in range(k - 1):
+            # d/dx multiplies the coefficient of x^i by i and moves it to x^(i-1)
+            terms = [(j - w, v * (j // w)) for j, v in terms if j >= w]
+            col.append(terms)
+        cols.append(col[::-1])
+        dens.append(den)
+    return [[col[r] for col in cols] for r in range(k)], dens, w
+
+
+def _cofactor_sum(ring, w: int, terms) -> list[tuple[int, int]]:
+    """The sum of the signed products +-entry * minor given as (odd, entry,
+    minor) term lists of stride w.  Over Q(a) the sum is folded once per
+    coefficient, so each product carries one factor K._den."""
+    size = 0
+    for _, e, s in terms:
+        if s:
+            size = max(size, e[-1][0] + s[-1][0] + 1)
+    out = [0] * (-(-size // w) * w)
+    for odd, e, s in terms:
+        for i, u in e:
+            if odd:
+                u = -u
+            for j, v in s:
+                out[i + j] += u * v
+    if w > 1:
+        pad = [0] * (w - ring.degree)
+        folded = []
+        for k in range(0, len(out), w):
+            folded += ring._fold(out[k:k + w])
+            folded += pad
+        out = folded
+    return [(i, v) for i, v in enumerate(out) if v]
+
+
+def _from_int(ring, w: int, terms, den: int) -> Poly:
+    """The polynomial of an integer term list of stride w over den."""
+    if not terms:
+        return Poly.zero(ring)
+    flat = [0] * (terms[-1][0] // w * w + w)
+    for i, v in terms:
+        flat[i] = v
+    if w == 1:
+        return Poly._of(ring, _over(flat, den))
+    n = ring.degree
+    return Poly._of(ring, [field_mod._lowest(ring, tuple(flat[k:k + n]), den)
+                           for k in range(0, len(flat), w)])
 
 
 def wronskian(polys: Sequence[Poly]) -> Poly:

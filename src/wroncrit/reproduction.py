@@ -7,16 +7,20 @@ Wr(y_i, *) = T_i y_{i-1} y_{i+1} is solvable (y_0 = y_{N+1} = 1).  Solving
 that equation and picking a generic member of the solution family replaces
 y_i by a mutated partner; fertility survives mutation.  Each mutated tuple
 carries a verified fertility report: only the divisibility conditions at
-levels i-1, i and i+1 are re-checked, the new y_i's square-free, root-avoiding
-and coprimality verdicts are the ones generic_candidate chose it for, and
-every other verdict is the parent's, whose inputs the mutation left unchanged.
+levels i-1 and i+1 are re-checked; the new y_i's divisibility is proved by
+solve's identity (for Wr(Y, G) = T, Wr(Y', T) = -Y Wr(Y', G')), its
+square-free, root-avoiding and coprimality verdicts are the ones
+generic_candidate chose it for, and every other verdict is the parent's,
+whose inputs the mutation left unchanged.
 
 Cascades of mutations in directions i, i-1, ..., 1, each restarted from the
 original tuple, produce a basis u_1, ..., u_{N+1} whose partial Wronskians
-are proportional to K_i y_i, where K_i = T_0^i T_1^{i-1} ... T_{i-1}.  The
-exponents of the flag spanned by the basis are given by closed-form tables
-in the orders and degrees of the T_j, and the whole construction is inverted
-by theta, which divides partial Wronskians by K_i.
+are proportional to K_i y_i, where K_i = T_0^i T_1^{i-1} ... T_{i-1}.  Every
+step in direction j solves against the original y_j, so build_space solves
+each y_j's Bezout identity once per call.  The exponents of the flag
+spanned by the basis are given by closed-form tables in the orders and
+degrees of the T_j, and the whole construction is inverted by theta, which
+divides partial Wronskians by K_i.
 """
 
 from __future__ import annotations
@@ -65,17 +69,24 @@ class FertileTuple:
     them), and a point that is a root of no T_j is dropped: the marked points
     are the roots of the weights, so exponent tables and fertility read them
     without factoring.  Fertility itself is a property, checked by
-    is_fertile, not a constructor guarantee.  ``verified`` is the tuple's
-    fertility report when mutate or build_space verified it, which mutate
-    then starts from, and None for a tuple built by the constructor.
+    is_fertile, not a constructor guarantee.  ``orders[k][j]`` is
+    ord_{points[k]} T_j, which the constructor computes to check the points.
+    ``verified`` is the tuple's fertility report when mutate or build_space
+    verified it, which mutate then starts from, and None for a tuple built
+    by the constructor.  ``_bezout`` is None except on the copies of one
+    build_space call, which share one dict of Bezout cofactors (see
+    wronskian_eq.solve).
     """
 
     ring: Any
     y: tuple[Poly, ...]
     T: tuple[Poly, ...]
     points: tuple[Any, ...] = ()
+    orders: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
+                                                compare=False)
     verified: FertilityReport | None = field(default=None, init=False, repr=False,
                                              compare=False)
+    _bezout: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = tuple(p.to_ring(self.ring) for p in self.y)
@@ -94,21 +105,22 @@ class FertileTuple:
             for b in range(a + 1, len(pts)):
                 if pts[a] == pts[b]:
                     raise DuplicatePoints(f"point {format_scalar(pts[a])} repeats")
-        orders = [[ord_at(t, z) for t in T] for z in pts]
+        orders = [tuple(ord_at(t, z) for t in T) for z in pts]
         for k, t in enumerate(T):
             if sum(row[k] for row in orders) != t.degree():
                 raise WroncritError(f"T_{k} does not split over the given points")
         # a point dividing no T_j carries no weight: the exponent tables say
         # nothing there, so it is dropped rather than checked against them
-        pts = tuple(z for z, row in zip(pts, orders) if any(row))
+        kept = [k for k, row in enumerate(orders) if any(row)]
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(pts[k] for k in kept))
+        object.__setattr__(self, "orders", tuple(orders[k] for k in kept))
 
     def _with(self, **changes) -> FertileTuple:
         """A copy of this tuple with the given fields replaced.  It shares T,
-        the points and their cached polynomials, which this tuple validated,
-        so the constructor's checks do not run again."""
+        the points, their orders and their cached polynomials, which this
+        tuple validated, so the constructor's checks do not run again."""
         new = copy.copy(self)
         for name, value in changes.items():
             object.__setattr__(new, name, value)
@@ -199,25 +211,25 @@ def _report(levels: list[_Level]) -> FertilityReport:
 
 def _avoids(t: FertileTuple, yi: Poly, shared) -> tuple[tuple[int, bool], ...]:
     """For each T_j of positive degree, whether yi avoids its roots, given the
-    marked points where yi vanishes."""
+    rows of t.orders at the marked points where yi vanishes."""
     if yi.degree() <= 0:
         return ()
-    return tuple((j, not any(ord_at(Tj, z) for z in shared))
+    return tuple((j, not any(row[j] for row in shared))
                  for j, Tj in enumerate(t.T) if Tj.degree() > 0)
 
 
 def _check_level(t: FertileTuple, i: int, sqfree: bool | None = None,
-                 avoids: tuple | None = None, coprime: bool | None = None,
-                 rhs: Poly | None = None) -> _Level:
+                 avoids: tuple | None = None, coprime: bool | None = None) -> _Level:
     """The verdicts on y_i in t.  A verdict passed in is taken as verified
-    and the others are computed; divisibility always is, against ``rhs``
-    when given (it must be t.rhs(i)).  The roots y_i shares with a T_j are
-    read at the marked points, no gcd."""
+    and the others are computed; divisibility always is.  The roots y_i
+    shares with a T_j are read off t.orders at the marked points where y_i
+    vanishes, no gcd.  mutate does not call this for the level it
+    replaces: solve's identity proves that level's divisibility."""
     yi = t.y_at(i)
     if sqfree is None:
         sqfree = is_squarefree(yi)
     if avoids is None:
-        avoids = _avoids(t, yi, [z for z in t.points if ord_at(yi, z)])
+        avoids = _avoids(t, yi, [row for z, row in zip(t.points, t.orders) if ord_at(yi, z)])
     if i == t.N:
         coprime = None
     elif coprime is None:
@@ -226,8 +238,7 @@ def _check_level(t: FertileTuple, i: int, sqfree: bool | None = None,
                    or gcd_monic(yi, ynext).degree() == 0)
     div = None
     if sqfree:
-        if rhs is None:
-            rhs = t.rhs(i)
+        rhs = t.rhs(i)
         div = yi.degree() <= 0 or divides(yi, wronskian_pair(yi.deriv(), rhs))
     return _Level(sqfree, avoids, coprime, div)
 
@@ -247,17 +258,24 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
 
     The new report starts from t's: t.verified, or is_fertile(t) for a
     tuple that carries none.  Only the divisibility conditions at levels
-    i-1, i and i+1 are re-checked.  The new y_i is square free, avoids the
+    i-1 and i+1 are re-checked.  The new y_i is square free, avoids the
     roots of every T_j and is coprime to both neighbours, since
-    generic_candidate chose it so, and its divisibility is checked against
-    the target T_i y_{i-1} y_{i+1} already built; every other verdict is
-    t's, whose inputs the mutation left unchanged.
+    generic_candidate chose it so.  Its divisibility is proved, not
+    checked: with T = T_i y_{i-1} y_{i+1}, the target, and lc the lead of
+    particular + c y_i, Y = (particular + c y_i) / lc satisfies
+    Wr(Y, -lc y_i) = T, and for any G with Wr(Y, G) = T,
+    Wr(Y', T) = -Y Wr(Y', G'), so Y divides Wr(Y', T).  Every other
+    verdict is t's, whose inputs the mutation left unchanged.
+
+    On the copies of one build_space call, solve reads the Bezout cofactors
+    of y_i from the dict they share when an earlier step solved against the
+    same y_i.
     """
     if not 1 <= i <= t.N:
         raise WroncritError(f"direction {i} outside 1..{t.N}")
     yi = t.y_at(i)
     target = t.rhs(i)
-    sol = solve(yi, target)
+    sol = solve(yi, target, _bezout=t._bezout)
     # the marked points are the roots of T_0..T_N
     avoid = [t.marked, t.y_at(i - 1), t.y_at(i + 1)]
     cand, c = generic_candidate(sol.particular, yi, avoid_roots_of=avoid)
@@ -266,8 +284,9 @@ def mutate(t: FertileTuple, i: int) -> tuple[FertileTuple, Poly, int]:
     levels = list((t.verified or is_fertile(t)).levels)
     # generic_candidate took the candidate square free and coprime to
     # t.marked and to both neighbours: it vanishes at no marked point; its
-    # neighbours are t's, so its right side is the target
-    levels[i - 1] = _check_level(new_t, i, True, _avoids(new_t, ytilde, ()), True, target)
+    # neighbours are t's, so its right side is the target, and solve's
+    # identity proves the divisibility (see above)
+    levels[i - 1] = _Level(True, _avoids(new_t, ytilde, ()), None if i == t.N else True, True)
     if i > 1:
         p = levels[i - 2]
         levels[i - 2] = _check_level(new_t, i - 1, p.sqfree, p.avoids, True)
@@ -319,10 +338,13 @@ def build_space(t: FertileTuple) -> PolySpace:
     i, i-1, ..., 1, always restarted from the original tuple, then scaling
     the final first entry by K_1.  The source tuple's fertility is checked
     once per call, on a copy that carries the report down each cascade, so
-    nothing is kept on t.  All three conclusions are then verified: the
-    Wronskian family (every Wr(u_1..u_i), read off one expansion by
-    partial_wronskians), the finite exponent tables, and the degrees at
-    infinity; a zero Wr(u_1..u_i) raises DependentBasis.  The exponents of
+    nothing is kept on t.  Every step in direction j solves against the
+    source's y_j, so that copy also carries one dict of Bezout cofactors,
+    dropped with the call: each distinct y_j takes one xgcd per call.  All
+    three conclusions are then verified: the Wronskian family (every
+    Wr(u_1..u_i), read off one expansion by partial_wronskians), the finite
+    exponent tables (sums of t.orders), and the degrees at infinity; a zero
+    Wr(u_1..u_i) raises DependentBasis.  The exponents of
     each prefix E_i = span(u_1..u_i) are read off the vanishing orders and
     degrees of those Wronskians (_added_exponents); nothing is shifted or
     row reduced.
@@ -330,7 +352,7 @@ def build_space(t: FertileTuple) -> PolySpace:
     report = is_fertile(t)
     if not report.ok:
         raise NotFertile(str(report))
-    src = t._with(verified=report)
+    src = t._with(verified=report, _bezout={})
     K = t.K
     basis = [K[1] * t.y_at(1)]
     for i in range(1, t.N + 1):
@@ -357,8 +379,7 @@ def build_space(t: FertileTuple) -> PolySpace:
 
     c_table, w = infinity_labels([y.degree() for y in t.y], [Tj.degree() for Tj in t.T])
     finite = []
-    for z in t.points:
-        orders = [ord_at(Tj, z) for Tj in t.T]
+    for z, orders in zip(t.points, t.orders):
         etab = tuple(i - 1 + sum(orders[:i]) for i in range(1, t.N + 2))
         finite.append((z, etab))
 

@@ -60,17 +60,29 @@ def solvable(y: Poly, t: Poly) -> bool:
     return div_rem(w, y)[1].is_zero()
 
 
-def solve(y: Poly, t: Poly) -> WronskianSolution:
-    """Particular solution of Wr(y, ytilde) = T, or NotSolvable."""
+def solve(y: Poly, t: Poly, *, _bezout: dict | None = None) -> WronskianSolution:
+    """Particular solution of Wr(y, ytilde) = T, or NotSolvable.
+
+    ``_bezout`` is for reproduction.build_space, whose cascades solve
+    against each y_j of one tuple many times: a dict, dropped with that
+    call, from y to the cofactors (c, d) of c*y' + d*y = 1.  y's entry is
+    read when present, and recorded after the xgcd that proves y square
+    free."""
     _require_monic(y)
     if y.degree() == 0:
         # y = 1: Wr(1, g) = -g', so g = -antiderivative(T)
         ytilde = -t.antideriv()
         _verify(y, ytilde, t)
         return WronskianSolution(ytilde, y)
-    g, c, d = xgcd(y.deriv(), y)
-    if g.degree() != 0:
-        raise NotSquareFree(f"{y!r} has a repeated root")
+    cd = None if _bezout is None else _bezout.get(y)
+    if cd is None:
+        g, c, d = xgcd(y.deriv(), y)
+        if g.degree() != 0:
+            raise NotSquareFree(f"{y!r} has a repeated root")
+        if _bezout is not None:
+            _bezout[y] = (c, d)
+    else:
+        c, d = cd
     if t.is_zero():
         return WronskianSolution(Poly.zero(y.ring), y)
     a = d * t

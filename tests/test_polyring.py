@@ -653,6 +653,82 @@ def test_partial_wronskians_guards():
     assert partial_wronskians([P("1"), P("x"), P("x^2")]) == (P("1"), P("-1"), P("-2"))
 
 
+# Over QQ and Q(a) partial_wronskians expands integer rows over column
+# denominators (and, over Q(a), K._den per fold); the reference here is the
+# Leibniz sum on coefficient lists with scalar arithmetic alone, so it shares
+# no polynomial kernel with it.  The fields include minimal polynomials whose
+# table of powers has a denominator (K._den = 2 and 15).
+
+KERNEL_FIELDS = [QQ] + [make_extension(p) for p in
+                        ("x^2+x+1", "x^2-3", "x^2-1/2", "x^3-1/3*x-2/5")]
+KERNEL_IDS = ["QQ", "a2+a+1", "a2-3", "a2-1/2", "a3-a/3-2/5"]
+
+
+def scalar_wronskian(fs):
+    # the Leibniz sum with every product and derivative taken coefficient by
+    # coefficient in the ring's scalars
+    ring, k = fs[0].ring, len(fs)
+
+    def deriv(cs, m):
+        for _ in range(m):
+            cs = [c * ring.coerce(i) for i, c in enumerate(cs)][1:]
+        return cs
+
+    def times(a, b):
+        out = [ring.zero()] * max(0, len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] = out[i + j] + u * v
+        return out
+
+    total = []
+    for perm in itertools.permutations(range(k)):
+        term = [ring.one()]
+        for r, c in enumerate(perm):
+            term = times(term, deriv(list(fs[c].coeffs), k - 1 - r))
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            term = [-c for c in term]
+        total = [u + v for u, v in itertools.zip_longest(total, term, fillvalue=ring.zero())]
+    return trimmed(total)
+
+
+@st.composite
+def kernel_families(draw, ring):
+    # members are random, zero, constant, or a combination of earlier ones
+    poly = st.lists(_coeffs_in(ring), max_size=5).map(lambda cs: Poly(ring, cs))
+    fs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["poly", "poly", "zero", "constant", "dependent"]))
+        if kind == "zero":
+            fs.append(Poly.zero(ring))
+        elif kind == "constant":
+            fs.append(Poly(ring, [draw(_coeffs_in(ring))]))
+        elif kind == "dependent" and fs:
+            f = Poly.zero(ring)
+            for g in fs:
+                f = f + g * draw(_coeffs_in(ring))
+            fs.append(f)
+        else:
+            fs.append(draw(poly))
+    return fs
+
+
+def test_kernel_fields_have_denominators_in_their_tables():
+    assert [K._den for K in KERNEL_FIELDS[1:]] == [1, 1, 2, 15]
+
+
+@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_partial_wronskians_match_a_scalar_determinant(ring, data):
+    fs = data.draw(kernel_families(ring))
+    wrs = partial_wronskians(fs)
+    assert wrs[0] is fs[0]
+    for i, w in enumerate(wrs, start=1):
+        assert w.ring == ring
+        assert w.coeffs == scalar_wronskian(fs[:i])
+
+
 def test_wronskian_three_functions():
     f, g, h = P("1"), P("x"), P("x^2")
     # constant Vandermonde: derivatives of 1, x, x^2 -> det = -2 under the

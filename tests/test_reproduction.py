@@ -47,6 +47,10 @@ from wroncrit.reproduction import (
 from wroncrit.wronskian_eq import generic_candidate, solve
 
 
+OMEGA = make_extension("x^2+x+1")
+SQRT3 = make_extension("x^2-3")
+
+
 def P(s):
     return parse_poly(s, QQ)
 
@@ -111,9 +115,12 @@ def test_tuple_guards():
     with pytest.raises(WroncritError):
         # T_1 has a root outside the declared points
         FertileTuple(QQ, (P("x"),), (one, P("x-5")), (Fraction(0),))
-    # a declared point dividing no T_j carries no weight and is dropped
+    # a declared point dividing no T_j carries no weight and is dropped, with
+    # its row of orders
     t = FertileTuple(QQ, (P("x"),), (one, P("x-5")), (Fraction(5), Fraction(0)))
     assert t.points == (Fraction(5),)
+    assert t.orders == ((0, 1),)
+    assert t._with(y=(P("x-1"),)).orders is t.orders
 
 
 def test_infertile_reports():
@@ -316,10 +323,9 @@ def test_threaded_report_equals_full_check(plan):
             break
 
 
-@pytest.mark.parametrize("ring", [QQ, make_extension("x^2+x+1")], ids=["QQ", "Q(omega)"])
-def test_build_space_tests_square_freeness_only_on_its_source(ring, monkeypatch):
-    # a mutation takes the square-free verdicts from generic_candidate and from
-    # its parent's report, so only the source tuple's check takes them
+def _grown_three(ring):
+    """A fertile tuple with N = 3 and three non-constant y_j, grown by
+    mutations from the all-ones tuple, rebuilt so that it carries no report."""
     one = ring.one()
     pts = (ring.zero(), one, -one) if ring is QQ else (one, ring.gen, -one - ring.gen)
     x = Poly.x(ring)
@@ -327,10 +333,17 @@ def test_build_space_tests_square_freeness_only_on_its_source(ring, monkeypatch)
     t = FertileTuple(ring, (Poly.one(ring),) * 3, T, pts)
     for i in (1, 2, 3, 2):
         t = mutate(t, i)[0]
+    return FertileTuple(ring, t.y, T, pts)
+
+
+@pytest.mark.parametrize("ring", [QQ, OMEGA], ids=["QQ", "Q(omega)"])
+def test_build_space_tests_square_freeness_only_on_its_source(ring, monkeypatch):
+    # a mutation takes the square-free verdicts from generic_candidate and from
+    # its parent's report, so only the source tuple's check takes them
+    t = _grown_three(ring)
     calls = []
     real = reproduction.is_squarefree
     monkeypatch.setattr(reproduction, "is_squarefree", lambda f: calls.append(f) or real(f))
-    t = FertileTuple(ring, t.y, T, pts)     # freshly built: it carries no report
     space = build_space(t)
     assert theta(space) == t.y
     assert len(calls) == t.N == 3
@@ -414,10 +427,87 @@ def test_fertility_and_mutation_take_no_gcd_with_a_weight(monkeypatch):
     assert not any(p in t.T for pair in args for p in pair)
 
 
+@pytest.mark.parametrize("ring", [QQ, OMEGA], ids=["QQ", "Q(omega)"])
+def test_every_cascade_report_is_the_full_check(ring):
+    # mutate records the new level's divisibility from solve's identity
+    # instead of checking it; along every cascade of build_space the report
+    # it threads must still be is_fertile of the tuple it describes
+    t = _grown_three(ring)
+    assert all(p.degree() > 0 for p in t.y)
+    src = t._with(verified=is_fertile(t))
+    steps = 0
+    for i in range(1, t.N + 1):
+        cur = src
+        for direction in range(i, 0, -1):
+            cur = mutate(cur, direction)[0]
+            full = is_fertile(cur)
+            assert cur.verified == full and full.ok
+            assert cur.verified.levels == full.levels
+            steps += 1
+    assert steps == 6
+
+
+def test_mutate_checks_only_the_neighbours_divisibility(monkeypatch):
+    t = _grown_three(QQ)
+    t = t._with(verified=is_fertile(t))
+    checked = []
+    real = reproduction.divides
+    monkeypatch.setattr(reproduction, "divides",
+                        lambda y, f: checked.append(y) or real(y, f))
+    for i, want in ((1, [2]), (2, [1, 3]), (3, [2])):
+        checked.clear()
+        new = mutate(t, i)[0]
+        assert checked == [new.y_at(j) for j in want]
+
+
+wr_polys = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                    max_size=6).map(lambda cs: Poly(QQ, cs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wr_polys, wr_polys)
+def test_the_identity_that_proves_the_new_level(Y, G):
+    # with T = Wr(Y, G): Wr(Y', T) = -Y Wr(Y', G'), so Y divides Wr(Y', T)
+    Yd = Y.deriv()
+    assert wronskian_pair(Yd, wronskian_pair(Y, G)) == -Y * wronskian_pair(Yd, G.deriv())
+
+
+def test_build_space_solves_each_bezout_identity_once_per_call(monkeypatch):
+    # every cascade step in direction j solves against the source's y_j: one
+    # xgcd per distinct non-constant y_j and call, and none kept between calls
+    t = _grown_three(QQ)
+    calls = []
+    real = wronskian_eq.xgcd
+    monkeypatch.setattr(wronskian_eq, "xgcd", lambda f, g: calls.append(g) or real(f, g))
+    distinct = list(dict.fromkeys(p for p in t.y if p.degree() > 0))
+    assert len(distinct) == 3
+    first = build_space(t)
+    assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+    calls.clear()
+    second = build_space(t)
+    assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+    assert second == first
+    assert t._bezout is None and first.source is t
+
+
+def test_build_space_reads_the_weight_orders_off_the_tuple(monkeypatch):
+    # the constructor's orders of T_j at the kept points serve build_space
+    # and the fertility checks; no ord_at is taken on a weight again
+    t = _grown_three(QQ)
+    assert t.orders == tuple(tuple(ord_at(Tj, z) for Tj in t.T) for z in t.points)
+    args = []
+    real = reproduction.ord_at
+    monkeypatch.setattr(reproduction, "ord_at", lambda f, z: args.append(f) or real(f, z))
+    space = build_space(t)
+    assert args
+    assert not any(f in t.T for f in args)
+    assert space.finite_exponents == tuple(
+        (z, tuple(i - 1 + sum(row[:i]) for i in range(1, t.N + 2)))
+        for z, row in zip(t.points, t.orders))
+
+
 # -- exponents read off the partial Wronskians ------------------------------------
 
-OMEGA = make_extension("x^2+x+1")
-SQRT3 = make_extension("x^2-3")
 
 
 def _marked_points(ring):
@@ -476,12 +566,10 @@ def _verification_message(t):
     return str(err.value)
 
 
-def test_build_space_names_a_wrong_finite_table(monkeypatch):
+def test_build_space_names_a_wrong_finite_table():
     # every order of a weight reads one too high, so the tables say e_1(1) = 1
     t = cuberoots_tuple()
-    real = reproduction.ord_at
-    monkeypatch.setattr(reproduction, "ord_at",
-                        lambda f, z: real(f, z) + any(f is Tj for Tj in t.T))
+    t = t._with(orders=tuple(tuple(o + 1 for o in row) for row in t.orders))
     assert _verification_message(t) == "exponents of E_1 at 1: (0,), table says (1,)"
 
 
